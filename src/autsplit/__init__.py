@@ -4,7 +4,8 @@ over local function fields, plus the based-root-datum counterpart.
 Subpackage map:
 
 - ``gftower``   one ambient finite field housing every needed subfield
-- ``series``    truncated Laurent series with explicit precision
+- ``series``    truncated Laurent series with explicit precision, and
+                square matrices over them (det, solve, inverse)
 - ``autk``      automorphisms of F_{p^j}((T)) and their decomposition
 - ``cyclic``    the cyclic algebra A(d,r), reduced norms, semilinear autos
 - ``brauer``    discrete Brauer/splitting arithmetic
@@ -20,13 +21,13 @@ from .brauer import (BrauerClass, CSADescriptor, GroupDescriptor,
                      splits_over_subfield, wedderburn)
 from .gftower import (FFElement, FieldTower, build_tower, frobenius,
                       hilbert90_solve, relative_norm, subfield_generator)
-from .series import (LaurentSeries, frobenius_coeffwise, hensel_root,
-                     norm_equation_solve, substitute, unramified_norm)
-from .autk import (LocalFieldAuto, apply_auto, compose_auto, decompose_auto,
-                   extend_auto, invert_auto)
+from .series import (LaurentSeries, SeriesMatrix, frobenius_coeffwise,
+                     hensel_root, norm_equation_solve, substitute,
+                     unramified_norm)
+from .autk import (LocalFieldAuto, compose_auto, decompose_auto, extend_auto,
+                   invert_auto)
 from .cyclic import (AlgebraElement, AlgebraMatrix, CyclicAlgebra,
-                     SemilinearAuto, apply_semilinear, compose_semilinear,
-                     intaut, phi_auto)
+                     SemilinearAuto, compose_semilinear, intaut, phi_auto)
 from .sections import SectionContext, glue_section, verify_section
 
 __all__ = [name for name in dir() if not name.startswith("_")]

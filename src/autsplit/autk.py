@@ -13,7 +13,7 @@ original map.
 
 from __future__ import annotations
 
-from .gftower import FFElement, FieldTower, frobenius
+from .gftower import FFElement, FieldTower
 from .series import (LaurentSeries, frobenius_coeffwise, reversion,
                      substitute)
 
@@ -82,10 +82,6 @@ class LocalFieldAuto:
 
     def __repr__(self):
         return f"e={self.e}; T -> {self.image_of_T!r}"
-
-
-def apply_auto(alpha: LocalFieldAuto, s: LaurentSeries) -> LaurentSeries:
-    return alpha(s)
 
 
 def compose_auto(alpha: LocalFieldAuto, beta: LocalFieldAuto) -> LocalFieldAuto:

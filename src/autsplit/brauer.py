@@ -12,6 +12,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
+from .gftower import _prime_factors
+
 
 class NotDivisionInput(ValueError):
     """Operation requires a division-algebra descriptor (gcd(d, r) = 1)."""
@@ -149,28 +151,16 @@ def non_split_witness(n: int, d: int, p: int, i: int) -> int | None:
             a += 1
         witnesses.append(p ** a)
     tame = i * (p ** i - 1)
-    q = 2
-    while q <= tame:
-        if tame % q == 0 and q != p and _is_prime(q):
-            a = 1
-            while tame % (q ** a) == 0:
-                if n % gcd(nd, q ** a) != 0:
-                    witnesses.append(q ** a)
-                    break
-                a += 1
-        q += 1
+    for q in _prime_factors(tame):
+        if q == p:
+            continue
+        a = 1
+        while tame % (q ** a) == 0:
+            if n % gcd(nd, q ** a) != 0:
+                witnesses.append(q ** a)
+                break
+            a += 1
     return min(witnesses) if witnesses else None
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    k = 2
-    while k * k <= n:
-        if n % k == 0:
-            return False
-        k += 1
-    return True
 
 
 def d_part(m: int, d: int) -> tuple[int, int]:

@@ -6,7 +6,9 @@ codes: 0 for success / mathematical yes, 1 for mathematical no verdicts
 (with a witness where one exists), 2 for usage errors.
 
 The default working precision comes from the AUTSPLIT_PREC environment
-variable when set.
+variable when set; it is read when the parser is built.  Out-of-range
+arguments (a precision or a size below 1, a negative sample count) are
+usage errors, rejected before any arithmetic runs.
 """
 
 from __future__ import annotations
@@ -26,7 +28,19 @@ from .rootdatum import (ExtensionProblem, FiniteGroupTable, SimpleType,
 from .sections import SectionContext, verify_section
 from .series import LaurentSeries
 
-DEFAULT_PREC = int(os.environ.get("AUTSPLIT_PREC", "32"))
+
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
 
 
 def parse_series(text: str, tower, j: int, prec: int) -> LaurentSeries:
@@ -88,6 +102,10 @@ def _cmd_brauer(args) -> int:
 
 
 def _cmd_split_check(args) -> int:
+    if args.charp and (args.p is None or args.i is None):
+        raise ValueError("split-check --charp needs --p and --i")
+    if args.subfield and args.m is None:
+        raise ValueError("split-check --subfield needs --m")
     if args.charp:
         ok = br.splits_globally_charp(args.n, args.d, args.p, args.i)
         result = {"verdict": "SPLIT" if ok else "NON-SPLIT"}
@@ -208,6 +226,12 @@ def _cmd_ses_verdict(args) -> int:
 # -- parser ---------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
+    env_prec = os.environ.get("AUTSPLIT_PREC", "32")
+    try:
+        default_prec = positive_int(env_prec)
+    except (ValueError, argparse.ArgumentTypeError):
+        raise ValueError("AUTSPLIT_PREC must be an integer of at least 1, "
+                         f"got {env_prec!r}") from None
     top = argparse.ArgumentParser(
         prog="autsplit",
         description="Exact splitting analysis for semilinear automorphisms "
@@ -217,31 +241,33 @@ def build_parser() -> argparse.ArgumentParser:
 
     pb = sub.add_parser("brauer", help="Brauer class arithmetic")
     pb.add_argument("op", choices=("inv", "wedderburn", "basechange"))
-    pb.add_argument("--d", type=int, required=True)
+    pb.add_argument("--d", type=positive_int, required=True)
     pb.add_argument("--r", type=int, required=True)
-    pb.add_argument("--m", type=int, default=1)
+    pb.add_argument("--m", type=positive_int, default=1)
     pb.set_defaults(func=_cmd_brauer)
 
     ps = sub.add_parser("split-check", help="splitting criteria")
     mode = ps.add_mutually_exclusive_group(required=True)
     mode.add_argument("--charp", action="store_true")
     mode.add_argument("--subfield", action="store_true")
-    ps.add_argument("--n", type=int, required=True)
-    ps.add_argument("--d", type=int, required=True)
-    ps.add_argument("--p", type=int)
-    ps.add_argument("--i", type=int)
-    ps.add_argument("--m", type=int)
+    ps.add_argument("--n", type=positive_int, required=True)
+    ps.add_argument("--d", type=positive_int, required=True)
+    ps.add_argument("--p", type=positive_int)
+    ps.add_argument("--i", type=positive_int)
+    ps.add_argument("--m", type=positive_int)
     ps.set_defaults(func=_cmd_split_check)
 
     pd = sub.add_parser("descent-form", help="descend SL_n(A(d,r)) to a subfield")
-    for flag in ("--n", "--d", "--r", "--m"):
-        pd.add_argument(flag, type=int, required=True)
+    for flag, kind in (("--n", positive_int), ("--d", positive_int),
+                       ("--r", int), ("--m", positive_int)):
+        pd.add_argument(flag, type=kind, required=True)
     pd.set_defaults(func=_cmd_descent_form)
 
     pn = sub.add_parser("nrd", help="reduced norm of an algebra element")
-    for flag in ("--p", "--i", "--d", "--r"):
-        pn.add_argument(flag, type=int, required=True)
-    pn.add_argument("--prec", type=int, default=DEFAULT_PREC)
+    for flag, kind in (("--p", positive_int), ("--i", positive_int),
+                       ("--d", positive_int), ("--r", int)):
+        pn.add_argument(flag, type=kind, required=True)
+    pn.add_argument("--prec", type=positive_int, default=default_prec)
     pn.add_argument("--element", required=True,
                     help="semicolon-separated u-components, e.g. '1+T;T^-1'")
     pn.set_defaults(func=_cmd_nrd)
@@ -249,21 +275,23 @@ def build_parser() -> argparse.ArgumentParser:
     psec = sub.add_parser("section", help="splitting section synthesis")
     ssub = psec.add_subparsers(dest="section_op", required=True)
     psy = ssub.add_parser("synth")
-    for flag in ("--p", "--i", "--d", "--r", "--n"):
-        psy.add_argument(flag, type=int, required=True)
-    psy.add_argument("--prec", type=int, default=DEFAULT_PREC)
+    for flag, kind in (("--p", positive_int), ("--i", positive_int),
+                       ("--d", positive_int), ("--r", int),
+                       ("--n", positive_int)):
+        psy.add_argument(flag, type=kind, required=True)
+    psy.add_argument("--prec", type=positive_int, default=default_prec)
     psy.add_argument("--seed", type=int, default=0)
-    psy.add_argument("--samples", type=int, default=20)
+    psy.add_argument("--samples", type=nonnegative_int, default=20)
     psy.set_defaults(func=_cmd_section_synth)
 
     ph = sub.add_parser("hanke", help="degree-3 outer automorphism test")
-    ph.add_argument("--p", type=int, required=True)
-    ph.add_argument("--i", type=int, required=True)
+    ph.add_argument("--p", type=positive_int, required=True)
+    ph.add_argument("--i", type=positive_int, required=True)
     ph.add_argument("--r", type=int, default=1)
     ph.add_argument("--alpha", required=True, help="image of T, e.g. 'T+T^2'")
     ph.add_argument("--frob", type=int, default=0,
                     help="residue Frobenius power of alpha")
-    ph.add_argument("--prec", type=int, default=DEFAULT_PREC)
+    ph.add_argument("--prec", type=positive_int, default=default_prec)
     ph.set_defaults(func=_cmd_hanke)
 
     pe = sub.add_parser("extension", help="finite group extension tools")
@@ -284,9 +312,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (ValueError, ZeroDivisionError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -27,17 +27,13 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from .autk import LocalFieldAuto
-from .gftower import FFElement, FieldTower, subfield_generator
-from .series import (LaurentSeries, frobenius_coeffwise, series_in_subfield,
-                     unramified_norm)
+from .gftower import FieldTower, subfield_generator
+from .series import (LaurentSeries, NotInvertible, SeriesMatrix,
+                     frobenius_coeffwise, series_in_subfield, unramified_norm)
 
 
 class AdmissibilityFailure(ValueError):
     """The norm condition N(x) = alpha(T^r)/T^r fails at this precision."""
-
-
-class NotInvertible(ZeroDivisionError):
-    """Element or matrix is not invertible within the working precision."""
 
 
 class CyclicAlgebra:
@@ -152,7 +148,7 @@ class AlgebraElement:
 
     __hash__ = None
 
-    def regular_representation(self) -> list[list[LaurentSeries]]:
+    def regular_representation(self) -> SeriesMatrix:
         """Matrix of left multiplication on the basis u^0, ..., u^(d-1).
 
         Column j holds the coordinates of self * u^j, so the map is
@@ -171,21 +167,19 @@ class AlgebraElement:
                 if wrap:
                     entry = entry.shift(r * wrap)
                 rep[row][col] = rep[row][col] + entry
-        return rep
+        return SeriesMatrix(alg.tower, alg.jE, alg.prec, rep)
 
     def reduced_norm(self) -> LaurentSeries:
         """det of the regular representation; lands in K = F_{p^i}((T))."""
-        det = _series_det(self.regular_representation(), self.alg)
-        return det.with_subfield(self.alg.i)
+        return self.regular_representation().det().with_subfield(self.alg.i)
 
     def inverse(self) -> AlgebraElement:
         """Solve rep(self) * x = e_0; the solution's coordinates are the
         components of the two-sided inverse."""
         alg = self.alg
-        rep = self.regular_representation()
         e0 = [LaurentSeries.one(alg.tower, alg.jE, alg.prec)] + \
              [LaurentSeries.zero(alg.tower, alg.jE, alg.prec)] * (alg.d - 1)
-        sol = _series_solve(rep, e0, alg)
+        sol = self.regular_representation().solve(e0)
         return AlgebraElement(alg, tuple(sol))
 
     def __repr__(self):
@@ -195,68 +189,6 @@ class AlgebraElement:
                 head = "" if j == 0 else ("u*" if j == 1 else f"u^{j}*")
                 parts.append(f"{head}({c!r})")
         return " + ".join(parts) if parts else "0"
-
-
-# ----------------------------------------------------------------------
-# Linear algebra over the (commutative) series field
-# ----------------------------------------------------------------------
-
-def _series_det(rows: list[list[LaurentSeries]], alg: CyclicAlgebra) -> LaurentSeries:
-    """Determinant by Gaussian elimination, pivoting on minimal valuation."""
-    n = len(rows)
-    mat = [list(r) for r in rows]
-    t = alg.tower
-    det = LaurentSeries.one(t, alg.jE, alg.prec)
-    sign = 1
-    for k in range(n):
-        pivot_row = None
-        pivot_val = None
-        for m in range(k, n):
-            e = mat[m][k]
-            if e and (pivot_val is None or e.val < pivot_val):
-                pivot_row, pivot_val = m, e.val
-        if pivot_row is None:
-            prec = min(e.prec for r in mat for e in r)
-            return LaurentSeries.zero(t, alg.jE, prec)
-        if pivot_row != k:
-            mat[k], mat[pivot_row] = mat[pivot_row], mat[k]
-            sign = -sign
-        pivot = mat[k][k]
-        det = det * pivot
-        pinv = pivot.inverse()
-        for m in range(k + 1, n):
-            e = mat[m][k]
-            if not e:
-                continue
-            factor = e * pinv
-            mat[m] = [mat[m][c] - factor * mat[k][c] for c in range(n)]
-    if sign < 0:
-        det = -det
-    return det
-
-
-def _series_solve(rows, rhs, alg) -> list[LaurentSeries]:
-    n = len(rows)
-    mat = [list(r) + [rhs[idx]] for idx, r in enumerate(rows)]
-    for k in range(n):
-        pivot_row = None
-        pivot_val = None
-        for m in range(k, n):
-            e = mat[m][k]
-            if e and (pivot_val is None or e.val < pivot_val):
-                pivot_row, pivot_val = m, e.val
-        if pivot_row is None:
-            raise NotInvertible("matrix is singular within precision")
-        if pivot_row != k:
-            mat[k], mat[pivot_row] = mat[pivot_row], mat[k]
-        pinv = mat[k][k].inverse()
-        mat[k] = [e * pinv for e in mat[k]]
-        for m in range(n):
-            if m == k or not mat[m][k]:
-                continue
-            factor = mat[m][k]
-            mat[m] = [mat[m][c] - factor * mat[k][c] for c in range(n + 1)]
-    return [mat[k][n] for k in range(n)]
 
 
 class AlgebraMatrix:
@@ -392,21 +324,15 @@ class AlgebraMatrix:
                 a = self.rows[s][t]
                 if a.is_zero():
                     continue
-                rep = a.regular_representation()
+                rep = a.regular_representation().rows
                 for rr in range(d):
                     for cc in range(d):
                         big[s * d + rr][t * d + cc] = rep[rr][cc]
-        det = _series_det_sized(big, alg)
+        det = SeriesMatrix(alg.tower, alg.jE, alg.prec, big).det()
         return det.with_subfield(alg.i)
 
     def __repr__(self):
         return "[" + ",\n ".join(repr(list(r)) for r in self.rows) + "]"
-
-
-def _series_det_sized(rows, alg):
-    class _Shim:
-        tower, jE, prec = alg.tower, alg.jE, alg.prec
-    return _series_det(rows, _Shim)
 
 
 # ----------------------------------------------------------------------
@@ -481,10 +407,7 @@ class SemilinearAuto:
         """g * phi~(M) * g^(-1)."""
         if M.n != self.n:
             raise ValueError("matrix size mismatch")
-        phiM = AlgebraMatrix(self.alg,
-                             [[self.apply_element(e) for e in row]
-                              for row in M.rows])
-        return self.inner * phiM * self.inner_inv
+        return self.inner * self.apply_matrix_entrywise(M) * self.inner_inv
 
     def apply_matrix_entrywise(self, M: AlgebraMatrix) -> AlgebraMatrix:
         return AlgebraMatrix(self.alg, [[self.apply_element(e) for e in row]
@@ -503,10 +426,6 @@ def intaut(g: AlgebraMatrix, g_inv: AlgebraMatrix | None = None) -> SemilinearAu
     ident = LocalFieldAuto.identity(alg.tower, alg.jE, alg.prec)
     one = LaurentSeries.one(alg.tower, alg.jE, alg.prec)
     return SemilinearAuto(alg, g.n, g, ident, one, inner_inv=g_inv, check=False)
-
-
-def apply_semilinear(f: SemilinearAuto, M: AlgebraMatrix) -> AlgebraMatrix:
-    return f.apply(M)
 
 
 def compose_semilinear(f1: SemilinearAuto, f2: SemilinearAuto) -> SemilinearAuto:

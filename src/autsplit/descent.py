@@ -24,107 +24,17 @@ re-checked through the cocycle condition.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
 
 from .autk import LocalFieldAuto, extend_auto, invert_auto
-from .gftower import FieldTower, build_tower
-from .series import (LaurentSeries, frobenius_coeffwise, norm_equation_solve,
-                     unramified_norm)
-
-
-class PrecisionExhausted(ArithmeticError):
-    """A projective comparison ran out of retained coefficients."""
-
-
-class ProjMatrix:
-    """3x3 invertible matrix over l((T)), compared projectively."""
-
-    __slots__ = ("tower", "j", "rows")
-
-    def __init__(self, tower: FieldTower, j: int,
-                 rows: Sequence[Sequence[LaurentSeries]]):
-        if len(rows) != 3 or any(len(r) != 3 for r in rows):
-            raise ValueError("ProjMatrix is 3x3")
-        self.tower, self.j = tower, j
-        self.rows = tuple(tuple(e.with_subfield(j) for e in r) for r in rows)
-
-    def __mul__(self, other: ProjMatrix) -> ProjMatrix:
-        zero = LaurentSeries.zero(self.tower, self.j, self.rows[0][0].prec)
-        out = []
-        for s in range(3):
-            row = []
-            for t in range(3):
-                acc = zero
-                for k in range(3):
-                    a, b = self.rows[s][k], other.rows[k][t]
-                    if a and b:
-                        acc = acc + a * b
-                row.append(acc)
-            out.append(row)
-        return ProjMatrix(self.tower, self.j, out)
-
-    def inverse(self) -> ProjMatrix:
-        """Adjugate over the series field (projectively, the adjugate alone
-        would do, but the honest inverse keeps precision bookkeeping tight)."""
-        r = self.rows
-        def det2(a, b, c, d):
-            return a * d - b * c
-        cof = [[None] * 3 for _ in range(3)]
-        for s in range(3):
-            for t in range(3):
-                sub = [[r[x][y] for y in range(3) if y != t]
-                       for x in range(3) if x != s]
-                m = det2(sub[0][0], sub[0][1], sub[1][0], sub[1][1])
-                cof[s][t] = m if (s + t) % 2 == 0 else -m
-        det = r[0][0] * cof[0][0] + r[0][1] * cof[0][1] + r[0][2] * cof[0][2]
-        if not det:
-            raise ZeroDivisionError("projective matrix singular within precision")
-        dinv = det.inverse()
-        adj = [[cof[t][s] * dinv for t in range(3)] for s in range(3)]
-        return ProjMatrix(self.tower, self.j, adj)
-
-    def map_entries(self, f) -> ProjMatrix:
-        return ProjMatrix(self.tower, self.j,
-                          [[f(e) for e in row] for row in self.rows])
-
-    def antitranspose(self) -> ProjMatrix:
-        return ProjMatrix(self.tower, self.j,
-                          [[self.rows[2 - t][2 - s] for t in range(3)]
-                           for s in range(3)])
-
-    def proportional_to(self, other: ProjMatrix) -> bool:
-        """Equality in PGL_3: other = s * self for a scalar series s."""
-        pivot = None
-        for s in range(3):
-            for t in range(3):
-                a, b = self.rows[s][t], other.rows[s][t]
-                if bool(a) != bool(b):
-                    return False
-                if a and b and pivot is None:
-                    pivot = (s, t)
-        if pivot is None:
-            raise PrecisionExhausted("both matrices vanish within precision")
-        s0, t0 = pivot
-        scale = other.rows[s0][t0] / self.rows[s0][t0]
-        for s in range(3):
-            for t in range(3):
-                a = self.rows[s][t]
-                if a and not a * scale == other.rows[s][t]:
-                    return False
-        return True
-
-    @staticmethod
-    def identity(tower: FieldTower, j: int, prec: int) -> ProjMatrix:
-        one = LaurentSeries.one(tower, j, prec)
-        zero = LaurentSeries.zero(tower, j, prec)
-        return ProjMatrix(tower, j, [[one if s == t else zero for t in range(3)]
-                                     for s in range(3)])
+from .gftower import FieldTower
+from .series import (LaurentSeries, SeriesMatrix, frobenius_coeffwise,
+                     norm_equation_solve)
 
 
 @dataclass
 class CyclicCocycle:
     """Cocycle on Gal(l/k) = <gamma>, stored by its value at gamma."""
-    gamma_matrix: ProjMatrix
+    gamma_matrix: SeriesMatrix
     i: int          # gamma acts on coefficients by Frobenius^i
     degree: int     # [l : k]
 
@@ -137,35 +47,32 @@ class CyclicCocycle:
         one = LaurentSeries.one(tower, j, prec)
         zero = LaurentSeries.zero(tower, j, prec)
         al = a.with_subfield(j)
-        m = ProjMatrix(tower, j, [[zero, zero, al],
-                                  [one, zero, zero],
-                                  [zero, one, zero]])
+        m = SeriesMatrix(tower, j, prec, [[zero, zero, al],
+                                          [one, zero, zero],
+                                          [zero, one, zero]])
         return CyclicCocycle(m, i, degree)
 
-    def gamma_action(self, mat: ProjMatrix) -> ProjMatrix:
+    def gamma_action(self, mat: SeriesMatrix) -> SeriesMatrix:
         return mat.map_entries(lambda e: frobenius_coeffwise(e, self.i))
 
-    def value(self, power: int) -> ProjMatrix:
+    def value(self, power: int) -> SeriesMatrix:
         """Extension by the cocycle law c_{gamma^(s+1)} = c_gamma gamma(c_{gamma^s})."""
-        acc = ProjMatrix.identity(self.gamma_matrix.tower,
-                                  self.gamma_matrix.j,
-                                  self.gamma_matrix.rows[0][2].prec)
+        m = self.gamma_matrix
+        acc = SeriesMatrix.identity(m.tower, m.j, m.n, m.prec)
         for _ in range(power % self.degree):
-            acc = self.gamma_matrix * self.gamma_action(acc)
+            acc = m * self.gamma_action(acc)
         return acc
 
     def closes(self) -> bool:
         """The extension to gamma^degree is projectively trivial."""
-        full = self.gamma_matrix
+        m = full = self.gamma_matrix
         for _ in range(self.degree - 1):
-            full = self.gamma_matrix * self.gamma_action(full)
-        ident = ProjMatrix.identity(self.gamma_matrix.tower,
-                                    self.gamma_matrix.j,
-                                    self.gamma_matrix.rows[0][2].prec)
-        return full.proportional_to(ident)
+            full = m * self.gamma_action(full)
+        return full.proportional_to(SeriesMatrix.identity(m.tower, m.j, m.n,
+                                                          m.prec))
 
 
-def descent_condition_check(c: CyclicCocycle, bmat: ProjMatrix, e_flag: bool,
+def descent_condition_check(c: CyclicCocycle, bmat: SeriesMatrix, e_flag: bool,
                             beta: LocalFieldAuto) -> bool:
     """Whether b*Id_beta descends along the form defined by c.
 
@@ -178,7 +85,12 @@ def descent_condition_check(c: CyclicCocycle, bmat: ProjMatrix, e_flag: bool,
     cm = c.gamma_matrix
     gb = c.gamma_action(bmat)
     cm_beta = cm.map_entries(beta_inv)
-    X = cm_beta.antitranspose() if e_flag else cm_beta.inverse()
+    if e_flag:
+        r = cm_beta.rows
+        X = SeriesMatrix(cm.tower, cm.j, cm.prec,
+                         [[r[2 - t][2 - s] for t in range(3)] for s in range(3)])
+    else:
+        X = cm_beta.inverse()
     lhs = cm * gb * X
     return bmat.proportional_to(lhs)
 
@@ -219,7 +131,7 @@ def hanke_test_deg3(p: int, i: int, a: LaurentSeries, alpha: LocalFieldAuto,
                       [zero, zero, a_l / lam],
                       [zero, a_l / (lam * gamma(lam, 1)), zero]]
             e_flag = True
-        g = ProjMatrix(tower, jl, g_rows)
+        g = SeriesMatrix(tower, jl, lam.prec, g_rows)
         ok = True
         if check_witness:
             bmat = g.map_entries(invert_auto(beta))
@@ -232,8 +144,3 @@ def hanke_test_deg3(p: int, i: int, a: LaurentSeries, alpha: LocalFieldAuto,
 def _diag3(tower, j, d1, d2, d3):
     zero = LaurentSeries.zero(tower, j, d1.prec)
     return [[d1, zero, zero], [zero, d2, zero], [zero, zero, d3]]
-
-
-def norm_l_over_k(s: LaurentSeries, i: int) -> LaurentSeries:
-    """The cubic norm lambda * gamma(lambda) * gamma^2(lambda)."""
-    return unramified_norm(s, i, 3)

@@ -216,16 +216,12 @@ class FieldTower:
     def _find_modulus(self) -> tuple[int, ...]:
         p, M = self.p, self.M
         if M == 1:
-            return (0, 1) if p == 2 else (self._smallest_nonresidue_shift(), 1)
+            return (0, 1)   # x + c is irreducible for every c; take c = 0
         for code in range(p ** M):
             f = _code_to_vec(code, p, M) + (1,)
             if _is_irreducible(f, p):
                 return f
         raise RuntimeError("no irreducible polynomial found")  # pragma: no cover
-
-    def _smallest_nonresidue_shift(self) -> int:
-        # Degree 1: x + c, any c works; take the code-smallest, c = 0.
-        return 0
 
     def _build_tables(self):
         p, M, q = self.p, self.M, self.q

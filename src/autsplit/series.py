@@ -10,13 +10,17 @@ Equality of two series means agreement on every exponent below the
 smaller of the two precisions; the print form is
 ``T^v * (c0 + c1*T + ...) mod T^N`` with coefficients written as powers
 of the tower generator.
+
+``SeriesMatrix`` is the one square-matrix type over such a field: products,
+determinants, linear solves, inverses and projective comparison.  Reduced
+norms of the cyclic algebra and the PGL_3 descent checks are built on it.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
-from .gftower import FFElement, FieldTower, LOG_ZERO, frobenius, in_subfield
+from .gftower import FFElement, FieldTower, LOG_ZERO, in_subfield
 
 DEFAULT_PREC = 32
 
@@ -39,6 +43,14 @@ class PDividesExponent(ValueError):
 
 class ApparentZero(ValueError):
     """Operation needs a nonzero series within precision."""
+
+
+class NotInvertible(ZeroDivisionError):
+    """Element or matrix is not invertible within the working precision."""
+
+
+class PrecisionExhausted(ArithmeticError):
+    """A projective comparison ran out of retained coefficients."""
 
 
 def _add_logs(t: FieldTower, la: int, lb: int) -> int:
@@ -313,6 +325,150 @@ class LaurentSeries:
             else:
                 parts.append(f"T^{k}" if c == "1" else f"{c}*T^{k}")
         return " + ".join(parts) + f" + O(T^{self.prec})"
+
+
+# ----------------------------------------------------------------------
+# Matrices over the series field
+# ----------------------------------------------------------------------
+
+class SeriesMatrix:
+    """Square matrix over F_{p^j}((T)) for one tower, subfield and precision.
+
+    The entries commute, so determinants and linear solves are ordinary
+    Gaussian elimination.  Every elimination pivots on an entry of least
+    valuation, which keeps the series divisions as exact as the precision
+    allows.  ``prec`` is the precision of the zero and identity entries the
+    matrix creates; each entry keeps its own precision.
+    """
+
+    __slots__ = ("tower", "j", "prec", "rows")
+
+    def __init__(self, tower: FieldTower, j: int, prec: int,
+                 rows: Sequence[Sequence[LaurentSeries]]):
+        self.tower, self.j, self.prec = tower, j, prec
+        self.rows = tuple(tuple(row) for row in rows)
+        if any(len(row) != len(self.rows) for row in self.rows):
+            raise ValueError("matrix must be square")
+
+    @property
+    def n(self) -> int:
+        return len(self.rows)
+
+    @staticmethod
+    def identity(tower: FieldTower, j: int, n: int, prec: int) -> SeriesMatrix:
+        one = LaurentSeries.one(tower, j, prec)
+        zero = LaurentSeries.zero(tower, j, prec)
+        return SeriesMatrix(tower, j, prec, [[one if s == t else zero
+                                              for t in range(n)]
+                                             for s in range(n)])
+
+    def _like(self, rows) -> SeriesMatrix:
+        return SeriesMatrix(self.tower, self.j, self.prec, rows)
+
+    def __mul__(self, other: SeriesMatrix) -> SeriesMatrix:
+        if self.n != other.n:
+            raise ValueError("size mismatch")
+        zero = LaurentSeries.zero(self.tower, self.j, self.prec)
+        cols = list(zip(*other.rows))
+        out = []
+        for row in self.rows:
+            out_row = []
+            for col in cols:
+                acc = zero
+                for a, b in zip(row, col):
+                    if a and b:
+                        acc = acc + a * b
+                out_row.append(acc)
+            out.append(out_row)
+        return self._like(out)
+
+    def map_entries(self, f) -> SeriesMatrix:
+        return self._like([[f(e) for e in row] for row in self.rows])
+
+    def det(self) -> LaurentSeries:
+        """Determinant by elimination below the diagonal.
+
+        The pivots and products taken here fix the O(T^N) of every reduced
+        norm the command line prints, so reports depend on this order.
+        """
+        n = self.n
+        mat = [list(r) for r in self.rows]
+        det = LaurentSeries.one(self.tower, self.j, self.prec)
+        sign = 1
+        for k in range(n):
+            pivot_row = _least_valuation_row(mat, k)
+            if pivot_row is None:
+                prec = min(e.prec for r in mat for e in r)
+                return LaurentSeries.zero(self.tower, self.j, prec)
+            if pivot_row != k:
+                mat[k], mat[pivot_row] = mat[pivot_row], mat[k]
+                sign = -sign
+            pivot = mat[k][k]
+            det = det * pivot
+            pinv = pivot.inverse()
+            for m in range(k + 1, n):
+                e = mat[m][k]
+                if not e:
+                    continue
+                factor = e * pinv
+                mat[m] = [mat[m][c] - factor * mat[k][c] for c in range(n)]
+        if sign < 0:
+            det = -det
+        return det
+
+    def solve(self, rhs: Sequence[LaurentSeries]) -> list[LaurentSeries]:
+        """The x with self * x = rhs."""
+        return [row[0] for row in self._reduce([[e] for e in rhs])]
+
+    def inverse(self) -> SeriesMatrix:
+        ident = SeriesMatrix.identity(self.tower, self.j, self.n, self.prec)
+        return self._like(self._reduce(ident.rows))
+
+    def _reduce(self, right) -> list[list[LaurentSeries]]:
+        """Gauss-Jordan on [self | right]; returns the reduced right part."""
+        n = self.n
+        mat = [list(r) + list(extra) for r, extra in zip(self.rows, right)]
+        width = len(mat[0])
+        for k in range(n):
+            pivot_row = _least_valuation_row(mat, k)
+            if pivot_row is None:
+                raise NotInvertible("matrix is singular within precision")
+            if pivot_row != k:
+                mat[k], mat[pivot_row] = mat[pivot_row], mat[k]
+            pinv = mat[k][k].inverse()
+            mat[k] = [e * pinv for e in mat[k]]
+            for m in range(n):
+                if m == k or not mat[m][k]:
+                    continue
+                factor = mat[m][k]
+                mat[m] = [mat[m][c] - factor * mat[k][c] for c in range(width)]
+        return [row[n:] for row in mat]
+
+    def proportional_to(self, other: SeriesMatrix) -> bool:
+        """Equality up to a scalar: other = s * self for a series s."""
+        pivot = None
+        for row_a, row_b in zip(self.rows, other.rows):
+            for a, b in zip(row_a, row_b):
+                if bool(a) != bool(b):
+                    return False
+                if a and pivot is None:
+                    pivot = (a, b)
+        if pivot is None:
+            raise PrecisionExhausted("both matrices vanish within precision")
+        scale = pivot[1] / pivot[0]
+        return all(not a or a * scale == b
+                   for row_a, row_b in zip(self.rows, other.rows)
+                   for a, b in zip(row_a, row_b))
+
+
+def _least_valuation_row(mat, k: int) -> Optional[int]:
+    """Row m >= k whose entry in column k is nonzero of least valuation."""
+    pivot_row = pivot_val = None
+    for m in range(k, len(mat)):
+        e = mat[m][k]
+        if e and (pivot_val is None or e.val < pivot_val):
+            pivot_row, pivot_val = m, e.val
+    return pivot_row
 
 
 # ----------------------------------------------------------------------

@@ -92,6 +92,41 @@ def test_non_split_witness():
     assert w is not None and not splits_over_subfield(1, 2, w)
 
 
+def brute_force_witness(n, d, p, i):
+    """Scan every m up to a bound for the smallest realizable prime power
+    index q^a (q = p, or q^a dividing i(p^i - 1)) with gcd(nd, q^a) not
+    dividing n.  A wild witness p^a is at most p*nd, a tame one at most
+    i(p^i - 1)."""
+    tame = i * (p ** i - 1)
+    for m in range(2, max(tame, p * n * d) + 1):
+        q = next(k for k in range(2, m + 1) if m % k == 0)
+        rest = m
+        while rest % q == 0:
+            rest //= q
+        if rest == 1 and (q == p or tame % m == 0) and n % gcd(n * d, m):
+            return m
+    return None
+
+
+def test_non_split_witness_matches_brute_force():
+    for p, top_i in ((2, 6), (3, 3), (5, 2)):
+        for i in range(1, top_i + 1):
+            for n in range(1, 5):
+                for d in range(1, 7):
+                    assert non_split_witness(n, d, p, i) == \
+                        brute_force_witness(n, d, p, i), (n, d, p, i)
+
+
+def test_non_split_witness_large_degree():
+    # 2^40 - 1 = 3 * 5^2 * 11 * 17 * 31 * 41 * 61681; a scan over every
+    # q <= 40 * (2^40 - 1) would not finish
+    assert non_split_witness(1, 3, 2, 40) == 3
+    assert non_split_witness(1, 41, 2, 40) == 41
+    assert non_split_witness(1, 61681, 2, 40) == 61681
+    assert non_split_witness(41, 41, 2, 40) is None
+    assert non_split_witness(1, 2, 2, 40) == 2          # wild: p divides d
+
+
 def test_splits_globally_matches_subfield_conjunction():
     # cross-validation by enumerating realizable prime-power degrees <= nd
     for p in (2, 3, 5):

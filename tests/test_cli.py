@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 from contextlib import redirect_stdout
@@ -169,3 +170,100 @@ def test_parse_series_round_trip():
     t3 = build_tower(3, 1, 2, 1)
     s = parse_series("2*T", t3, 1, 8)
     assert s.coeff(1) == t3.from_int(2)
+
+
+# Reports pinned byte for byte.  Each digest was recorded from an earlier
+# implementation of the series linear algebra (separate det, solve and 3x3
+# adjugate code), so a change of elimination order or of precision
+# bookkeeping in nrd, in the hanke descent check or in the section
+# verifier shows here.
+GOLDEN_REPORTS = [
+    ("67bde55cee266f40ab898bec00f4bf32c0d99eaff3d269bb20e7aa277439bec0",
+     ["nrd", "--p", "2", "--i", "1", "--d", "3", "--r", "1", "--prec", "12",
+      "--element", "1+T;T;1"]),
+    ("6e21f21d97b53e5adf19281a3c4583b57249467daa06f4e139f67bc7d4a6115a",
+     ["nrd", "--p", "3", "--i", "1", "--d", "2", "--r", "1", "--prec", "10",
+      "--element", "2+T^2;1+T"]),
+    ("32092c62e4f0b8e0891bbc667371b200515d54e741379055115aae327069a44b",
+     ["nrd", "--p", "2", "--i", "2", "--d", "3", "--r", "2", "--prec", "9",
+      "--element", "g+T;T^-1;g^2*T^3"]),
+    ("fd88b6d6c2d0974e9a2d297dab6e9256aafeedc558e24596cc2e92fdfed3293e",
+     ["hanke", "--p", "2", "--i", "1", "--r", "1", "--alpha", "T+T^2",
+      "--prec", "12"]),
+    ("33e7927eebd194a77667f4e80609be1f29894e1acd8c7fc6a27ccb1a43fddcde",
+     ["hanke", "--p", "3", "--i", "1", "--r", "2", "--alpha", "2*T+T^3",
+      "--prec", "10"]),
+    ("b1957fde9c3f47fd27ee24d06704d6ed1f2ac366ce09780e564e0e4a2e86d564",
+     ["hanke", "--p", "2", "--i", "2", "--r", "1", "--alpha", "g*T+T^2",
+      "--frob", "1", "--prec", "8"]),
+    ("9d478a4eaddf8790ac8692ed9b35e4ab69c75666c39e79d5b7835916230a0f84",
+     ["section", "synth", "--p", "3", "--i", "1", "--d", "2", "--r", "1",
+      "--n", "2", "--samples", "3", "--prec", "12", "--seed", "5"]),
+]
+
+
+@pytest.mark.parametrize("digest, argv", GOLDEN_REPORTS,
+                         ids=[" ".join(argv[:1] + argv[2:4] + argv[6:8])
+                              for _, argv in GOLDEN_REPORTS])
+def test_golden_reports(digest, argv):
+    code, out = run_cli(["--output", "json"] + argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+def run_cli_usage(argv, capsys):
+    """Exit code and stderr of a command that should be refused."""
+    try:
+        with redirect_stdout(io.StringIO()):
+            code = main(argv)
+    except SystemExit as exc:      # argparse's own usage errors
+        code = exc.code
+    return code, capsys.readouterr().err
+
+
+SYNTH = ["section", "synth", "--p", "2", "--i", "1", "--d", "3", "--r", "1"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["split-check", "--charp", "--n", "1", "--d", "3"],
+    ["split-check", "--charp", "--n", "1", "--d", "3", "--p", "2"],
+    ["split-check", "--subfield", "--n", "1", "--d", "3"],
+    ["nrd", "--p", "2", "--i", "1", "--d", "3", "--r", "1", "--prec", "0",
+     "--element", "1+T;T;1"],
+    ["nrd", "--p", "2", "--i", "1", "--d", "3", "--r", "1", "--prec", "-5",
+     "--element", "1+T;T;1"],
+    ["hanke", "--p", "2", "--i", "1", "--alpha", "T+T^2", "--prec", "0"],
+    SYNTH + ["--n", "1", "--prec", "0"],
+    SYNTH + ["--n", "1", "--samples", "-3"],
+    SYNTH + ["--n", "0"],
+    ["section", "synth", "--p", "2", "--i", "1", "--d", "0", "--r", "1",
+     "--n", "1"],
+    ["descent-form", "--n", "1", "--d", "3", "--r", "1", "--m", "0"],
+], ids=lambda argv: " ".join(argv))
+def test_bad_arguments_are_usage_errors(argv, capsys):
+    code, err = run_cli_usage(argv, capsys)
+    assert code == 2
+    assert len([line for line in err.splitlines() if "error:" in line]) == 1
+    assert "Traceback" not in err
+
+
+def test_bad_precision_environment_is_a_usage_error(monkeypatch, capsys):
+    argv = ["brauer", "inv", "--d", "3", "--r", "1"]
+    for bad in ("abc", "0", "-4"):
+        monkeypatch.setenv("AUTSPLIT_PREC", bad)
+        code, err = run_cli_usage(argv, capsys)
+        assert code == 2
+        assert err.splitlines() == [
+            f"error: AUTSPLIT_PREC must be an integer of at least 1, got {bad!r}"]
+    monkeypatch.setenv("AUTSPLIT_PREC", "12")
+    code, out = run_cli(["nrd", "--p", "2", "--i", "1", "--d", "3", "--r", "1",
+                         "--element", "1+T;T;1"])
+    assert code == 0 and "O(T^12)" in out
+
+
+def test_zero_samples_are_reported_as_vacuous():
+    code, doc = validate_json_output(SYNTH + ["--n", "1", "--samples", "0",
+                                              "--prec", "8"])
+    details = {c["name"]: c["detail"] for c in doc["result"]["checks"]}
+    assert details["glue_homomorphism"] == "vacuous (no samples)"
+    assert details["glue_section_property"] == "vacuous (no samples)"

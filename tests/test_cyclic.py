@@ -5,7 +5,7 @@ import pytest
 from autsplit.autk import LocalFieldAuto, extend_auto, invert_auto
 from autsplit.cyclic import (AdmissibilityFailure, AlgebraMatrix,
                              CyclicAlgebra, acts_like, acts_trivially,
-                             apply_semilinear, compose_semilinear,
+                             compose_semilinear,
                              generator_matrices, identity_semilinear, intaut,
                              invert_semilinear, phi_auto)
 from autsplit.gftower import build_tower, frobenius, subfield_generator
@@ -122,11 +122,11 @@ def test_element_inverse():
 
 def test_rep_identity_and_u():
     alg = make_algebra(3, 1, 2, 1)
-    rep1 = alg.one().regular_representation()
+    rep1 = alg.one().regular_representation().rows
     one = LaurentSeries.one(alg.tower, 2, alg.prec)
     assert rep1[0][0] == one and rep1[1][1] == one
     assert not rep1[0][1] and not rep1[1][0]
-    repu = alg.u().regular_representation()
+    repu = alg.u().regular_representation().rows
     Tr = LaurentSeries.T_power(alg.tower, 2, 1, alg.prec)
     assert not repu[0][0] and not repu[1][1]
     assert repu[0][1] == Tr and repu[1][0] == one
@@ -136,7 +136,7 @@ def test_rep_of_scalar_is_diagonal_of_conjugates():
     alg = make_algebra(2, 1, 3, 1)
     rng = random.Random(3)
     x = rand_series(alg, rng)
-    rep = alg.scalar(x).regular_representation()
+    rep = alg.scalar(x).regular_representation().rows
     for t in range(3):
         from autsplit.series import frobenius_coeffwise
         assert rep[t][t] == frobenius_coeffwise(x, t)
@@ -150,9 +150,9 @@ def test_rep_multiplicative():
     rng = random.Random(4)
     for _ in range(5):
         a, b = rand_element(alg, rng), rand_element(alg, rng)
-        ra = a.regular_representation()
-        rb = b.regular_representation()
-        rab = (a * b).regular_representation()
+        ra = a.regular_representation().rows
+        rb = b.regular_representation().rows
+        rab = (a * b).regular_representation().rows
         prod = [[sum((ra[s][k] * rb[k][t] for k in range(3)),
                      LaurentSeries.zero(alg.tower, alg.jE, alg.prec))
                  for t in range(3)] for s in range(3)]
@@ -280,7 +280,7 @@ def test_apply_semilinear_identity_and_central():
     alg = make_algebra(2, 1, 2, 1)
     rng = random.Random(12)
     M = rand_matrix(alg, 2, rng)
-    assert apply_semilinear(identity_semilinear(alg, 2), M) == M
+    assert identity_semilinear(alg, 2).apply(M) == M
     # inner automorphism fixes central scalar matrices
     g = rand_matrix(alg, 2, rng)
     try:

@@ -3,11 +3,11 @@ import random
 import pytest
 
 from autsplit.autk import LocalFieldAuto, extend_auto, invert_auto
-from autsplit.descent import (CyclicCocycle, ProjMatrix,
-                              descent_condition_check, hanke_test_deg3,
-                              norm_l_over_k)
+from autsplit.descent import (CyclicCocycle, descent_condition_check,
+                              hanke_test_deg3)
 from autsplit.gftower import build_tower, subfield_generator
-from autsplit.series import LaurentSeries, frobenius_coeffwise, unramified_norm
+from autsplit.series import (LaurentSeries, SeriesMatrix, frobenius_coeffwise,
+                             unramified_norm)
 
 PREC = 20
 
@@ -35,13 +35,13 @@ def test_cocycle_extension_closes():
         _, _, c = setup(p, i)
         assert c.closes()
         assert c.value(3).proportional_to(
-            ProjMatrix.identity(c.gamma_matrix.tower, 3 * i, PREC))
+            SeriesMatrix.identity(c.gamma_matrix.tower, 3 * i, 3, PREC))
 
 
 def test_trivial_b_trivial_beta_descends():
     tower, _, c = setup(2, 1)
     ident = LocalFieldAuto.identity(tower, 3, PREC)
-    b = ProjMatrix.identity(tower, 3, PREC)
+    b = SeriesMatrix.identity(tower, 3, 3, PREC)
     assert descent_condition_check(c, b, False, ident)
 
 
@@ -57,10 +57,10 @@ def test_canonical_gamma_twist_descends():
 def test_perturbed_b_fails():
     tower, _, c = setup(2, 1)
     ident = LocalFieldAuto.identity(tower, 3, PREC)
-    rows = [list(r) for r in ProjMatrix.identity(tower, 3, PREC).rows]
+    rows = [list(r) for r in SeriesMatrix.identity(tower, 3, 3, PREC).rows]
     z8 = subfield_generator(tower, 3)
     rows[0][1] = LaurentSeries.constant(z8, 3, PREC)   # non-equivariant bump
-    b = ProjMatrix(tower, 3, rows)
+    b = SeriesMatrix(tower, 3, PREC, rows)
     assert not descent_condition_check(c, b, False, ident)
 
 
@@ -114,7 +114,7 @@ def test_hanke_norm_absorption():
 
 def test_projective_normalization():
     tower, a, _ = setup(2, 1)
-    m = ProjMatrix.identity(tower, 3, PREC)
+    m = SeriesMatrix.identity(tower, 3, 3, PREC)
     z8 = subfield_generator(tower, 3)
     scaled = m.map_entries(lambda e: e.scale(z8))
     assert m.proportional_to(scaled)
@@ -128,6 +128,6 @@ def test_norm_l_over_k_is_cubic_norm():
     tower, _, _ = setup(2, 1)
     z8 = subfield_generator(tower, 3)
     s = LaurentSeries.constant(z8, 3, PREC)
-    n = norm_l_over_k(s, 1)
+    n = unramified_norm(s, 1, 3)
     expected = z8 * (z8 ** 2) * (z8 ** 4)
     assert n.coeff(0) == expected

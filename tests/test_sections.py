@@ -7,7 +7,7 @@ from autsplit.cyclic import (AlgebraMatrix, acts_like, acts_trivially,
                              compose_semilinear, identity_semilinear)
 from autsplit.gftower import build_tower, frobenius, subfield_generator
 from autsplit.sections import (SectionContext, glue_section, random_j_element,
-                               random_k_auto, root_of_zeta, section_Ca,
+                               random_k_auto, section_Ca,
                                section_Caprime, section_Cb, section_Cbprime,
                                section_J, underlying_k_auto, verify_section)
 from autsplit.series import LaurentSeries
@@ -42,15 +42,15 @@ def test_context_rejects_bad_parameters():
 
 
 def test_root_of_zeta():
-    assert root_of_zeta(CTX1) == CTX1.tower.one()     # a = 1
+    assert CTX1.z == CTX1.tower.one()     # a = 1
     # p=2, i=2, d=5: a = 3, b = 1; z = zeta^2 since (zeta^2)^5 = zeta
     ctx = SectionContext(2, 2, 5, 1, 1, prec=8)
     assert ctx.a == 3 and ctx.b == 1
-    z = root_of_zeta(ctx)
+    z = ctx.z
     assert z == ctx.zeta ** 2
     assert z ** (ctx.d * ctx.b2) == ctx.zeta ** (ctx.b * ctx.r)
     for c in (CTX1, CTX2, CTX3, CTX4, ctx):
-        assert (root_of_zeta(c) ** c.a).log == 0   # z^a = 1
+        assert (c.z ** c.a).log == 0   # z^a = 1
 
 
 def test_section_J_identity_and_hensel_witness():

@@ -1,4 +1,5 @@
 import random
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
@@ -6,7 +7,8 @@ from hypothesis import strategies as st
 
 from autsplit.gftower import build_tower, frobenius, relative_norm, subfield_generator
 from autsplit.series import (ApparentZero, BadResidue, DivideByApparentZero,
-                             LaurentSeries, NotUniformiser, PDividesExponent,
+                             LaurentSeries, NotInvertible, NotUniformiser,
+                             PDividesExponent, SeriesMatrix,
                              frobenius_coeffwise, hensel_root,
                              norm_equation_solve, reversion, substitute,
                              unramified_norm)
@@ -300,3 +302,95 @@ def test_reversion_round_trip():
         r = reversion(t)
         back = substitute(r, t)
         assert back == LaurentSeries.T_power(T4, 2, 1, 14)
+
+
+# -- matrices over the series field -----------------------------------------
+
+def sample_matrix(tower, j, n, rng, prec=16):
+    rows = [[sample_series(tower, j, rng, prec, val_range=(-1, 3))
+             for _ in range(n)] for _ in range(n)]
+    return SeriesMatrix(tower, j, prec, rows)
+
+
+def permutation_det(mat):
+    """Leibniz expansion: sum over permutations of signed entry products."""
+    n = mat.n
+    total = LaurentSeries.zero(mat.tower, mat.j, mat.prec + 8 * n)
+    for perm in permutations(range(n)):
+        inversions = sum(perm[a] > perm[b] for a in range(n)
+                         for b in range(a + 1, n))
+        term = LaurentSeries.one(mat.tower, mat.j, mat.prec + 8 * n)
+        for row, col in enumerate(perm):
+            term = term * mat.rows[row][col]
+        total = total - term if inversions % 2 else total + term
+    return total
+
+
+def test_series_matrix_det_matches_permutation_expansion():
+    rng = random.Random(20)
+    for tower, j in ((T4, 2), (T4, 6), (T3, 2)):
+        for n in (1, 2, 3, 4):
+            for _ in range(3):
+                M = sample_matrix(tower, j, n, rng)
+                det = M.det()
+                assert det == permutation_det(M)
+                assert det.prec >= M.prec - 8 * n    # the comparison means something
+
+
+def test_series_matrix_singular_det_is_zero():
+    rng = random.Random(21)
+    M = sample_matrix(T4, 2, 3, rng)
+    rows = [list(r) for r in M.rows]
+    rows[2] = list(rows[0])
+    singular = SeriesMatrix(T4, 2, M.prec, rows)
+    assert not singular.det()
+    with pytest.raises(NotInvertible):
+        singular.inverse()
+
+
+def test_series_matrix_inverse_times_matrix_is_identity():
+    rng = random.Random(22)
+    for tower, j in ((T4, 6), (T3, 2)):
+        for n in (3, 5):
+            checked = 0
+            while checked < 3:
+                M = sample_matrix(tower, j, n, rng, prec=24)
+                if not M.det():
+                    continue
+                ident = SeriesMatrix.identity(tower, j, n, M.prec).rows
+                assert (M.inverse() * M).rows == ident
+                assert (M * M.inverse()).rows == ident
+                x = M.solve(ident[0])
+                assert [sum((M.rows[s][t] * x[t] for t in range(n)),
+                            LaurentSeries.zero(tower, j, 24))
+                        for s in range(n)] == list(ident[0])
+                checked += 1
+
+
+def test_series_matrix_product_is_associative():
+    rng = random.Random(23)
+    A, B, C = (sample_matrix(T3, 2, 3, rng) for _ in range(3))
+    assert ((A * B) * C).rows == (A * (B * C)).rows
+    ident = SeriesMatrix.identity(T3, 2, 3, 16)
+    assert (ident * A).rows == A.rows == (A * ident).rows
+
+
+def test_proportional_to_sees_a_perturbation_once_prec_exceeds_it():
+    rng = random.Random(24)
+    z = subfield_generator(T4, 6)
+    unit = LaurentSeries.from_pairs(T4, 6, [(0, z), (1, z ** 5), (4, z ** 9)],
+                                    64)
+    for prec in (6, 10, 14):
+        # unit entries, so every entry and the ratio are known mod T^prec
+        one = LaurentSeries.one(T4, 6, prec)
+        M = SeriesMatrix(T4, 6, prec, [[one + sample_series(T4, 6, rng, prec,
+                                                            val_range=(1, 3))
+                                        for _ in range(3)] for _ in range(3)])
+        scaled = M.map_entries(lambda e: e * unit)
+        assert M.proportional_to(scaled) and scaled.proportional_to(M)
+        for k in range(2, 13):
+            bump = LaurentSeries.T_power(T4, 6, k, 64)
+            rows = [list(r) for r in scaled.rows]
+            rows[1][2] = rows[1][2] + bump
+            perturbed = SeriesMatrix(T4, 6, prec, rows)
+            assert M.proportional_to(perturbed) == (k >= prec)
