@@ -7,8 +7,10 @@ codes: 0 for success / mathematical yes, 1 for mathematical no verdicts
 
 The default working precision comes from the AUTSPLIT_PREC environment
 variable when set; it is read when the parser is built.  Out-of-range
-arguments (a precision or a size below 1, a negative sample count) are
-usage errors, rejected before any arithmetic runs.
+arguments (a precision or a size below 1, a negative sample count, a
+characteristic that is not prime) are usage errors, rejected before any
+arithmetic runs.  ``section synth`` and ``hanke`` need a precision of at
+least 2, since T itself is not known modulo T^1.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from . import brauer as br
 from .autk import LocalFieldAuto
 from .cyclic import CyclicAlgebra
 from .descent import hanke_test_deg3
-from .gftower import build_tower, subfield_generator
+from .gftower import _is_prime, build_tower, subfield_generator
 from .rootdatum import (ExtensionProblem, FiniteGroupTable, SimpleType,
                         TitsIndexDescriptor, extension_splits, ses_verdict)
 from .sections import SectionContext, verify_section
@@ -33,6 +35,14 @@ def positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def series_prec(text: str) -> int:
+    """A precision N at which T is representable mod T^N: N >= 2."""
+    value = int(text)
+    if value < 2:
+        raise argparse.ArgumentTypeError(f"must be at least 2, got {value}")
     return value
 
 
@@ -107,6 +117,7 @@ def _cmd_split_check(args) -> int:
     if args.subfield and args.m is None:
         raise ValueError("split-check --subfield needs --m")
     if args.charp:
+        _require_prime(args.p)
         ok = br.splits_globally_charp(args.n, args.d, args.p, args.i)
         result = {"verdict": "SPLIT" if ok else "NON-SPLIT"}
         if not ok:
@@ -151,7 +162,13 @@ def _cmd_nrd(args) -> int:
                  {"reduced_norm": repr(elt.reduced_norm())}, 0)
 
 
+def _require_prime(p: int):
+    if not _is_prime(p):
+        raise ValueError(f"--p must be a prime, got {p}")
+
+
 def _cmd_section_synth(args) -> int:
+    _require_prime(args.p)
     params = {"p": args.p, "i": args.i, "d": args.d, "r": args.r, "n": args.n,
               "prec": args.prec, "seed": args.seed, "samples": args.samples}
     if not br.splits_globally_charp(args.n, args.d, args.p, args.i):
@@ -279,7 +296,8 @@ def build_parser() -> argparse.ArgumentParser:
                        ("--d", positive_int), ("--r", int),
                        ("--n", positive_int)):
         psy.add_argument(flag, type=kind, required=True)
-    psy.add_argument("--prec", type=positive_int, default=default_prec)
+    psy.add_argument("--prec", type=series_prec, default=str(default_prec),
+                     help="work modulo T^PREC; at least 2 (default %(default)s)")
     psy.add_argument("--seed", type=int, default=0)
     psy.add_argument("--samples", type=nonnegative_int, default=20)
     psy.set_defaults(func=_cmd_section_synth)
@@ -291,7 +309,8 @@ def build_parser() -> argparse.ArgumentParser:
     ph.add_argument("--alpha", required=True, help="image of T, e.g. 'T+T^2'")
     ph.add_argument("--frob", type=int, default=0,
                     help="residue Frobenius power of alpha")
-    ph.add_argument("--prec", type=positive_int, default=default_prec)
+    ph.add_argument("--prec", type=series_prec, default=str(default_prec),
+                    help="work modulo T^PREC; at least 2 (default %(default)s)")
     ph.set_defaults(func=_cmd_hanke)
 
     pe = sub.add_parser("extension", help="finite group extension tools")

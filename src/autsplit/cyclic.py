@@ -20,6 +20,17 @@ projectively), a field automorphism of E commuting with sigma, and the
 twist x sent along with u.  Equality of semilinear automorphisms is
 decided by comparing actions on a fixed generating set of matrices, since
 neither the inner part nor the twist data is unique.
+
+Every matrix the sections build is diagonal, block diagonal or monomial,
+so an algebra matrix stores only its entries other than zero, row by row,
+and a product multiplies only the stored nonzero pairs.  The comparison
+on generators uses their shape: the image of an elementary matrix
+I + x*e_ab under g phi~(.) g^-1 is P + (column a of g) phi(x) (row b of
+g^-1), with P = g phi~(I) g^-1 shared by all of them.  Precision is part
+of every answer here, since series compare at the lower precision of the
+two sides: the sparse products and the shared P give each compared entry
+the value and the precision the dense products gave it, so every verdict
+is unchanged.
 """
 
 from __future__ import annotations
@@ -113,20 +124,28 @@ class AlgebraElement:
         return self + (-other)
 
     def __mul__(self, other: AlgebraElement) -> AlgebraElement:
+        """Every component of a product is known to at most alg.prec: the
+        sum of its terms capped there, or the algebra's zero."""
         alg = self.alg
-        d, r = alg.d, alg.r
-        out = [LaurentSeries.zero(alg.tower, alg.jE, alg.prec) for _ in range(d)]
+        d, r, prec = alg.d, alg.r, alg.prec
+        out = [None] * d
         for s, xs in enumerate(self.comps):
             if not xs:
                 continue
             for t, yt in enumerate(other.comps):
                 if not yt:
                     continue
-                term = alg.sigma(xs, t) * yt
+                term = (alg.sigma(xs, t) if t else xs) * yt
                 k, wrap = (s + t) % d, (s + t) // d
                 if wrap:
                     term = term.shift(r * wrap)
-                out[k] = out[k] + term
+                out[k] = term if out[k] is None else out[k] + term
+        zero = LaurentSeries.zero(alg.tower, alg.jE, prec)
+        for k, c in enumerate(out):
+            if c is None:
+                out[k] = zero
+            elif c.prec > prec:
+                out[k] = c.truncate(prec)
         return AlgebraElement(alg, tuple(out))
 
     def __pow__(self, e: int) -> AlgebraElement:
@@ -192,74 +211,69 @@ class AlgebraElement:
 
 
 class AlgebraMatrix:
-    """Square matrix over A(d,r)."""
+    """Square matrix over A(d,r), stored as one dict {column: entry} per row.
 
-    __slots__ = ("alg", "n", "rows")
+    A position missing from its row holds the algebra's zero, alg.zero().
+    Every operation gives the entries the dense schoolbook formula gives,
+    value and precision alike: an entry of a product is the sum of a_sk *
+    b_kt over the pairs whose factors are both nonzero, or alg.zero() when
+    there is no such pair.  A product of algebra elements is already known
+    to at most alg.prec, so its sum needs no zero accumulator to be capped
+    there.  An entry that cancels to zero keeps the precision its sum
+    reached and stays stored: equality compares at the lower precision of
+    the two sides, so dropping it would compare at alg.prec instead.
+    ``rows`` is a dense read-only view.
+    """
+
+    __slots__ = ("alg", "n", "entries")
 
     def __init__(self, alg: CyclicAlgebra, rows: Sequence[Sequence[AlgebraElement]]):
-        self.alg = alg
-        self.n = len(rows)
+        """From dense rows; entries identical to alg.zero() are not stored."""
+        n = len(rows)
         for row in rows:
-            if len(row) != self.n:
+            if len(row) != n:
                 raise ValueError("matrix must be square")
-        self.rows = tuple(tuple(row) for row in rows)
+        self.alg, self.n = alg, n
+        self.entries = tuple({t: e for t, e in enumerate(row)
+                              if not _is_algebra_zero(e)} for row in rows)
+
+    @classmethod
+    def from_entries(cls, alg: CyclicAlgebra,
+                     entries: Sequence[dict[int, AlgebraElement]]) -> AlgebraMatrix:
+        """From one {column: entry} dict per row, stored as given."""
+        m = cls.__new__(cls)
+        m.alg, m.n, m.entries = alg, len(entries), tuple(entries)
+        return m
+
+    @property
+    def rows(self) -> tuple[tuple[AlgebraElement, ...], ...]:
+        zero = self.alg.zero()
+        return tuple(tuple(row.get(t, zero) for t in range(self.n))
+                     for row in self.entries)
 
     @staticmethod
     def identity(alg: CyclicAlgebra, n: int) -> AlgebraMatrix:
-        one, zero = alg.one(), alg.zero()
-        return AlgebraMatrix(alg, [[one if s == t else zero for t in range(n)]
-                                   for s in range(n)])
+        return AlgebraMatrix.scalar_matrix(alg.one(), n)
 
     @staticmethod
     def scalar_matrix(a: AlgebraElement, n: int) -> AlgebraMatrix:
-        alg = a.alg
-        zero = alg.zero()
-        return AlgebraMatrix(alg, [[a if s == t else zero for t in range(n)]
-                                   for s in range(n)])
+        return AlgebraMatrix.from_entries(a.alg, [{s: a} for s in range(n)])
 
     @staticmethod
     def block_diagonal(blocks: Sequence[AlgebraMatrix]) -> AlgebraMatrix:
-        alg = blocks[0].alg
-        n = sum(b.n for b in blocks)
-        zero = alg.zero()
-        rows = [[zero] * n for _ in range(n)]
-        off = 0
+        entries, off = [], 0
         for blk in blocks:
-            for s in range(blk.n):
-                for t in range(blk.n):
-                    rows[off + s][off + t] = blk.rows[s][t]
+            entries.extend({off + t: e for t, e in row.items()}
+                           for row in blk.entries)
             off += blk.n
-        return AlgebraMatrix(alg, rows)
-
-    def __add__(self, other: AlgebraMatrix) -> AlgebraMatrix:
-        return AlgebraMatrix(self.alg, [[a + b for a, b in zip(r1, r2)]
-                                        for r1, r2 in zip(self.rows, other.rows)])
-
-    def __sub__(self, other: AlgebraMatrix) -> AlgebraMatrix:
-        return AlgebraMatrix(self.alg, [[a - b for a, b in zip(r1, r2)]
-                                        for r1, r2 in zip(self.rows, other.rows)])
+        return AlgebraMatrix.from_entries(blocks[0].alg, entries)
 
     def __mul__(self, other: AlgebraMatrix) -> AlgebraMatrix:
         if self.n != other.n:
             raise ValueError("size mismatch")
-        n = self.n
-        zero = self.alg.zero()
-        cols = list(zip(*other.rows))
-        out = []
-        for s in range(n):
-            row_s = self.rows[s]
-            nz = [(k, row_s[k]) for k in range(n) if not row_s[k].is_zero()]
-            out_row = []
-            for t in range(n):
-                col_t = cols[t]
-                acc = zero
-                for k, a in nz:
-                    b = col_t[k]
-                    if not b.is_zero():
-                        acc = acc + a * b
-                out_row.append(acc)
-            out.append(out_row)
-        return AlgebraMatrix(self.alg, out)
+        right = _nonzero_rows(other)
+        return AlgebraMatrix.from_entries(
+            self.alg, [_row_times(row, right) for row in self.entries])
 
     def __pow__(self, e: int) -> AlgebraMatrix:
         if e < 0:
@@ -277,21 +291,22 @@ class AlgebraMatrix:
     def __eq__(self, other):
         if not isinstance(other, AlgebraMatrix):
             return NotImplemented
-        return all(a == b for r1, r2 in zip(self.rows, other.rows)
-                   for a, b in zip(r1, r2))
+        zero = self.alg.zero()
+        return all(_rows_equal(r1, r2, zero)
+                   for r1, r2 in zip(self.entries, other.entries))
 
     __hash__ = None
 
     def inverse(self) -> AlgebraMatrix:
         """Gaussian elimination over the algebra; pivots must be units."""
         alg, n = self.alg, self.n
-        work = [list(r) for r in self.rows]
-        idm = AlgebraMatrix.identity(alg, n)
-        aug = [list(idm.rows[s]) for s in range(n)]
+        zero = alg.zero()
+        work = [dict(r) for r in self.entries]
+        aug = [dict(r) for r in AlgebraMatrix.identity(alg, n).entries]
         for k in range(n):
             piv_inv = None
             for m in range(k, n):
-                if work[m][k].is_zero():
+                if work[m].get(k, zero).is_zero():
                     continue
                 try:
                     piv_inv = work[m][k].inverse()
@@ -303,15 +318,15 @@ class AlgebraMatrix:
                 break
             if piv_inv is None:
                 raise NotInvertible("matrix over the algebra is singular")
-            work[k] = [piv_inv * e for e in work[k]]
-            aug[k] = [piv_inv * e for e in aug[k]]
+            work[k] = {c: piv_inv * e for c, e in work[k].items()}
+            aug[k] = {c: piv_inv * e for c, e in aug[k].items()}
             for m in range(n):
-                if m == k or work[m][k].is_zero():
+                f = work[m].get(k, zero)
+                if m == k or f.is_zero():
                     continue
-                f = work[m][k]
-                work[m] = [work[m][c] - f * work[k][c] for c in range(n)]
-                aug[m] = [aug[m][c] - f * aug[k][c] for c in range(n)]
-        return AlgebraMatrix(alg, aug)
+                work[m] = _row_minus(work[m], f, work[k], zero)
+                aug[m] = _row_minus(aug[m], f, aug[k], zero)
+        return AlgebraMatrix.from_entries(alg, aug)
 
     def matrix_reduced_norm(self) -> LaurentSeries:
         """det of the (n*d) x (n*d) matrix of entrywise regular
@@ -319,9 +334,8 @@ class AlgebraMatrix:
         alg, n, d = self.alg, self.n, self.alg.d
         zero = LaurentSeries.zero(alg.tower, alg.jE, alg.prec)
         big = [[zero] * (n * d) for _ in range(n * d)]
-        for s in range(n):
-            for t in range(n):
-                a = self.rows[s][t]
+        for s, row in enumerate(self.entries):
+            for t, a in row.items():
                 if a.is_zero():
                     continue
                 rep = a.regular_representation().rows
@@ -333,6 +347,42 @@ class AlgebraMatrix:
 
     def __repr__(self):
         return "[" + ",\n ".join(repr(list(r)) for r in self.rows) + "]"
+
+
+def _is_algebra_zero(e: AlgebraElement) -> bool:
+    """Whether e is alg.zero() itself: no terms, every component known
+    to exactly alg.prec."""
+    prec = e.alg.prec
+    return all(not c and c.prec == prec for c in e.comps)
+
+
+def _nonzero_rows(m: AlgebraMatrix) -> list[list[tuple[int, AlgebraElement]]]:
+    return [[(t, e) for t, e in row.items() if not e.is_zero()]
+            for row in m.entries]
+
+
+def _row_times(row: dict[int, AlgebraElement],
+               right: list[list[tuple[int, AlgebraElement]]]) -> dict[int, AlgebraElement]:
+    """Row vector times a matrix given by its nonzero rows: each entry sums
+    a * b over the pairs with both factors nonzero."""
+    out = {}
+    for k, a in row.items():
+        if a.is_zero():
+            continue
+        for t, b in right[k]:
+            prod = a * b
+            cur = out.get(t)
+            out[t] = prod if cur is None else cur + prod
+    return out
+
+
+def _row_minus(r1: dict, f: AlgebraElement, r2: dict, zero: AlgebraElement) -> dict:
+    """r1 - f * r2 at every position either row stores; the others stay 0."""
+    return {c: r1.get(c, zero) - f * r2.get(c, zero) for c in r1.keys() | r2.keys()}
+
+
+def _rows_equal(r1: dict, r2: dict, zero: AlgebraElement) -> bool:
+    return all(r1.get(t, zero) == r2.get(t, zero) for t in r1.keys() | r2.keys())
 
 
 # ----------------------------------------------------------------------
@@ -410,8 +460,10 @@ class SemilinearAuto:
         return self.inner * self.apply_matrix_entrywise(M) * self.inner_inv
 
     def apply_matrix_entrywise(self, M: AlgebraMatrix) -> AlgebraMatrix:
-        return AlgebraMatrix(self.alg, [[self.apply_element(e) for e in row]
-                                        for row in M.rows])
+        # phi maps alg.zero() to itself, so missing entries stay missing
+        return AlgebraMatrix.from_entries(self.alg, [
+            {t: self.apply_element(e) for t, e in row.items()}
+            for row in M.entries])
 
 
 def phi_auto(alg: CyclicAlgebra, n: int, alphaE: LocalFieldAuto,
@@ -483,23 +535,140 @@ def generator_matrices(alg: CyclicAlgebra, n: int) -> list[AlgebraMatrix]:
         for s in range(n - 1):
             for elt in (one, uu):
                 for (a, b) in ((s, s + 1), (s + 1, s)):
-                    m = AlgebraMatrix.identity(alg, n)
-                    rows = [list(r) for r in m.rows]
-                    rows[a][b] = elt
-                    gens.append(AlgebraMatrix(alg, rows))
+                    entries = [{k: one} for k in range(n)]
+                    entries[a] = {a: one, b: elt}
+                    gens.append(AlgebraMatrix.from_entries(alg, entries))
     return gens
 
 
 def acts_like(f1: SemilinearAuto, f2: SemilinearAuto,
               gens: Iterable[AlgebraMatrix] | None = None) -> bool:
-    """Equality as automorphisms: same action on the generator matrices."""
+    """Equality as automorphisms: f1(G) == f2(G) for every generator G.
+
+    The answer is that of comparing f1.apply(G) with f2.apply(G), but an
+    elementary generator G = I + x*e_ab does not go through two full
+    products.  With g the inner part and phi~ the entrywise twist,
+
+        g phi~(G) g^-1 = P + (column a of g) phi(x) (row b of g^-1),
+        P = g phi~(I) g^-1,
+
+    so P is computed once per automorphism and shared by all elementary
+    generators; each one then changes only the rows s with g_sa != 0 (see
+    ``_Images``).  Rows that neither image changes are compared as rows
+    of P1 and P2.  Scalar generators, and any other matrix passed in
+    ``gens``, are pushed through ``apply``.
+    """
     if gens is None:
         gens = generator_matrices(f1.alg, f1.n)
-    return all(f1.apply(G) == f2.apply(G) for G in gens)
+    return _same_images(f1, f2, gens)
 
 
 def acts_trivially(f: SemilinearAuto,
                    gens: Iterable[AlgebraMatrix] | None = None) -> bool:
+    """f(G) == G for every generator G, compared as in ``acts_like``."""
     if gens is None:
         gens = generator_matrices(f.alg, f.n)
-    return all(f.apply(G) == G for G in gens)
+    return _same_images(f, None, gens)
+
+
+def _same_images(f1: SemilinearAuto, f2: SemilinearAuto | None,
+                 gens: Iterable[AlgebraMatrix]) -> bool:
+    """Whether f1(G) == f2(G) for all G in gens; f2 None stands for the
+    identity, whose image of G is G itself."""
+    im1 = None
+    for G in gens:
+        shape = _elementary_shape(G)
+        if shape is None:
+            if f1.apply(G) != (G if f2 is None else f2.apply(G)):
+                return False
+            continue
+        if G.n != f1.n or (f2 is not None and G.n != f2.n):
+            raise ValueError("matrix size mismatch")
+        if im1 is None:
+            zero = G.alg.zero()
+            im1 = _Images(f1)
+            im2 = _Fixed(G) if f2 is None else _Images(f2)
+            same = [_rows_equal(r1, r2, zero)
+                    for r1, r2 in zip(im1.base, im2.base)]
+        new1, new2 = im1.changed_rows(G, *shape), im2.changed_rows(G, *shape)
+        for s in range(G.n):
+            if s in new1 or s in new2:
+                if not _rows_equal(new1.get(s, im1.base[s]),
+                                   new2.get(s, im2.base[s]), zero):
+                    return False
+            elif not same[s]:
+                return False
+    return True
+
+
+def _elementary_shape(G: AlgebraMatrix):
+    """(a, b, x) when G = I + x*e_ab with a != b, else None.  The diagonal
+    must be alg.one() itself, precision included."""
+    found = None
+    for s, row in enumerate(G.entries):
+        if s not in row or not _is_algebra_one(row[s]):
+            return None
+        for t, e in row.items():
+            if t != s:
+                if found is not None:
+                    return None
+                found = (s, t, e)
+    return found
+
+
+def _is_algebra_one(e: AlgebraElement) -> bool:
+    prec = e.alg.prec
+    c0 = e.comps[0]
+    return (c0.val == 0 and c0.logs == (0,) and c0.prec == prec
+            and all(not c and c.prec == prec for c in e.comps[1:]))
+
+
+class _Images:
+    """Images f(G) = g phi~(G) g^-1 of elementary generators G = I + x*e_ab.
+
+    ``base`` holds the rows of P = f(I) = M g^-1 with M = g phi~(I).
+    phi~(G) differs from phi~(I) only at (a, b), where it holds phi(x), so
+    g phi~(G) is M with g_sa phi(x) added at (s, b) in each row s with
+    g_sa != 0, and f(G) differs from P at most in those rows.  They are
+    recomputed as (row s of g phi~(G)) g^-1 from the same nonzero pairs
+    that f.apply(G) multiplies, so every entry has the value and the
+    precision f.apply(G) gives it.  Adding the rank-one term to P instead
+    would agree in value, but not always in precision: where M_sb and
+    g_sa phi(x) cancel, f.apply(G) skips their zero sum, while P +
+    rank-one keeps two products and their lower precision, and equality
+    is judged at the lower precision of its two sides.
+    """
+
+    def __init__(self, f: SemilinearAuto):
+        self.f = f
+        self.m = (f.inner * f.apply_matrix_entrywise(
+            AlgebraMatrix.identity(f.alg, f.n))).entries
+        self.inv_rows = _nonzero_rows(f.inner_inv)
+        self.base = [_row_times(row, self.inv_rows) for row in self.m]
+
+    def changed_rows(self, G: AlgebraMatrix, a: int, b: int,
+                     x: AlgebraElement) -> dict[int, dict[int, AlgebraElement]]:
+        fx = self.f.apply_element(x)
+        if fx.is_zero():
+            return {}
+        out = {}
+        for s, row in enumerate(self.f.inner.entries):
+            ga = row.get(a)
+            if ga is None or ga.is_zero():
+                continue
+            lrow = dict(self.m[s])
+            term = ga * fx
+            lrow[b] = lrow[b] + term if b in lrow else term
+            out[s] = _row_times(lrow, self.inv_rows)
+        return out
+
+
+class _Fixed:
+    """The identity's images: G itself, which differs from I in row a."""
+
+    def __init__(self, G: AlgebraMatrix):
+        self.base = AlgebraMatrix.identity(G.alg, G.n).entries
+
+    def changed_rows(self, G: AlgebraMatrix, a: int, b: int,
+                     x: AlgebraElement) -> dict[int, dict[int, AlgebraElement]]:
+        return {a: G.entries[a]}

@@ -166,49 +166,33 @@ class SectionContext:
     def const_matrix(self, blocks: list[list[FFElement]], copies: int) -> AlgebraMatrix:
         """diag(B, ..., B) as an algebra matrix of constant scalars."""
         alg = self.algebra
+        scalars = {c.log: alg.scalar(LaurentSeries.constant(c, self.jE, self.prec))
+                   for row in blocks for c in row if c}
+        block_rows = [{t_: scalars[c.log] for t_, c in enumerate(row) if c}
+                      for row in blocks]
         bsz = len(blocks)
-        n = bsz * copies
-        zero = alg.zero()
-        rows = [[zero] * n for _ in range(n)]
-        cache = {}
-        for cp in range(copies):
-            for s in range(bsz):
-                for t_ in range(bsz):
-                    c = blocks[s][t_]
-                    if not c:
-                        continue
-                    if c.log not in cache:
-                        cache[c.log] = alg.scalar(
-                            LaurentSeries.constant(c, self.jE, self.prec))
-                    rows[cp * bsz + s][cp * bsz + t_] = cache[c.log]
-        return AlgebraMatrix(alg, rows)
+        return AlgebraMatrix.from_entries(alg, [
+            {cp * bsz + t_: e for t_, e in row.items()}
+            for cp in range(copies) for row in block_rows])
 
     def staircase_matrix(self, values: list) -> AlgebraMatrix:
         """diag over n/(b*b') copies of diag(v_0 Id_b, ..., v_{b'-1} Id_b)."""
-        alg = self.algebra
         entries = []
         for v in values:
             entries.extend([v] * self.b)
         entries = entries * (self.n // (self.b * self.b2))
-        zero = alg.zero()
-        rows = [[zero] * self.n for _ in range(self.n)]
-        for k, v in enumerate(entries):
-            rows[k][k] = v
-        return AlgebraMatrix(alg, rows)
+        return AlgebraMatrix.from_entries(
+            self.algebra, [{k: v} for k, v in enumerate(entries)])
 
     def matrix_w(self) -> AlgebraMatrix:
         """Block-cyclic matrix with sub-diagonal Id_b and top-right u*Id_b."""
         alg = self.algebra
         b, b2 = self.b, self.b2
-        zero, one, uu = alg.zero(), alg.one(), alg.u()
+        one, uu = alg.one(), alg.u()
         m = b * b2
-        rows = [[zero] * m for _ in range(m)]
-        for blk in range(b2 - 1):
-            for t_ in range(b):
-                rows[(blk + 1) * b + t_][blk * b + t_] = one
-        for t_ in range(b):
-            rows[t_][(b2 - 1) * b + t_] = uu
-        w = AlgebraMatrix(alg, rows)
+        rows = [{(b2 - 1) * b + t_: uu} for t_ in range(b)]
+        rows += [{k - b: one} for k in range(b, m)]
+        w = AlgebraMatrix.from_entries(alg, rows)
         if self.n == m:
             return w
         return AlgebraMatrix.block_diagonal([w] * (self.n // m))

@@ -53,21 +53,20 @@ class PrecisionExhausted(ArithmeticError):
     """A projective comparison ran out of retained coefficients."""
 
 
-def _add_logs(t: FieldTower, la: int, lb: int) -> int:
-    if la == LOG_ZERO:
-        return lb
-    if lb == LOG_ZERO:
-        return la
-    z = t._zech[(lb - la) % (t.q - 1)]
-    if z == LOG_ZERO:
-        return LOG_ZERO
-    return (la + z) % (t.q - 1)
-
-
 def _neg_log(t: FieldTower, la: int) -> int:
     if la == LOG_ZERO:
         return la
     return (la + t._neg_log) % (t.q - 1)
+
+
+def _canonical(tower: FieldTower, j: int, val: int, logs: tuple[int, ...],
+               prec: int) -> LaurentSeries:
+    """A series from a window that is already normalised: a tuple with no
+    zero at either end and nothing at or beyond prec, val = prec when
+    empty.  Skips the checks and the normalisation of the constructor."""
+    s = object.__new__(LaurentSeries)
+    s.tower, s.j, s.val, s.logs, s.prec = tower, j, val, logs, prec
+    return s
 
 
 def _frob_log(t: FieldTower, la: int, e: int) -> int:
@@ -83,7 +82,8 @@ class LaurentSeries:
 
     def __init__(self, tower: FieldTower, j: int, val: int,
                  logs: Iterable[int], prec: int, _checked: bool = False):
-        logs = list(logs)
+        if not isinstance(logs, (tuple, list)):
+            logs = list(logs)
         if not _checked:
             if tower.M % j != 0:
                 raise ValueError(f"subfield degree {j} does not divide M = {tower.M}")
@@ -93,23 +93,24 @@ class LaurentSeries:
                 if lg != LOG_ZERO and Q > 0 and lg * pj % Q != lg:
                     raise ValueError("coefficient outside F_{p^%d}" % j)
         # normalize: clip at precision, strip leading/trailing zeros
-        if val + len(logs) > prec:
-            logs = logs[:max(prec - val, 0)]
-        while logs and logs[0] == LOG_ZERO:
-            logs.pop(0)
-            val += 1
-        while logs and logs[-1] == LOG_ZERO:
-            logs.pop()
-        if not logs:
-            val = prec
+        hi = min(len(logs), max(prec - val, 0))
+        lo = 0
+        while lo < hi and logs[lo] == LOG_ZERO:
+            lo += 1
+        while hi > lo and logs[hi - 1] == LOG_ZERO:
+            hi -= 1
+        if lo == hi:
+            val, logs = prec, ()
+        elif lo or hi < len(logs) or type(logs) is not tuple:
+            val, logs = val + lo, tuple(logs[lo:hi])
         self.tower, self.j, self.val, self.prec = tower, j, val, prec
-        self.logs = tuple(logs)
+        self.logs = logs
 
     # -- constructors -----------------------------------------------------
 
     @staticmethod
     def zero(tower: FieldTower, j: int, prec: int = DEFAULT_PREC) -> LaurentSeries:
-        return LaurentSeries(tower, j, prec, (), prec, _checked=True)
+        return _canonical(tower, j, prec, (), prec)
 
     @staticmethod
     def one(tower: FieldTower, j: int, prec: int = DEFAULT_PREC) -> LaurentSeries:
@@ -162,11 +163,13 @@ class LaurentSeries:
         if not isinstance(other, LaurentSeries):
             return NotImplemented
         m = min(self.prec, other.prec)
-        lo = min(self.val, other.val)
-        for k in range(lo, m):
-            if self._log_at(k) != other._log_at(k):
-                return False
-        return True
+        a = self.logs[:max(m - self.val, 0)]
+        b = other.logs[:max(m - other.val, 0)]
+        while a and a[-1] == LOG_ZERO:
+            a = a[:-1]
+        while b and b[-1] == LOG_ZERO:
+            b = b[:-1]
+        return a == b and (not a or self.val == other.val)
 
     __hash__ = None
 
@@ -183,21 +186,36 @@ class LaurentSeries:
 
     def __add__(self, other: LaurentSeries) -> LaurentSeries:
         self._require_compatible(other)
+        if not other.logs and other.prec >= self.prec:
+            return self
+        if not self.logs and self.prec >= other.prec:
+            return other
         t = self.tower
         prec = min(self.prec, other.prec)
         lo = min(self.val, other.val, prec)
         out = [LOG_ZERO] * (prec - lo)
-        for k in range(self.val, min(self.val + len(self.logs), prec)):
-            out[k - lo] = self.logs[k - self.val]
-        for k in range(other.val, min(other.val + len(other.logs), prec)):
-            out[k - lo] = _add_logs(t, out[k - lo], other.logs[k - other.val])
+        start = self.val - lo
+        head = self.logs[:max(prec - self.val, 0)]
+        out[start:start + len(head)] = head
+        Q = t.q - 1
+        zech = t._zech
+        k = other.val - lo
+        for lb in other.logs[:max(prec - other.val, 0)]:
+            if lb != LOG_ZERO:
+                cur = out[k]
+                if cur == LOG_ZERO:
+                    out[k] = lb
+                else:
+                    z = zech[(lb - cur) % Q]
+                    out[k] = LOG_ZERO if z == LOG_ZERO else (cur + z) % Q
+            k += 1
         return LaurentSeries(t, self.j, lo, out, prec, _checked=True)
 
     def __neg__(self) -> LaurentSeries:
         t = self.tower
-        return LaurentSeries(t, self.j, self.val,
-                             [_neg_log(t, lg) for lg in self.logs],
-                             self.prec, _checked=True)
+        return _canonical(t, self.j, self.val,
+                          tuple([_neg_log(t, lg) for lg in self.logs]),
+                          self.prec)
 
     def __sub__(self, other: LaurentSeries) -> LaurentSeries:
         return self + (-other)
@@ -210,10 +228,16 @@ class LaurentSeries:
             return LaurentSeries.zero(t, self.j, prec)
         prec = min(self.prec + other.val, other.prec + self.val)
         lo = self.val + other.val
-        out = [LOG_ZERO] * (prec - lo)
         Q = t.q - 1
-        zech = t._zech
         alogs, blogs = self.logs, other.logs
+        if len(alogs) == 1 or len(blogs) == 1:
+            # a monomial factor c*T^v: one term per coefficient, no sums
+            (c,), rest = (alogs, blogs) if len(alogs) == 1 else (blogs, alogs)
+            out = [lg if lg == LOG_ZERO else (lg + c) % Q
+                   for lg in rest[:prec - lo]]
+            return LaurentSeries(t, self.j, lo, out, prec, _checked=True)
+        out = [LOG_ZERO] * (prec - lo)
+        zech = t._zech
         av, bv = self.val, other.val
         for ia, la in enumerate(alogs):
             if la == LOG_ZERO:
@@ -246,8 +270,8 @@ class LaurentSeries:
 
     def shift(self, k: int) -> LaurentSeries:
         """Multiply by T^k."""
-        return LaurentSeries(self.tower, self.j, self.val + k, self.logs,
-                             self.prec + k, _checked=True)
+        return _canonical(self.tower, self.j, self.val + k, self.logs,
+                          self.prec + k)
 
     def inverse(self) -> LaurentSeries:
         """Newton iteration doubling the number of correct terms."""
@@ -478,8 +502,8 @@ def _least_valuation_row(mat, k: int) -> Optional[int]:
 def frobenius_coeffwise(s: LaurentSeries, e: int) -> LaurentSeries:
     """Apply x -> x^(p^e) to every coefficient; T is untouched."""
     t = s.tower
-    return LaurentSeries(t, s.j, s.val, [_frob_log(t, lg, e) for lg in s.logs],
-                         s.prec, _checked=True)
+    return _canonical(t, s.j, s.val,
+                      tuple([_frob_log(t, lg, e) for lg in s.logs]), s.prec)
 
 
 def substitute(s: LaurentSeries, target: LaurentSeries) -> LaurentSeries:
@@ -492,6 +516,8 @@ def substitute(s: LaurentSeries, target: LaurentSeries) -> LaurentSeries:
     prec = min(s.prec, target.prec)
     if not s.logs:
         return LaurentSeries.zero(t, s.j, prec)
+    if s.val == 0 and len(s.logs) == 1:
+        return _canonical(t, s.j, 0, s.logs, prec)    # a constant
     # Horner from the top coefficient down to T^val, then shift by val
     res = LaurentSeries.zero(t, s.j, prec)
     for k in range(min(s.prec, s.val + len(s.logs)) - 1, s.val - 1, -1):

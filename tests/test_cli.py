@@ -199,6 +199,14 @@ GOLDEN_REPORTS = [
     ("9d478a4eaddf8790ac8692ed9b35e4ab69c75666c39e79d5b7835916230a0f84",
      ["section", "synth", "--p", "3", "--i", "1", "--d", "2", "--r", "1",
       "--n", "2", "--samples", "3", "--prec", "12", "--seed", "5"]),
+    # b = 3: the C_b section's inner part Y is block diagonal; recorded
+    # from the dense algebra-matrix products
+    ("42e5132700eafd8ed988062e65af91cb1dd6761eaac16fd36a39064bf029577d",
+     ["section", "synth", "--p", "2", "--i", "2", "--d", "3", "--r", "1",
+      "--n", "3", "--prec", "16", "--samples", "4", "--seed", "3"]),
+    ("5aa085e8c8b6345bf08f8fdf9ab3deb7628b53200a687346024200aeb8ed1fc0",
+     ["section", "synth", "--p", "2", "--i", "2", "--d", "3", "--r", "2",
+      "--n", "6", "--prec", "12", "--samples", "2", "--seed", "3"]),
 ]
 
 
@@ -267,3 +275,36 @@ def test_zero_samples_are_reported_as_vacuous():
     details = {c["name"]: c["detail"] for c in doc["result"]["checks"]}
     assert details["glue_homomorphism"] == "vacuous (no samples)"
     assert details["glue_section_property"] == "vacuous (no samples)"
+
+
+@pytest.mark.parametrize("argv", [
+    ["split-check", "--charp", "--p", "4", "--i", "1", "--n", "1", "--d", "3"],
+    ["section", "synth", "--p", "4", "--i", "1", "--d", "3", "--r", "1",
+     "--n", "1"],
+    SYNTH + ["--n", "1", "--prec", "1"],
+    ["hanke", "--p", "2", "--i", "1", "--alpha", "T+T^2", "--prec", "1"],
+], ids=lambda argv: " ".join(argv))
+def test_refused_before_any_arithmetic(argv, capsys, monkeypatch):
+    # a characteristic that is not prime, and a precision below 2, at
+    # which T is not representable, are usage errors found before any
+    # splitting criterion or field table is computed
+    from autsplit import brauer, cli, sections
+
+    def untouchable(*args):
+        raise AssertionError("arithmetic ran on a refused command")
+
+    for module, name in ((cli, "build_tower"), (sections, "build_tower"),
+                         (brauer, "splits_globally_charp"),
+                         (brauer, "non_split_witness")):
+        monkeypatch.setattr(module, name, untouchable)
+    code, err = run_cli_usage(argv, capsys)
+    assert code == 2
+    assert len([line for line in err.splitlines() if "error:" in line]) == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", [["section", "synth"], ["hanke"]])
+def test_help_states_the_minimum_precision(command, capsys):
+    with pytest.raises(SystemExit):
+        main(command + ["--help"])
+    assert "at least 2" in capsys.readouterr().out

@@ -351,3 +351,104 @@ def test_trivial_central_twist_acts_trivially():
     ident = LocalFieldAuto.identity(t, 3, alg.prec)
     f = SemilinearAuto(alg, 2, inner, ident, twist, check=False)
     assert acts_trivially(f)
+
+
+# -- sparse products against a dense reference --------------------------------
+
+def dense_product(A, B):
+    """The schoolbook product over the dense view: the sum of a_sk * b_kt
+    over the pairs with both factors nonzero, alg.zero() where none is."""
+    n, zero = A.n, A.alg.zero()
+    ra, rb = A.rows, B.rows
+    out = []
+    for s in range(n):
+        row = []
+        for t in range(n):
+            acc = zero
+            for k in range(n):
+                if not ra[s][k].is_zero() and not rb[k][t].is_zero():
+                    acc = acc + ra[s][k] * rb[k][t]
+            row.append(acc)
+        out.append(row)
+    return out
+
+
+def entry_form(e):
+    """Everything an entry stores: per component the window and precision."""
+    return [(c.val, c.logs, c.prec) for c in e.comps]
+
+
+def rough_element(alg, rng):
+    """A random element whose components may be zero, of negative
+    valuation, or known to a precision other than alg.prec."""
+    t = alg.tower
+    comps = []
+    for _ in range(alg.d):
+        prec = rng.choice((alg.prec, alg.prec - 5, alg.prec + 3))
+        if rng.random() < 0.3:
+            comps.append(LaurentSeries.zero(t, alg.jE, prec))
+            continue
+        s = rand_series(alg, rng, lo=rng.randrange(-2, 3), hi=6)
+        comps.append(LaurentSeries(t, alg.jE, s.val, s.logs, prec))
+    return alg.from_components(comps)
+
+
+def shaped_matrix(alg, n, rng, shape):
+    zero = alg.zero()
+    rows = [[zero] * n for _ in range(n)]
+    if shape == "monomial":
+        perm = list(range(n))
+        rng.shuffle(perm)
+        for s in range(n):
+            rows[s][perm[s]] = rough_element(alg, rng)
+    elif shape == "block":
+        start = 0
+        while start < n:
+            size = rng.randint(1, n - start)
+            for s in range(start, start + size):
+                for t in range(start, start + size):
+                    rows[s][t] = rough_element(alg, rng)
+            start += size
+    else:
+        for s in range(n):
+            for t in range(n):
+                if rng.random() < 0.6:
+                    rows[s][t] = rough_element(alg, rng)
+    return AlgebraMatrix(alg, rows)
+
+
+def test_sparse_product_matches_dense_reference():
+    rng = random.Random(16)
+    for (p, i, d, r) in ((2, 1, 3, 1), (3, 1, 2, 1)):
+        alg = make_algebra(p, i, d, r, prec=10)
+        for n in range(1, 7):
+            for shape in ("dense", "block", "monomial"):
+                A = shaped_matrix(alg, n, rng, shape)
+                B = shaped_matrix(alg, n, rng, rng.choice(
+                    ("dense", "block", "monomial")))
+                ref = dense_product(A, B)
+                got = (A * B).rows
+                for s in range(n):
+                    for t in range(n):
+                        assert entry_form(got[s][t]) == entry_form(ref[s][t])
+
+
+def test_sparse_product_keeps_cancelled_entries():
+    # a_00 b_00 + a_01 b_10 = x*y - x*y cancels: the entry is zero, known
+    # to the precision the dense sum reaches, and equality keeps judging it
+    # there
+    alg = make_algebra(3, 1, 2, 1, prec=10)
+    t = alg.tower
+    x = alg.scalar(LaurentSeries.T_power(t, alg.jE, -3, alg.prec))
+    y = alg.scalar(LaurentSeries.one(t, alg.jE, alg.prec))
+    zero = alg.zero()
+    A = AlgebraMatrix(alg, [[x, x], [zero, y]])
+    B = AlgebraMatrix(alg, [[y, zero], [-y, y]])
+    prod = A * B
+    ref = dense_product(A, B)
+    entry = prod.rows[0][0]
+    assert entry.is_zero() and entry_form(entry) == entry_form(ref[0][0])
+    assert entry.comps[0].prec == alg.prec - 3
+    # T^8 is beyond the cancelled entry's precision, so it compares equal
+    bump = alg.scalar(LaurentSeries.T_power(t, alg.jE, 8, alg.prec))
+    assert prod == AlgebraMatrix(alg, [[bump, ref[0][1]], list(ref[1])])

@@ -3,8 +3,9 @@ import random
 import pytest
 
 from autsplit.autk import LocalFieldAuto, compose_auto
-from autsplit.cyclic import (AlgebraMatrix, acts_like, acts_trivially,
-                             compose_semilinear, identity_semilinear)
+from autsplit.cyclic import (AlgebraMatrix, SemilinearAuto, acts_like,
+                             acts_trivially, compose_semilinear,
+                             identity_semilinear, invert_semilinear)
 from autsplit.gftower import build_tower, frobenius, subfield_generator
 from autsplit.sections import (SectionContext, glue_section, random_j_element,
                                random_k_auto, section_Ca,
@@ -186,3 +187,83 @@ def test_verification_report_shape():
     names = [c["name"] for c in doc["checks"]]
     assert len([n for n in names if n.startswith("commutation_")]) == 9
     assert "glue_homomorphism" in names and "glue_section_property" in names
+
+
+# -- the structured comparison against pushing every generator through -------
+
+def small_section_family(ctx, rng):
+    """Partial and glued sections of ctx, with pairs that act alike though
+    their inner parts differ."""
+    fs = [section_J(ctx, random_j_element(ctx, rng, depth=5)),
+          section_Ca(ctx, 1), section_Cb(ctx, 1), section_Cb(ctx, 2),
+          section_Caprime(ctx, 1), section_Cbprime(ctx, 1)]
+    glued = [glue_section(ctx, random_k_auto(ctx, rng)) for _ in range(2)]
+    fs += glued
+    fs.append(compose_semilinear(glued[0], invert_semilinear(glued[0])))
+    fs.append(compose_semilinear(section_Cb(ctx, 1), section_Cb(ctx, 1)))
+    if ctx.b > 1:
+        from autsplit.sections import _with_witness
+        y2 = ctx.y * subfield_generator(ctx.tower, ctx.i * ctx.d)
+        fs.append(section_Cb(_with_witness(ctx, y2), 2))
+    return fs
+
+
+@pytest.mark.parametrize("ctx", [SectionContext(2, 2, 3, 1, 3, prec=10),
+                                 SectionContext(2, 3, 3, 1, 3, prec=8)],
+                         ids=["b=3", "b'=3"])
+def test_structured_comparison_matches_generic(ctx):
+    fs = small_section_family(ctx, random.Random(17))
+    # all generators, and the elementary ones alone (the scalar ones come
+    # first and would otherwise decide most pairs)
+    for gens in (ctx.generators(), ctx.generators()[4:]):
+        images = [[f.apply(G) for G in gens] for f in fs]
+        seen = set()
+        for f1, im1 in zip(fs, images):
+            assert acts_trivially(f1, gens) == all(
+                img == G for img, G in zip(im1, gens))
+            for f2, im2 in zip(fs, images):
+                generic = all(a == b for a, b in zip(im1, im2))
+                assert acts_like(f1, f2, gens) == generic
+                seen.add(generic)
+        assert seen == {True, False}
+
+
+# -- mutation controls: a T^k change to one ingredient is flagged ------------
+
+CTX_B = SectionContext(2, 2, 3, 1, 3, prec=10)    # b = 3: a full 3x3 Y
+
+
+def mutated(f, part, k, pos):
+    """f with T^k added to one entry of its inner part or of the inverse
+    it carries, or to its twist x."""
+    alg = f.alg
+    t_k = LaurentSeries.T_power(alg.tower, alg.jE, k, alg.prec)
+    if part == "x":
+        return SemilinearAuto(alg, f.n, f.inner, f.alphaE, f.x + t_k,
+                              inner_inv=f.inner_inv, check=False)
+    mats = {"inner": f.inner, "inner_inv": f.inner_inv}
+    rows = [list(row) for row in mats[part].rows]
+    s, t = pos
+    rows[s][t] = rows[s][t] + alg.scalar(t_k)
+    mats[part] = AlgebraMatrix(alg, rows)
+    return SemilinearAuto(alg, f.n, mats["inner"], f.alphaE, f.x,
+                          inner_inv=mats["inner_inv"], check=False)
+
+
+@pytest.mark.parametrize("part", ["inner", "inner_inv", "x"])
+def test_mutations_are_flagged_once_prec_exceeds_k(part):
+    ctx = CTX_B
+    f = glue_section(ctx, random_k_auto(ctx, random.Random(18)))
+    # the precision the changed ingredient is known to: the glued twist
+    # loses a term to the compositions, the constant entries keep prec
+    prec = f.x.prec if part == "x" else ctx.prec
+    assert prec >= ctx.prec - 1
+    positions = [None] if part == "x" else [(0, 0), (ctx.n - 1, 1)]
+    for gens in (ctx.generators(), ctx.generators()[4:]):
+        assert acts_like(f, f, gens)
+        for pos in positions:
+            for k in (1, 4, prec - 1):
+                assert not acts_like(f, mutated(f, part, k, pos), gens), \
+                    (pos, k)
+            # T^prec is beyond that precision: nothing changed
+            assert acts_like(f, mutated(f, part, prec, pos), gens)
