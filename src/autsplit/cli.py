@@ -19,6 +19,7 @@ import argparse
 import json
 import os
 import sys
+from math import gcd
 
 from . import brauer as br
 from .autk import LocalFieldAuto
@@ -130,18 +131,17 @@ def _cmd_split_check(args) -> int:
     return _emit(args, "split-check",
                  {"mode": "subfield", "n": args.n, "d": args.d, "m": args.m},
                  {"verdict": "SPLIT" if ok else "NON-SPLIT",
-                  "gcd": __import__("math").gcd(args.n * args.d, args.m)},
+                  "gcd": gcd(args.n * args.d, args.m)},
                  0 if ok else 1)
 
 
 def _cmd_descent_form(args) -> int:
     form = br.descent_form(args.n, args.d, args.r, args.m)
     if form is None:
-        import math
         return _emit(args, "descent-form",
                      {"n": args.n, "d": args.d, "r": args.r, "m": args.m},
                      {"verdict": "NO-FORM",
-                      "witness_gcd": math.gcd(args.n * args.d, args.m)}, 1)
+                      "witness_gcd": gcd(args.n * args.d, args.m)}, 1)
     return _emit(args, "descent-form",
                  {"n": args.n, "d": args.d, "r": args.r, "m": args.m},
                  {"verdict": "FORM", "form": repr(form)}, 0)

@@ -24,13 +24,8 @@ neither the inner part nor the twist data is unique.
 Every matrix the sections build is diagonal, block diagonal or monomial,
 so an algebra matrix stores only its entries other than zero, row by row,
 and a product multiplies only the stored nonzero pairs.  The comparison
-on generators uses their shape: the image of an elementary matrix
-I + x*e_ab under g phi~(.) g^-1 is P + (column a of g) phi(x) (row b of
-g^-1), with P = g phi~(I) g^-1 shared by all of them.  Precision is part
-of every answer here, since series compare at the lower precision of the
-two sides: the sparse products and the shared P give each compared entry
-the value and the precision the dense products gave it, so every verdict
-is unchanged.
+on generators uses additivity: f(I + x*e_ab) = f(I) + (column a of g)
+phi(x) (row b of g^-1), and the two parts are compared separately.
 """
 
 from __future__ import annotations
@@ -545,18 +540,13 @@ def acts_like(f1: SemilinearAuto, f2: SemilinearAuto,
               gens: Iterable[AlgebraMatrix] | None = None) -> bool:
     """Equality as automorphisms: f1(G) == f2(G) for every generator G.
 
-    The answer is that of comparing f1.apply(G) with f2.apply(G), but an
-    elementary generator G = I + x*e_ab does not go through two full
-    products.  With g the inner part and phi~ the entrywise twist,
-
-        g phi~(G) g^-1 = P + (column a of g) phi(x) (row b of g^-1),
-        P = g phi~(I) g^-1,
-
-    so P is computed once per automorphism and shared by all elementary
-    generators; each one then changes only the rows s with g_sa != 0 (see
-    ``_Images``).  Rows that neither image changes are compared as rows
-    of P1 and P2.  Scalar generators, and any other matrix passed in
-    ``gens``, are pushed through ``apply``.
+    f(M) = g phi~(M) g^-1 is additive in M, so an elementary generator
+    G = I + x*e_ab has the image f(I) + R with R_st = g_sa phi(x) (g^-1)_bt.
+    f1(I) and f2(I) are compared once, then R1 and R2 for each elementary
+    generator.  Each part is known to at least the precision of the sum
+    f(I) + R, so whenever f1(I) + R1 != f2(I) + R2 at that precision, one
+    of the two comparisons fails.  Scalar generators, and any other matrix
+    passed in ``gens``, are pushed through ``apply``.
     """
     if gens is None:
         gens = generator_matrices(f1.alg, f1.n)
@@ -575,29 +565,25 @@ def _same_images(f1: SemilinearAuto, f2: SemilinearAuto | None,
                  gens: Iterable[AlgebraMatrix]) -> bool:
     """Whether f1(G) == f2(G) for all G in gens; f2 None stands for the
     identity, whose image of G is G itself."""
-    im1 = None
+    identity_checked = False
     for G in gens:
         shape = _elementary_shape(G)
         if shape is None:
             if f1.apply(G) != (G if f2 is None else f2.apply(G)):
                 return False
             continue
-        if G.n != f1.n or (f2 is not None and G.n != f2.n):
-            raise ValueError("matrix size mismatch")
-        if im1 is None:
-            zero = G.alg.zero()
-            im1 = _Images(f1)
-            im2 = _Fixed(G) if f2 is None else _Images(f2)
-            same = [_rows_equal(r1, r2, zero)
-                    for r1, r2 in zip(im1.base, im2.base)]
-        new1, new2 = im1.changed_rows(G, *shape), im2.changed_rows(G, *shape)
-        for s in range(G.n):
-            if s in new1 or s in new2:
-                if not _rows_equal(new1.get(s, im1.base[s]),
-                                   new2.get(s, im2.base[s]), zero):
-                    return False
-            elif not same[s]:
+        if not identity_checked:
+            ident = AlgebraMatrix.identity(G.alg, G.n)
+            if f1.apply(ident) != (ident if f2 is None else f2.apply(ident)):
                 return False
+            identity_checked = True
+        a, b, x = shape
+        r1 = _rank_one(f1, a, b, x)
+        r2 = {a: {b: x}} if f2 is None else _rank_one(f2, a, b, x)
+        zero = G.alg.zero()
+        if not all(_rows_equal(r1.get(s, {}), r2.get(s, {}), zero)
+                   for s in r1.keys() | r2.keys()):
+            return False
     return True
 
 
@@ -623,52 +609,17 @@ def _is_algebra_one(e: AlgebraElement) -> bool:
             and all(not c and c.prec == prec for c in e.comps[1:]))
 
 
-class _Images:
-    """Images f(G) = g phi~(G) g^-1 of elementary generators G = I + x*e_ab.
-
-    ``base`` holds the rows of P = f(I) = M g^-1 with M = g phi~(I).
-    phi~(G) differs from phi~(I) only at (a, b), where it holds phi(x), so
-    g phi~(G) is M with g_sa phi(x) added at (s, b) in each row s with
-    g_sa != 0, and f(G) differs from P at most in those rows.  They are
-    recomputed as (row s of g phi~(G)) g^-1 from the same nonzero pairs
-    that f.apply(G) multiplies, so every entry has the value and the
-    precision f.apply(G) gives it.  Adding the rank-one term to P instead
-    would agree in value, but not always in precision: where M_sb and
-    g_sa phi(x) cancel, f.apply(G) skips their zero sum, while P +
-    rank-one keeps two products and their lower precision, and equality
-    is judged at the lower precision of its two sides.
-    """
-
-    def __init__(self, f: SemilinearAuto):
-        self.f = f
-        self.m = (f.inner * f.apply_matrix_entrywise(
-            AlgebraMatrix.identity(f.alg, f.n))).entries
-        self.inv_rows = _nonzero_rows(f.inner_inv)
-        self.base = [_row_times(row, self.inv_rows) for row in self.m]
-
-    def changed_rows(self, G: AlgebraMatrix, a: int, b: int,
-                     x: AlgebraElement) -> dict[int, dict[int, AlgebraElement]]:
-        fx = self.f.apply_element(x)
-        if fx.is_zero():
-            return {}
-        out = {}
-        for s, row in enumerate(self.f.inner.entries):
-            ga = row.get(a)
-            if ga is None or ga.is_zero():
-                continue
-            lrow = dict(self.m[s])
-            term = ga * fx
-            lrow[b] = lrow[b] + term if b in lrow else term
-            out[s] = _row_times(lrow, self.inv_rows)
-        return out
-
-
-class _Fixed:
-    """The identity's images: G itself, which differs from I in row a."""
-
-    def __init__(self, G: AlgebraMatrix):
-        self.base = AlgebraMatrix.identity(G.alg, G.n).entries
-
-    def changed_rows(self, G: AlgebraMatrix, a: int, b: int,
-                     x: AlgebraElement) -> dict[int, dict[int, AlgebraElement]]:
-        return {a: G.entries[a]}
+def _rank_one(f: SemilinearAuto, a: int, b: int,
+              x: AlgebraElement) -> dict[int, dict[int, AlgebraElement]]:
+    """R = f(I + x*e_ab) - f(I), R_st = g_sa phi(x) (g^-1)_bt, by rows;
+    only the stored nonzero g_sa and (g^-1)_bt take part."""
+    fx = f.apply_element(x)
+    row_b = [(t, e) for t, e in f.inner_inv.entries[b].items()
+             if not e.is_zero()]
+    out = {}
+    for s, row in enumerate(f.inner.entries):
+        ga = row.get(a)
+        if ga is not None and not ga.is_zero():
+            left = ga * fx
+            out[s] = {t: left * e for t, e in row_b}
+    return out

@@ -344,11 +344,6 @@ class FieldTower:
         """The designated generator g of F_{p^M}^x."""
         return FFElement(self, 0 if self.q == 2 else 1 % (self.q - 1))
 
-    def from_log(self, k: int) -> FFElement:
-        if k == LOG_ZERO:
-            return self.zero()
-        return FFElement(self, k % (self.q - 1))
-
     def from_code(self, code: int) -> FFElement:
         if code == 0:
             return self.zero()

@@ -15,7 +15,6 @@ table is never consulted.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import FrozenSet, Optional
 
@@ -147,19 +146,32 @@ class FiniteGroupTable:
         return frozenset(elems)
 
     @staticmethod
-    def from_json_dict(data: dict) -> tuple[FiniteGroupTable, FrozenSet[int]]:
-        order = data["order"]
-        table = data["table"]
+    def from_json_dict(data) -> tuple[FiniteGroupTable, FrozenSet[int]]:
+        """Group and designated subset from {order, table, normal_subset}
+        and an optional identity; any malformed input is a ValueError."""
+        if not isinstance(data, dict):
+            raise ValueError("group table must be a JSON object")
+        missing = [k for k in ("order", "table", "normal_subset") if k not in data]
+        if missing:
+            raise ValueError(f"group table lacks {', '.join(missing)}")
+        order, table = data["order"], data["table"]
+        identity, normal = data.get("identity", 0), data["normal_subset"]
+        if not (_is_int(order) and isinstance(table, list) and all(
+                isinstance(row, list) and all(map(_is_int, row)) for row in table)):
+            raise ValueError("order must be an integer and table a list of "
+                             "lists of integers")
         if len(table) != order:
             raise ValueError("declared order does not match the table")
-        identity = data.get("identity", 0)
-        group = FiniteGroupTable(table, identity)
-        normal = frozenset(data["normal_subset"])
-        return group, normal
+        element = lambda v: _is_int(v) and 0 <= v < order
+        if not element(identity):
+            raise ValueError(f"identity must be one of 0..{order - 1}")
+        if not (isinstance(normal, list) and all(map(element, normal))):
+            raise ValueError(f"normal_subset must list elements of 0..{order - 1}")
+        return FiniteGroupTable(table, identity), frozenset(normal)
 
-    @staticmethod
-    def from_json(text: str) -> tuple[FiniteGroupTable, FrozenSet[int]]:
-        return FiniteGroupTable.from_json_dict(json.loads(text))
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
 
 
 @dataclass(frozen=True)

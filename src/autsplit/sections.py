@@ -500,108 +500,50 @@ def verify_section(ctx: SectionContext, samples: int = 20,
     jb2 = j_samples(ctx.b2)
     alphas = [random_j_element(ctx, rng) for _ in range(max(2, samples // 4))]
 
-    # (1) images of f_Ca and f_Cb commute
-    ok, detail = True, "vacuous (trivial factor)"
-    if ja and jb:
-        detail = ""
-        for j, j2 in zip(ja, jb):
-            lhs = compose_semilinear(section_Ca(ctx, j), section_Cb(ctx, j2))
-            rhs = compose_semilinear(section_Cb(ctx, j2), section_Ca(ctx, j))
-            ok &= eq(lhs, rhs)
-    rep.add("commutation_1_Ca_Cb", ok, detail)
+    # the nine commutation relations: f(j) and g(k) commute; f(j)
+    # conjugates g(k) to g(k p^(e j)); f(j) conjugates f_J(alpha) to
+    # f_J(kappa alpha kappa^-1) for an explicitly given kappa = kappa(j)
+    def commute(f, g):
+        return lambda j, k: (compose_semilinear(f(ctx, j), g(ctx, k)),
+                             compose_semilinear(g(ctx, k), f(ctx, j)))
 
-    # (2) f_Ca conjugates f_J
-    ok, detail = True, "vacuous (trivial factor)"
-    if ja:
-        detail = ""
-        for j, alpha in zip(ja, alphas):
-            fa = section_Ca(ctx, j)
-            lhs = _conj(fa, section_J(ctx, alpha), section_Ca(ctx, -j))
-            ev = _ev_k(ctx, ctx.zeta ** (ctx.b * j))
-            conj = compose_auto(compose_auto(ev, alpha), invert_auto(ev))
-            ok &= eq(lhs, section_J(ctx, conj))
-    rep.add("commutation_2_Ca_J", ok, detail)
+    def moves_index(f, g, e):
+        return lambda j, k: (_conj(f(ctx, j), g(ctx, k), f(ctx, -j)),
+                             g(ctx, k * ctx.p ** (e * j)))
 
-    # (3) f_Cb conjugates f_J
-    ok, detail = True, "vacuous (trivial factor)"
-    if jb:
-        detail = ""
-        for j, alpha in zip(jb, alphas):
-            fb = section_Cb(ctx, j)
-            lhs = _conj(fb, section_J(ctx, alpha), section_Cb(ctx, -j))
-            ev = _ev_k(ctx, ctx.zeta ** (ctx.a * j))
-            conj = compose_auto(compose_auto(ev, alpha), invert_auto(ev))
-            ok &= eq(lhs, section_J(ctx, conj))
-    rep.add("commutation_3_Cb_J", ok, detail)
+    def moves_alpha(f, kappa):
+        def pair(j, alpha):
+            kj = kappa(j)
+            conj = compose_auto(compose_auto(kj, alpha), invert_auto(kj))
+            return (_conj(f(ctx, j), section_J(ctx, alpha), f(ctx, -j)),
+                    section_J(ctx, conj))
+        return pair
 
-    # (4) images of f_Ca' and f_Cb' commute
-    ok, detail = True, "vacuous (trivial factor)"
-    if ja2 and jb2:
-        detail = ""
-        for j, j2 in zip(ja2, jb2):
-            lhs = compose_semilinear(section_Caprime(ctx, j),
-                                     section_Cbprime(ctx, j2))
-            rhs = compose_semilinear(section_Cbprime(ctx, j2),
-                                     section_Caprime(ctx, j))
-            ok &= eq(lhs, rhs)
-    rep.add("commutation_4_Caprime_Cbprime", ok, detail)
-
-    # (5) f_Ca' conjugates f_Cb
-    ok, detail = True, "vacuous (trivial factor)"
-    if ja2 and jb:
-        detail = ""
-        e_step = ctx.c * ctx.i + ctx.b2
-        for j, j2 in zip(ja2, jb):
-            fap = section_Caprime(ctx, j)
-            lhs = _conj(fap, section_Cb(ctx, j2), section_Caprime(ctx, -j))
-            ok &= eq(lhs, section_Cb(ctx, j2 * ctx.p ** (e_step * j)))
-    rep.add("commutation_5_Caprime_Cb", ok, detail)
-
-    # (6) f_Ca' conjugates f_J
-    ok, detail = True, "vacuous (trivial factor)"
-    if ja2:
-        detail = ""
-        for j, alpha in zip(ja2, alphas):
-            fap = section_Caprime(ctx, j)
-            lhs = _conj(fap, section_J(ctx, alpha), section_Caprime(ctx, -j))
-            fk = LocalFieldAuto.frobenius_power(ctx.tower, ctx.i,
-                                                ctx.b2 * j, ctx.prec)
-            conj = compose_auto(compose_auto(fk, alpha), invert_auto(fk))
-            ok &= eq(lhs, section_J(ctx, conj))
-    rep.add("commutation_6_Caprime_J", ok, detail)
-
-    # (7) f_Cb' conjugates f_Cb
-    ok, detail = True, "vacuous (trivial factor)"
-    if jb2 and jb:
-        detail = ""
-        for j, j2 in zip(jb2, jb):
-            fbp = section_Cbprime(ctx, j)
-            lhs = _conj(fbp, section_Cb(ctx, j2), section_Cbprime(ctx, -j))
-            ok &= eq(lhs, section_Cb(ctx, j2 * ctx.p ** (ctx.a2 * j)))
-    rep.add("commutation_7_Cbprime_Cb", ok, detail)
-
-    # (8) f_Cb' conjugates f_Ca
-    ok, detail = True, "vacuous (trivial factor)"
-    if jb2 and ja:
-        detail = ""
-        for j, j2 in zip(jb2, ja):
-            fbp = section_Cbprime(ctx, j)
-            lhs = _conj(fbp, section_Ca(ctx, j2), section_Cbprime(ctx, -j))
-            ok &= eq(lhs, section_Ca(ctx, j2 * ctx.p ** (ctx.a2 * j)))
-    rep.add("commutation_8_Cbprime_Ca", ok, detail)
-
-    # (9) f_Cb' conjugates f_J
-    ok, detail = True, "vacuous (trivial factor)"
-    if jb2:
-        detail = ""
-        for j, alpha in zip(jb2, alphas):
-            fbp = section_Cbprime(ctx, j)
-            lhs = _conj(fbp, section_J(ctx, alpha), section_Cbprime(ctx, -j))
-            fk = LocalFieldAuto.frobenius_power(ctx.tower, ctx.i,
-                                                ctx.a2 * j, ctx.prec)
-            conj = compose_auto(compose_auto(fk, alpha), invert_auto(fk))
-            ok &= eq(lhs, section_J(ctx, conj))
-    rep.add("commutation_9_Cbprime_J", ok, detail)
+    ev = lambda e: lambda j: _ev_k(ctx, ctx.zeta ** (e * j))
+    frob = lambda e: lambda j: LocalFieldAuto.frobenius_power(
+        ctx.tower, ctx.i, e * j, ctx.prec)
+    relations = [
+        ("commutation_1_Ca_Cb", ja, jb, commute(section_Ca, section_Cb)),
+        ("commutation_2_Ca_J", ja, alphas, moves_alpha(section_Ca, ev(ctx.b))),
+        ("commutation_3_Cb_J", jb, alphas, moves_alpha(section_Cb, ev(ctx.a))),
+        ("commutation_4_Caprime_Cbprime", ja2, jb2,
+         commute(section_Caprime, section_Cbprime)),
+        ("commutation_5_Caprime_Cb", ja2, jb,
+         moves_index(section_Caprime, section_Cb, ctx.c * ctx.i + ctx.b2)),
+        ("commutation_6_Caprime_J", ja2, alphas,
+         moves_alpha(section_Caprime, frob(ctx.b2))),
+        ("commutation_7_Cbprime_Cb", jb2, jb,
+         moves_index(section_Cbprime, section_Cb, ctx.a2)),
+        ("commutation_8_Cbprime_Ca", jb2, ja,
+         moves_index(section_Cbprime, section_Ca, ctx.a2)),
+        ("commutation_9_Cbprime_J", jb2, alphas,
+         moves_alpha(section_Cbprime, frob(ctx.a2))),
+    ]
+    for name, js, ks, pair in relations:
+        ok = True
+        for j, k in zip(js, ks):
+            ok &= eq(*pair(j, k))
+        rep.add(name, ok, "" if js and ks else "vacuous (trivial factor)")
 
     # J-section is a homomorphism (cocycle law of the Hensel roots)
     ok = True

@@ -124,6 +124,32 @@ def test_ses_verdict_cli(tmp_path):
     assert code == 1
 
 
+C2 = [[0, 1], [1, 0]]
+
+
+@pytest.mark.parametrize("doc", [
+    {},
+    {"order": 2, "table": C2},
+    [{"order": 2, "table": C2, "normal_subset": [0]}],
+    {"order": 2, "table": C2, "normal_subset": [0, 5]},
+], ids=["empty object", "no normal_subset", "top-level list",
+        "normal_subset out of range"])
+def test_malformed_group_table_is_a_usage_error(doc, tmp_path, monkeypatch,
+                                                capsys):
+    path = tmp_path / "group.json"
+    path.write_text(json.dumps(doc))
+    for argv in (["extension", "split"],
+                 ["extension", "split", "--file", str(path)],
+                 ["ses-verdict", "--g", "2", "--family", "A", "--rank", "3",
+                  "--tower-file", str(path)]):
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+        code, err = run_cli_usage(argv, capsys)
+        assert code == 2
+        assert len([line for line in err.splitlines()
+                    if "error:" in line]) == 1
+        assert "Traceback" not in err
+
+
 def test_usage_errors_exit_2():
     code, _ = run_cli(["nrd", "--p", "4", "--i", "1", "--d", "2", "--r", "1",
                        "--element", "1;0"])
@@ -207,6 +233,10 @@ GOLDEN_REPORTS = [
     ("5aa085e8c8b6345bf08f8fdf9ab3deb7628b53200a687346024200aeb8ed1fc0",
      ["section", "synth", "--p", "2", "--i", "2", "--d", "3", "--r", "2",
       "--n", "6", "--prec", "12", "--samples", "2", "--seed", "3"]),
+    # b' = 3: the C_b' section's inner part W is block cyclic
+    ("0feaedcea2d8e7c35494ce146e3c2f7b1611c23a87305addb649150720303366",
+     ["section", "synth", "--p", "2", "--i", "3", "--d", "3", "--r", "1",
+      "--n", "3", "--prec", "12", "--samples", "4", "--seed", "3"]),
 ]
 
 

@@ -3,9 +3,10 @@ import random
 import pytest
 
 from autsplit.autk import LocalFieldAuto, compose_auto
-from autsplit.cyclic import (AlgebraMatrix, SemilinearAuto, acts_like,
-                             acts_trivially, compose_semilinear,
-                             identity_semilinear, invert_semilinear)
+from autsplit.cyclic import (AlgebraMatrix, SemilinearAuto, _elementary_shape,
+                             _rank_one, acts_like, acts_trivially,
+                             compose_semilinear, identity_semilinear,
+                             invert_semilinear)
 from autsplit.gftower import build_tower, frobenius, subfield_generator
 from autsplit.sections import (SectionContext, glue_section, random_j_element,
                                random_k_auto, section_Ca,
@@ -228,6 +229,22 @@ def test_structured_comparison_matches_generic(ctx):
         assert seen == {True, False}
 
 
+def test_elementary_image_is_identity_image_plus_rank_one():
+    # f(I + x*e_ab) = f(I) + R, R_st = g_sa phi(x) (g^-1)_bt: the split
+    # the comparison on elementary generators rests on
+    ctx = SectionContext(2, 2, 3, 1, 3, prec=10)
+    alg, zero = ctx.algebra, ctx.algebra.zero()
+    ident = AlgebraMatrix.identity(alg, ctx.n)
+    for f in small_section_family(ctx, random.Random(19)):
+        base = f.apply(ident).rows
+        for G in ctx.generators()[4:]:
+            a, b, x = _elementary_shape(G)
+            R = _rank_one(f, a, b, x)
+            summed = [[base[s][t] + R.get(s, {}).get(t, zero)
+                       for t in range(ctx.n)] for s in range(ctx.n)]
+            assert f.apply(G) == AlgebraMatrix(alg, summed)
+
+
 # -- mutation controls: a T^k change to one ingredient is flagged ------------
 
 CTX_B = SectionContext(2, 2, 3, 1, 3, prec=10)    # b = 3: a full 3x3 Y
@@ -267,3 +284,31 @@ def test_mutations_are_flagged_once_prec_exceeds_k(part):
                     (pos, k)
             # T^prec is beyond that precision: nothing changed
             assert acts_like(f, mutated(f, part, prec, pos), gens)
+
+
+def test_identity_image_is_compared_for_each_elementary_generator():
+    # a T^1 change to row 0 of g^-1 shows in f(I); for a generator
+    # I + x*e_ab with b != 0 it is not in the rank-one term
+    ctx = CTX_B
+    f = glue_section(ctx, random_k_auto(ctx, random.Random(18)))
+    g = mutated(f, "inner_inv", 1, (0, 0))
+    for G in ctx.generators()[4:]:
+        assert f.apply(G) != g.apply(G)
+        assert not acts_like(f, g, [G]) and not acts_like(g, f, [G])
+
+
+def test_noncommuting_factor_flags_commutation(monkeypatch):
+    # negative control for the "commute" relations: f_Cb(j) o f_J(alpha)
+    # no longer commutes with f_Ca, since f_Ca conjugates f_J(alpha) to
+    # another inertia section
+    from autsplit import sections
+    ctx = SectionContext(7, 1, 2, 1, 2, prec=6)     # a = 3, b = 2
+    rep = verify_section(ctx, samples=2, seed=0)
+    assert rep.all_passed
+    section_cb = sections.section_Cb
+    alpha = random_j_element(ctx, random.Random(1), depth=4)
+    monkeypatch.setattr(sections, "section_Cb", lambda c, j: compose_semilinear(
+        section_cb(c, j), section_J(c, alpha)))
+    rep = verify_section(ctx, samples=2, seed=0)
+    failed = {c.name for c in rep.checks if not c.passed}
+    assert {"commutation_1_Ca_Cb", "commutation_3_Cb_J"} <= failed
