@@ -73,15 +73,15 @@ class CyclicCocycle:
 
 
 def descent_condition_check(c: CyclicCocycle, bmat: SeriesMatrix, e_flag: bool,
-                            beta: LocalFieldAuto) -> bool:
-    """Whether b*Id_beta descends along the form defined by c.
+                            beta_inv: LocalFieldAuto) -> bool:
+    """Whether b*Id_beta descends along the form defined by c, given the
+    inverse beta_inv of beta.
 
     Evaluates c_gamma (gamma.b) X = b projectively with X the beta-inverse
     image of c_gamma^(-1), pushed through the outer flip when e_flag is
     set (the flip inverts the cocycle matrix, so X becomes the
     anti-transpose of the beta-inverse image of c_gamma).
     """
-    beta_inv = invert_auto(beta)
     cm = c.gamma_matrix
     gb = c.gamma_action(bmat)
     cm_beta = cm.map_entries(beta_inv)
@@ -108,7 +108,7 @@ def hanke_test_deg3(p: int, i: int, a: LaurentSeries, alpha: LocalFieldAuto,
     jl = 3 * i
     if tower.M % jl != 0:
         raise ValueError("tower does not contain the unramified cubic extension")
-    beta = extend_auto(alpha, jl)
+    beta_inv = invert_auto(extend_auto(alpha, jl)) if check_witness else None
     a_l = a.with_subfield(jl)
     cocycle = CyclicCocycle.standard(tower, i, a, degree=3)
 
@@ -134,8 +134,8 @@ def hanke_test_deg3(p: int, i: int, a: LaurentSeries, alpha: LocalFieldAuto,
         g = SeriesMatrix(tower, jl, lam.prec, g_rows)
         ok = True
         if check_witness:
-            bmat = g.map_entries(invert_auto(beta))
-            ok = descent_condition_check(cocycle, bmat, e_flag, beta)
+            bmat = g.map_entries(beta_inv)
+            ok = descent_condition_check(cocycle, bmat, e_flag, beta_inv)
         if ok:
             return True, {"lambda": lam, "branch": branch, "g": g}
     return False, None

@@ -18,6 +18,7 @@ norms of the cyclic algebra and the PGL_3 descent checks are built on it.
 
 from __future__ import annotations
 
+from math import isqrt
 from typing import Iterable, Optional, Sequence
 
 from .gftower import FFElement, FieldTower, LOG_ZERO, in_subfield
@@ -172,11 +173,6 @@ class LaurentSeries:
         return a == b and (not a or self.val == other.val)
 
     __hash__ = None
-
-    def _log_at(self, k: int) -> int:
-        if k < self.val or k >= self.val + len(self.logs):
-            return LOG_ZERO
-        return self.logs[k - self.val]
 
     # -- ring operations ----------------------------------------------------
 
@@ -506,8 +502,30 @@ def frobenius_coeffwise(s: LaurentSeries, e: int) -> LaurentSeries:
                       tuple([_frob_log(t, lg, e) for lg in s.logs]), s.prec)
 
 
-def substitute(s: LaurentSeries, target: LaurentSeries) -> LaurentSeries:
-    """s(T -> target) for a uniformiser image target (valuation exactly 1)."""
+def substitute(s: LaurentSeries, target: LaurentSeries,
+               powers: Optional[list] = None) -> LaurentSeries:
+    """s(T -> target) for a uniformiser image target (valuation exactly 1).
+
+    Brent-Kung baby-step/giant-step composition.  With P = min(s.prec,
+    target.prec) and u = s / T^val = c_0 + c_1 T + ... + c_{n-1} T^(n-1)
+    (only n <= P terms can reach below T^P), take m = ceil(sqrt(n)), the
+    baby powers t^0 ... t^m of t = target truncated at T^P, cut u into
+    blocks of m coefficients, form each block sum_r c_{bm+r} t^r from
+    scaled baby powers, and run Horner in t^m over the blocks.  That is
+    about 2*sqrt(n) series products, against n for Horner in t, so
+    O(sqrt(n)*M(n)) with M(n) the cost of one product.  ``powers``, when
+    given, is a list of baby powers at this P that the call extends in
+    place, so one automorphism applied to many series builds them once
+    (see ``LocalFieldAuto``).
+
+    The output is what Horner's rule in t gives, as a value and in its
+    (val, logs, prec).  Horner ends on the constant c_0 != 0 added at
+    precision P, so its unit part is u(t) mod T^P with valuation 0 and
+    precision exactly P, and for P <= 0 it is the zero series at P; both
+    are built here from the same value.  The constant shortcut and the
+    tail, a product with target ** val or target.inverse() ** (-val),
+    are Horner's own.
+    """
     if target.val != 1 or not target.logs:
         raise NotUniformiser("substitution target must have valuation 1")
     t = s.tower
@@ -518,17 +536,56 @@ def substitute(s: LaurentSeries, target: LaurentSeries) -> LaurentSeries:
         return LaurentSeries.zero(t, s.j, prec)
     if s.val == 0 and len(s.logs) == 1:
         return _canonical(t, s.j, 0, s.logs, prec)    # a constant
-    # Horner from the top coefficient down to T^val, then shift by val
-    res = LaurentSeries.zero(t, s.j, prec)
-    for k in range(min(s.prec, s.val + len(s.logs)) - 1, s.val - 1, -1):
-        res = res * target
-        lg = s._log_at(k)
-        if lg != LOG_ZERO:
-            res = res + LaurentSeries.constant(FFElement(t, lg), s.j, prec)
+    if prec <= 0:
+        res = LaurentSeries.zero(t, s.j, prec)
+    else:
+        res = _compose_unit(s.logs[:prec], target, prec,
+                            [] if powers is None else powers)
     if s.val:
         res = res * (target ** s.val if s.val > 0
                      else target.inverse() ** (-s.val))
     return res.truncate(min(res.prec, prec))
+
+
+def _compose_unit(coeffs: Sequence[int], target: LaurentSeries, prec: int,
+                  powers: list) -> LaurentSeries:
+    """sum_k coeffs[k] * target^k mod T^prec (prec >= 1), with precision
+    exactly prec; ``powers`` holds target^0, target^1, ... truncated at
+    prec and is extended in place."""
+    t, j = target.tower, target.j
+    n = len(coeffs)
+    m = isqrt(n - 1) + 1                      # ceil(sqrt(n))
+    if not powers:
+        powers.append(LaurentSeries.one(t, j, prec))
+        powers.append(target.truncate(prec))
+    while len(powers) <= m:
+        powers.append((powers[-1] * powers[1]).truncate(prec))
+    Q = t.q - 1
+    zech = t._zech
+    acc = None
+    for start in range((n - 1) // m * m, -1, -m):
+        out = [LOG_ZERO] * prec
+        if acc is not None:
+            prod = acc * powers[m]
+            head = prod.logs[:max(prec - prod.val, 0)]
+            out[prod.val:prod.val + len(head)] = head
+        for r, c in enumerate(coeffs[start:start + m]):
+            if c == LOG_ZERO:
+                continue
+            pw = powers[r]
+            k = pw.val
+            for lg in pw.logs:
+                if lg != LOG_ZERO:
+                    lm = (lg + c) % Q
+                    cur = out[k]
+                    if cur == LOG_ZERO:
+                        out[k] = lm
+                    else:
+                        z = zech[(lm - cur) % Q]
+                        out[k] = LOG_ZERO if z == LOG_ZERO else (cur + z) % Q
+                k += 1
+        acc = LaurentSeries(t, j, 0, out, prec, _checked=True)
+    return acc
 
 
 def hensel_root(s: LaurentSeries, m: int) -> LaurentSeries:
@@ -573,9 +630,21 @@ def norm_equation_solve(c: LaurentSeries, i: int, d: int) -> Optional[LaurentSer
 
     Solvable exactly when d divides val(c); returns None otherwise.  The
     residue is matched by exhaustion over generator powers of
-    F_{p^(id)}^x, then unit corrections 1 + eps*T^k are found from
+    F_{p^(id)}^x, then unit corrections 1 + eps*T^j are found from
     surjectivity of the relative trace, taking the canonical preimage
-    through a fixed trace-nonzero element.
+    eps = theta * tau_j * Tr(theta)^-1 through a fixed trace-nonzero theta.
+
+    The corrections are found a doubling block [k, min(2k, n)) at a time,
+    n the relative precision: with N(x) = c_u mod T^k, one norm and one
+    inverse give tau = (c_u - N(x)) * N(x)^-1 mod T^(2k), and x is
+    multiplied by 1 + eps_j*T^j for each j in the block with tau_j != 0,
+    in increasing j.  Since N(1 + eps*T^j) = 1 + Tr(eps)*T^j + O(T^(2j))
+    and the cross terms of two corrections in one block land at
+    T^(>= 2k), the T^j coefficient of c_u - N(x) after the corrections
+    below j is N(x)_0 * tau_j: a triangular system whose solution is the
+    per-j defect the one-norm-per-exponent loop computes.  So the same
+    corrections are applied in the same order and x is unchanged, at
+    O(log n) norms and inverses instead of n norms.
     """
     if not c.logs:
         raise ApparentZero("norm equation needs a nonzero right-hand side")
@@ -606,40 +675,64 @@ def norm_equation_solve(c: LaurentSeries, i: int, d: int) -> Optional[LaurentSer
         theta = theta * zeta
     tr_theta_inv = relative_trace(theta, i, d).inverse()
     x = LaurentSeries.constant(r, id_, prec_rel)
-    for k in range(1, prec_rel):
-        defect = cu - unramified_norm(x, i, d).with_subfield(id_)
-        if not defect.logs or defect.val > k:
-            continue
-        if defect.val < k:  # pragma: no cover - correction keeps lower terms
+    k = 1
+    while k < prec_rel:
+        top = min(2 * k, prec_rel)
+        nx = unramified_norm(x.truncate(top), i, d).with_subfield(id_)
+        tau = (cu.truncate(top) - nx) * nx.inverse()
+        if tau.val < k:  # pragma: no cover - corrections keep lower terms
             raise RuntimeError("norm lifting lost a settled term")
-        # N(x(1+eps T^k)) = N(x)(1 + Tr(eps) T^k + ...), so match the
-        # T^k coefficient of defect / N(x)-lead: Tr(eps) = delta / lead
-        delta = defect.leading() / lead
-        eps = theta * (delta * tr_theta_inv)
-        corr = LaurentSeries.from_pairs(t, id_, [(0, t.one()), (k, eps)], prec_rel)
-        x = x * corr
+        for e, lg in enumerate(tau.logs, tau.val):
+            if lg == LOG_ZERO:
+                continue
+            # N(x(1 + eps T^e)) = N(x)(1 + Tr(eps) T^e + ...): Tr(eps) = tau_e
+            # x * (1 + eps T^e), formed as x + x * eps T^e
+            eps = theta * (FFElement(t, lg) * tr_theta_inv)
+            x = x + x * LaurentSeries(t, id_, e, (eps.log,), prec_rel)
+        k = top
     return x.shift(c.val // d)
 
 
 def reversion(t_series: LaurentSeries) -> LaurentSeries:
-    """The compositional inverse r with r(t_series) = T, term by term."""
+    """The compositional inverse r with r(t_series) = T.
+
+    Newton iteration over the fast composition: from r = c_1^-1 T mod T^2,
+    each step r <- r - (t(r) - T) / t'(r) doubles the number of correct
+    terms, because t(r + e) = t(r) + t'(r) e + O(e^2) holds for the
+    formal derivative t' = sum k c_k T^(k-1) in any characteristic (the
+    terms with p | k drop out) and t'(r) is a unit, its constant term
+    being c_1.  Step K costs two substitutions, t(r) at T^K and t'(r) at
+    the T^(K/2) the quotient needs, so the whole costs a constant times
+    one composition at full precision instead of the n products of a
+    table of powers t^k.  The compositional inverse is unique mod T^prec,
+    so the result (val 1, precision prec = t_series.prec) is the one
+    matching coefficients of T^m term by term gives.
+    """
     if t_series.val != 1 or not t_series.logs:
         raise NotUniformiser("reversion needs valuation exactly 1")
     t = t_series.tower
     j = t_series.j
     prec = t_series.prec
-    c1 = t_series.leading()
-    c1inv = c1.inverse()
-    coeffs = [c1inv]                       # r = c1^-1 T + ...
-    powers = [t_series]                    # t^1, t^2, ... truncated at prec
-    for m in range(2, prec):
-        powers.append(powers[-1] * t_series)
-        # coefficient of T^m in sum_{k<m} r_k t^k must cancel
-        acc = t.zero()
-        for kk in range(1, m):
-            acc = acc + coeffs[kk - 1] * powers[kk - 1].coeff(m)
-        coeffs.append(-(acc * (c1inv ** m)))
-    return LaurentSeries(t, j, 1, [c.log for c in coeffs], prec)
+    Q = t.q - 1
+    int_logs = [LOG_ZERO] + [t.from_int(k).log for k in range(1, t.p)]
+    deriv = []                                 # k * c_k at T^(k-1)
+    for k, lg in enumerate(t_series.logs, 1):
+        kl = int_logs[k % t.p]
+        deriv.append(LOG_ZERO if lg == LOG_ZERO or kl == LOG_ZERO
+                     else (lg + kl) % Q)
+    dt = LaurentSeries(t, j, 0, deriv, prec - 1, _checked=True)
+    r = LaurentSeries(t, j, 1, (t_series.leading().inverse().log,), 2,
+                      _checked=True)
+    known = 2
+    while known < prec:
+        top = min(2 * known, prec)
+        rk = LaurentSeries(t, j, 1, r.logs, top, _checked=True)
+        err = substitute(t_series.truncate(top), rk) \
+            - LaurentSeries.T_power(t, j, 1, top)
+        slope = substitute(dt.truncate(top - known), rk)
+        r = rk - err * slope.inverse()
+        known = top
+    return r
 
 
 def series_in_subfield(s: LaurentSeries, j: int) -> bool:

@@ -51,7 +51,7 @@ def test_canonical_gamma_twist_descends():
         tower, _, c = setup(p, i)
         gamma = LocalFieldAuto.frobenius_power(tower, 3 * i, i, PREC)
         b = c.value(2)   # gamma^(-1) = gamma^2 in the cyclic group
-        assert descent_condition_check(c, b, False, gamma)
+        assert descent_condition_check(c, b, False, invert_auto(gamma))
 
 
 def test_perturbed_b_fails():
@@ -92,9 +92,10 @@ def test_hanke_witness_passes_descent_both_fields():
             alpha = rand_k_auto(tower, i, rng)
             ok, wit = hanke_test_deg3(p, i, a, alpha)
             assert ok
-            beta = extend_auto(alpha, 3 * i)
-            bmat = wit["g"].map_entries(invert_auto(beta))
-            assert descent_condition_check(c, bmat, wit["branch"] == 2, beta)
+            beta_inv = invert_auto(extend_auto(alpha, 3 * i))
+            bmat = wit["g"].map_entries(beta_inv)
+            assert descent_condition_check(c, bmat, wit["branch"] == 2,
+                                           beta_inv)
 
 
 def test_hanke_norm_absorption():

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from autsplit.gftower import build_tower, frobenius, relative_norm, subfield_generator
+from autsplit.autk import LocalFieldAuto
+from autsplit.gftower import (LOG_ZERO, FFElement, build_tower, frobenius,
+                              relative_norm, relative_trace, subfield_generator)
 from autsplit.series import (ApparentZero, BadResidue, DivideByApparentZero,
                              LaurentSeries, NotInvertible, NotUniformiser,
                              PDividesExponent, SeriesMatrix,
@@ -15,6 +17,11 @@ from autsplit.series import (ApparentZero, BadResidue, DivideByApparentZero,
 
 T4 = build_tower(2, 2, 3, 1)       # ambient F_64; subfields F_2, F_4, F_64
 T3 = build_tower(3, 1, 2, 1)       # ambient F_9; subfields F_3, F_9
+
+
+def shape(s):
+    """Everything a series stores: equal shapes print the same report."""
+    return s.val, s.logs, s.prec
 
 
 def sample_series(tower, j, rng, prec=16, val_range=(-2, 3), min_terms=0):
@@ -164,6 +171,102 @@ def test_substitute_rejects_non_uniformiser():
         substitute(s, bad)
 
 
+def horner_substitute(s, target):
+    """Reference: Horner's rule in target, from the top coefficient down
+    to T^val, then the factor target^val; the package's composition must
+    give the same val, logs and prec."""
+    t = s.tower
+    prec = min(s.prec, target.prec)
+    if not s.logs:
+        return LaurentSeries.zero(t, s.j, prec)
+    if s.val == 0 and len(s.logs) == 1:
+        return LaurentSeries(t, s.j, 0, s.logs, prec)
+    res = LaurentSeries.zero(t, s.j, prec)
+    for k in range(s.val + len(s.logs) - 1, s.val - 1, -1):
+        res = res * target
+        lg = s.logs[k - s.val]
+        if lg != LOG_ZERO:
+            res = res + LaurentSeries.constant(FFElement(t, lg), s.j, prec)
+    if s.val:
+        res = res * (target ** s.val if s.val > 0
+                     else target.inverse() ** (-s.val))
+    return res.truncate(min(res.prec, prec))
+
+
+def sample_target(tower, j, rng, prec, terms):
+    """A uniformiser image c_1 T + ... with `terms` random coefficients."""
+    gen = subfield_generator(tower, j)
+    pairs = [(1, gen ** rng.randrange(tower.p ** j - 1))]
+    for k in range(2, terms + 1):
+        code = rng.randrange(tower.p ** j)
+        if code:
+            pairs.append((k, gen ** (code - 1)))
+    return LaurentSeries.from_pairs(tower, j, pairs, prec)
+
+
+SUBST_FIELDS = ((T4, 2), (T3, 2), (build_tower(5, 1, 2, 1), 2))
+
+
+@pytest.mark.parametrize("tower,j", SUBST_FIELDS)
+def test_substitute_matches_horner(tower, j):
+    rng = random.Random(tower.p)
+    for s_prec in (3, 9, 30):
+        for t_prec in (4, 12, 33):
+            for val_range in ((-3, 0), (0, 1), (1, 4)):
+                s = sample_series(tower, j, rng, prec=s_prec,
+                                  val_range=val_range, min_terms=1)
+                target = sample_target(tower, j, rng, t_prec,
+                                       rng.choice((1, 3, t_prec)))
+                assert shape(substitute(s, target)) == \
+                    shape(horner_substitute(s, target)), (s, target)
+
+
+@pytest.mark.parametrize("tower,j", SUBST_FIELDS)
+def test_substitute_matches_horner_on_sparse_inputs(tower, j):
+    gen = subfield_generator(tower, j)
+    rng = random.Random(10 + tower.p)
+    targets = [LaurentSeries.from_pairs(tower, j, [(1, gen ** 2)], 20),
+               sample_target(tower, j, rng, 20, 20),
+               sample_target(tower, j, rng, 7, 7)]
+    inputs = [LaurentSeries.zero(tower, j, 16),
+              LaurentSeries.zero(tower, j, -3),
+              LaurentSeries.constant(gen, j, 16),
+              LaurentSeries.constant(gen, j, 40),
+              LaurentSeries.one(tower, j, 5),
+              LaurentSeries.T_power(tower, j, 5, 16),
+              LaurentSeries.T_power(tower, j, -2, 16),
+              LaurentSeries.from_pairs(tower, j, [(-1, gen), (6, gen)], 12),
+              LaurentSeries.from_pairs(tower, j, [(0, gen), (11, gen)], 30),
+              LaurentSeries.from_pairs(tower, j, [(2, gen), (3, gen)], 4)]
+    for target in targets:
+        for s in inputs:
+            assert shape(substitute(s, target)) == \
+                shape(horner_substitute(s, target)), (s, target)
+
+
+def test_substitute_below_precision_zero():
+    # s is known only to T^-2 while target^-4 starts at T^-4: Horner's
+    # unit part is the zero series at T^-2, and the result O(T^-6)
+    g = subfield_generator(T4, 2).log
+    s = LaurentSeries(T4, 2, -4, [0, g], -2)
+    target = LaurentSeries(T4, 2, 1, [0, g, 2 * g % 63], 29)
+    expected = horner_substitute(s, target)
+    assert shape(expected) == (-6, (), -6)
+    assert shape(substitute(s, target)) == shape(expected)
+
+
+def test_auto_power_cache_matches_fresh_automorphism():
+    rng = random.Random(21)
+    tower, j = SUBST_FIELDS[1]
+    img = sample_target(tower, j, rng, 24, 24)
+    alpha = LocalFieldAuto(tower, j, 1, img)
+    for s_prec in (24, 10, 24, 30, 3, 10, 10, 24):
+        s = sample_series(tower, j, rng, prec=s_prec, min_terms=1)
+        fresh = LocalFieldAuto(tower, j, 1, img)
+        assert shape(alpha(s)) == shape(fresh(s))
+        assert alpha == fresh
+
+
 # -- Hensel ------------------------------------------------------------------
 
 def hensel_oracle(s, m):
@@ -290,6 +393,68 @@ def test_norm_equation_rejects_zero():
         norm_equation_solve(LaurentSeries.zero(T4, 2, 8), 2, 3)
 
 
+def per_exponent_norm_solve(c, i, d):
+    """Reference: one full norm per exponent k, correcting the T^k
+    defect by 1 + eps*T^k; the package's block lifting must give the same
+    val, logs and prec."""
+    t = c.tower
+    if c.val % d != 0:
+        return None
+    id_ = i * d
+    prec_rel = c.prec - c.val
+    cu = c.shift(-c.val).with_subfield(id_)
+    lead = cu.leading()
+    zeta = subfield_generator(t, id_)
+    r = t.one()
+    while relative_norm(r, i, d) != lead:
+        r = r * zeta
+    theta = t.one()
+    while not relative_trace(theta, i, d):
+        theta = theta * zeta
+    tr_theta_inv = relative_trace(theta, i, d).inverse()
+    x = LaurentSeries.constant(r, id_, prec_rel)
+    for k in range(1, prec_rel):
+        defect = cu - unramified_norm(x, i, d).with_subfield(id_)
+        if not defect.logs or defect.val > k:
+            continue
+        assert defect.val == k
+        eps = theta * ((defect.leading() / lead) * tr_theta_inv)
+        corr = LaurentSeries.from_pairs(t, id_, [(0, t.one()), (k, eps)],
+                                        prec_rel)
+        x = x * corr
+    return x.shift(c.val // d)
+
+
+NORM_CASES = [(p, d) for p in (2, 3, 5, 7) for d in (2, 3)]
+
+
+@pytest.mark.parametrize("p,d", NORM_CASES)
+def test_norm_equation_matches_per_exponent_lifting(p, d):
+    rng = random.Random(100 * p + d)
+    tower = build_tower(p, 1, d, 1)
+    for prec_rel in (2, 3, 4, 9, 17, 33):
+        for val in (-2 * d, 0, d):
+            c = sample_series(tower, 1, rng, prec=val + prec_rel,
+                              val_range=(val, val + 1))
+            c = c + LaurentSeries.T_power(tower, 1, val, c.prec).scale(
+                subfield_generator(tower, 1) ** rng.randrange(p - 1))
+            if not c or c.val != val:
+                continue
+            lam = norm_equation_solve(c, 1, d)
+            assert shape(lam) == shape(per_exponent_norm_solve(c, 1, d))
+            assert unramified_norm(lam, 1, d) == c
+
+
+def test_norm_equation_matches_per_exponent_lifting_over_f4():
+    rng = random.Random(31)
+    for _ in range(10):
+        c = sample_series(T4, 2, rng, prec=40, val_range=(0, 1), min_terms=1)
+        if c.val % 3:
+            continue
+        assert shape(norm_equation_solve(c, 2, 3)) == \
+            shape(per_exponent_norm_solve(c, 2, 3))
+
+
 # -- reversion ---------------------------------------------------------------
 
 def test_reversion_round_trip():
@@ -302,6 +467,40 @@ def test_reversion_round_trip():
         r = reversion(t)
         back = substitute(r, t)
         assert back == LaurentSeries.T_power(T4, 2, 1, 14)
+
+
+def power_loop_reversion(ts):
+    """Reference: the coefficients r_m of r = sum r_k T^k from a table of
+    powers t^k, cancelling the T^m coefficient of sum_k r_k t^k one m at a
+    time; Newton reversion must give the same val, logs and prec."""
+    t = ts.tower
+    prec = ts.prec
+    c1inv = ts.leading().inverse()
+    coeffs = [c1inv]
+    powers = [ts]
+    for m in range(2, prec):
+        powers.append(powers[-1] * ts)
+        acc = t.zero()
+        for kk in range(1, m):
+            acc = acc + coeffs[kk - 1] * powers[kk - 1].coeff(m)
+        coeffs.append(-(acc * (c1inv ** m)))
+    return LaurentSeries(t, ts.j, 1, [c.log for c in coeffs], prec)
+
+
+@pytest.mark.parametrize("p,d", NORM_CASES)
+def test_reversion_matches_power_loop(p, d):
+    rng = random.Random(7 * p + d)
+    tower = build_tower(p, 1, d, 1)
+    gen = subfield_generator(tower, d)
+    for prec in (2, 3, 4, 5, 8, 13, 31):
+        for terms in (1, 2, p, prec):
+            ts = sample_target(tower, d, rng, prec, terms)
+            assert shape(reversion(ts)) == shape(power_loop_reversion(ts))
+        # only k = 1 and multiples of p: t' is the constant c_1
+        sparse = LaurentSeries.from_pairs(
+            tower, d, [(1, gen)] + [(k, gen ** k) for k in range(p, prec, p)],
+            prec)
+        assert shape(reversion(sparse)) == shape(power_loop_reversion(sparse))
 
 
 # -- matrices over the series field -----------------------------------------
