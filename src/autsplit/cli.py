@@ -198,7 +198,7 @@ def _cmd_hanke(args) -> int:
     a = LaurentSeries.T_power(tower, args.i, args.r, args.prec)
     image = parse_series(args.alpha, tower, args.i, args.prec)
     alpha = LocalFieldAuto(tower, args.i, args.frob, image)
-    ok, witness = hanke_test_deg3(args.p, args.i, a, alpha)
+    ok, witness = hanke_test_deg3(args.i, a, alpha)
     params = {"p": args.p, "i": args.i, "r": args.r, "alpha": args.alpha,
               "frob": args.frob, "prec": args.prec}
     if not ok:

@@ -95,8 +95,7 @@ def descent_condition_check(c: CyclicCocycle, bmat: SeriesMatrix, e_flag: bool,
     return bmat.proportional_to(lhs)
 
 
-def hanke_test_deg3(p: int, i: int, a: LaurentSeries, alpha: LocalFieldAuto,
-                    check_witness: bool = True):
+def hanke_test_deg3(i: int, a: LaurentSeries, alpha: LocalFieldAuto):
     """Extendability of alpha to the degree-3 algebra with slot a.
 
     Tries alpha(a)/a = N(lambda) first (inner branch), then
@@ -108,7 +107,7 @@ def hanke_test_deg3(p: int, i: int, a: LaurentSeries, alpha: LocalFieldAuto,
     jl = 3 * i
     if tower.M % jl != 0:
         raise ValueError("tower does not contain the unramified cubic extension")
-    beta_inv = invert_auto(extend_auto(alpha, jl)) if check_witness else None
+    beta_inv = invert_auto(extend_auto(alpha, jl))
     a_l = a.with_subfield(jl)
     cocycle = CyclicCocycle.standard(tower, i, a, degree=3)
 
@@ -132,11 +131,8 @@ def hanke_test_deg3(p: int, i: int, a: LaurentSeries, alpha: LocalFieldAuto,
                       [zero, a_l / (lam * gamma(lam, 1)), zero]]
             e_flag = True
         g = SeriesMatrix(tower, jl, lam.prec, g_rows)
-        ok = True
-        if check_witness:
-            bmat = g.map_entries(beta_inv)
-            ok = descent_condition_check(cocycle, bmat, e_flag, beta_inv)
-        if ok:
+        if descent_condition_check(cocycle, g.map_entries(beta_inv), e_flag,
+                                   beta_inv):
             return True, {"lambda": lam, "branch": branch, "g": g}
     return False, None
 

@@ -17,18 +17,33 @@ degree M in code order (which is exactly lexicographic order on the
 coefficient vector read high-to-low), and ``g`` is the first element in
 code order of multiplicative order p^M - 1.  Tables are built once per
 (p, i, d, b) and cached.
+
+Storage and cost.  ``_exp`` (log -> code) and ``_log`` (code -> log) are
+``array('i')``, 4 bytes an entry.  ``_zech`` stays a ``list``: the series
+products, sums and compositions read it in their inner loops, and reading
+an array boxes a new int every time, which costs about a tenth of a
+synth-deep round.  Building the tables takes a constant number of table
+lookups per element (see ``FieldTower._build_tables``): about 0.06 s for
+F_{3^10}, 0.5 s for F_{3^12} and 1.3 s for F_{2^21} in CPython 3.11 on
+one core of a 2-vCPU VM.
 """
 
 from __future__ import annotations
 
+from array import array
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Sequence
 
 LOG_ZERO = -1
 
-# Table sizes grow like p^M; beyond this the dense log/Zech tables stop
-# being a sensible representation.
+# The tables take about 48 bytes per element (two 4-byte array entries, and
+# a pointer and a boxed int in the Zech list), about 100 MB at this size.
+# The limit bounds that memory; the build time is linear in p^M.
 MAX_FIELD_SIZE = 1 << 21
+
+# Stride, in elements, of the blocks that fill the exp table once it holds
+# that many.
+_BLOCK = 1 << 10
 
 
 class NotPrime(ValueError):
@@ -184,11 +199,13 @@ def _code_to_vec(code: int, p: int, m: int) -> tuple[int, ...]:
     return tuple(vec)
 
 
-def _vec_to_code(vec: Iterable[int], p: int) -> int:
-    code = 0
-    for c in reversed(list(vec)):
-        code = code * p + c % p
-    return code
+def _reduce_table(p: int, S: int, slots: range) -> list[int]:
+    """Code of the packed slots ``slots`` (S bits each), every slot mod p."""
+    tbl = [0]
+    for t in slots:
+        pt = p ** t
+        tbl = [r + s % p * pt for s in range(1 << S) for r in tbl]
+    return tbl
 
 
 class FieldTower:
@@ -224,97 +241,97 @@ class FieldTower:
         raise RuntimeError("no irreducible polynomial found")  # pragma: no cover
 
     def _build_tables(self):
-        p, M, q = self.p, self.M, self.q
-        g_code = self._find_generator_code()
-        self.g_code = g_code
+        """Fill ``_exp``, ``_log`` and ``_zech`` in O(q) table lookups.
+
+        ``_exp`` grows in blocks: the next block is g^s times the s codes
+        before it, one code at a time (s = 1) up to _BLOCK codes, then
+        _BLOCK at a time (s = _BLOCK).  Multiplying by the fixed g^s is
+        linear over F_p, so it is two lookups in the chunk tables of
+        ``_chunk_tables``, one for the low w digits of a code and one for
+        the rest, inlined in the block's comprehension.  In characteristic
+        2 a code is its own bit vector and the two halves combine by XOR.
+        For odd p the halves are packed vectors, one digit per S-bit slot,
+        whose sum carries nothing from slot to slot; three reduction
+        tables, each over a third of the slots, turn the sum back into a
+        code.  p = 2 keeps its XOR step because the packed route is slower
+        there: with S = 3 its reduction tables for F_{2^21} have 2^21
+        entries each, and the build took 3.1-3.5 s against 1.4-1.6 s for
+        XOR, run side by side.
+
+        Zech needs only log(1 + g^k), and adding 1 to a code changes its
+        lowest digit alone: c ^ 1 for p = 2, else c + 1, or c - (p - 1)
+        when that digit is p - 1.
+        """
+        p, M, q, f = self.p, self.M, self.q, self.modulus
+        self.g_code = self._find_generator_code()
+        g = _code_to_vec(self.g_code, p, M)
         Q = q - 1
-        exp = [0] * max(Q, 1)
-        log = [LOG_ZERO] * q
-        mul_g = self._linear_map_tables(g_code)
-        cur = 1
-        for k in range(Q):
-            exp[k] = cur
-            log[cur] = k
-            cur = mul_g(cur)
-        if cur != 1:  # pragma: no cover - generator order was verified
-            raise RuntimeError("generator order mismatch")
-        self._exp = exp
-        self._log = log
-        one = 1
-        zech = [LOG_ZERO] * max(Q, 1)
-        add = self._code_add
-        for k in range(Q):
-            s = add(one, exp[k])
-            zech[k] = log[s] if s else LOG_ZERO
-        self._zech = zech
-        # log of -1, used for subtraction; in characteristic 2 it is 0.
-        self._neg_log = 0 if p == 2 or Q == 0 else (Q // 2)
-
-    def _linear_map_tables(self, g_code: int):
-        """Multiplication by a fixed element as chunked code-lookup tables."""
-        p, M = self.p, self.M
-        f = self.modulus
-        g_vec = _code_to_vec(g_code, p, M)
-        cols = []
-        for j in range(M):
-            xj = tuple([0] * j + [1])
-            prod = _poly_mulmod(g_vec, xj, f, p)
-            cols.append(_vec_to_code(prod, p))
+        w = (M + 1) // 2
+        P, mask = p ** w, (1 << w) - 1
+        S = 1 if p == 2 else p.bit_length() + 1
+        if p > 2:
+            third = -(-M // 3)
+            r0, r1, r2 = (_reduce_table(p, S, range(t, min(t + third, M)))
+                          for t in (0, third, 2 * third))
+            k1, k2 = third * S, 2 * third * S
+            m = (1 << k1) - 1
+        exp = array("i", [1])
+        for stride, stop in ((1, min(_BLOCK, Q)), (_BLOCK, Q)):
+            lo, hi = self._chunk_tables(_poly_powmod(g, stride, f, p), w, S)
+            while len(exp) < stop:
+                n = len(exp)
+                block = exp[n - stride:min(n, stop - stride)]
+                if p == 2:
+                    exp.extend([lo[c & mask] ^ hi[c >> w] for c in block])
+                else:
+                    exp.extend([r0[(v := lo[c % P] + hi[c // P]) & m]
+                                + r1[v >> k1 & m] + r2[v >> k2]
+                                for c in block])
+        if _poly_mulmod(_code_to_vec(exp[-1], p, M), g, f, p) != (1,):
+            raise RuntimeError("generator order mismatch")  # pragma: no cover
+        log = array("i", [LOG_ZERO]) * q
+        for k, c in enumerate(exp):
+            log[c] = k
         if p == 2:
-            chunk = 10
-            tables = []
-            for lo in range(0, M, chunk):
-                width = min(chunk, M - lo)
-                tbl = [0] * (1 << width)
-                for v in range(1 << width):
-                    acc = 0
-                    for t in range(width):
-                        if v >> t & 1:
-                            acc ^= cols[lo + t]
-                    tbl[v] = acc
-                tables.append((lo, (1 << width) - 1, tbl))
+            zech = [log[c ^ 1] for c in exp]
+        else:
+            top = p - 1
+            zech = [log[c + 1 if c % p != top else c - top] for c in exp]
+        self._exp, self._log, self._zech = exp, log, zech
+        # log of -1, used for subtraction; in characteristic 2 it is 0.
+        self._neg_log = 0 if p == 2 else Q // 2
 
-            def mul(code: int) -> int:
-                acc = 0
-                for lo, mask, tbl in tables:
-                    acc ^= tbl[code >> lo & mask]
-                return acc
+    def _chunk_tables(self, h, w: int, S: int):
+        """Tables lo, hi for multiplication by the polynomial h.
 
-            return mul
-
-        def mul(code: int) -> int:
-            acc = 0
-            c = code
-            for j in range(M):
-                c, digit = divmod(c, p)
-                if digit:
-                    acc = self._code_add(acc, self._code_scale(cols[j], digit))
-            return acc
-
-        return mul
-
-    def _code_add(self, a: int, b: int) -> int:
-        if self.p == 2:
-            return a ^ b
-        p, M = self.p, self.M
-        out = 0
-        mult = 1
-        for _ in range(M):
-            a, ca = divmod(a, p)
-            b, cb = divmod(b, p)
-            out += ((ca + cb) % p) * mult
-            mult *= p
-        return out
-
-    def _code_scale(self, a: int, s: int) -> int:
-        p, M = self.p, self.M
-        out = 0
-        mult = 1
-        for _ in range(M):
-            a, ca = divmod(a, p)
-            out += (ca * s % p) * mult
-            mult *= p
-        return out
+        With P = p^w, h times the element of code c is lo[c % P] combined
+        with hi[c // P].  For p = 2 (S = 1) the entries are codes and
+        combine by XOR.  For odd p (S = p.bit_length() + 1) they are packed
+        vectors with digit t in bits [S*t, S*(t+1)), every digit reduced,
+        so the sum of two has slots below 2p.  Each table grows one digit at a
+        time: its p copies add 0, 1, ..., p - 1 times that digit's image.
+        """
+        p, M, f = self.p, self.M, self.modulus
+        half = sum(1 << (S * t + S - 1) for t in range(M))
+        fix = sum(((1 << (S - 1)) - p) << (S * t) for t in range(M))
+        tables = ([0], [0])
+        col = h
+        for j in range(M):
+            tbl = tables[j >= w]
+            base = sum(a << (S * t) for t, a in enumerate(col))
+            if p == 2:
+                tbl += [t ^ base for t in tbl]
+            else:
+                # a reduced slot plus a reduced slot stays below 2p; adding
+                # 2^(S-1) - p sets the slot's top bit exactly when it is >= p
+                mults = [0]
+                for _ in range(p - 1):
+                    s = mults[-1] + base
+                    mults.append(s - (((s + fix) & half) >> (S - 1)) * p)
+                tbl[:] = [(s := t + a) - (((s + fix) & half) >> (S - 1)) * p
+                          for a in mults for t in tbl]
+            col = _poly_mulmod(col, (0, 1), f, p)
+        return tables
 
     def _find_generator_code(self) -> int:
         p, M, q = self.p, self.M, self.q
@@ -340,31 +357,14 @@ class FieldTower:
     def one(self) -> FFElement:
         return FFElement(self, 0)
 
-    def gen(self) -> FFElement:
-        """The designated generator g of F_{p^M}^x."""
-        return FFElement(self, 0 if self.q == 2 else 1 % (self.q - 1))
-
     def from_code(self, code: int) -> FFElement:
         if code == 0:
             return self.zero()
         return FFElement(self, self._log[code])
 
-    def from_coeffs(self, coeffs: Iterable[int]) -> FFElement:
-        vec = list(coeffs)
-        if len(vec) > self.M:
-            raise ValueError("coefficient vector longer than ambient degree")
-        vec += [0] * (self.M - len(vec))
-        return self.from_code(_vec_to_code(vec, self.p))
-
     def from_int(self, n: int) -> FFElement:
         """The image of the integer n under Z -> F_p -> F_{p^M}."""
         return self.from_code(n % self.p)
-
-    def elements(self):
-        """All q elements, zero first then generator powers."""
-        yield self.zero()
-        for k in range(self.q - 1):
-            yield FFElement(self, k)
 
     def descriptor(self) -> dict:
         return {

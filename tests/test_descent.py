@@ -67,7 +67,7 @@ def test_perturbed_b_fails():
 def test_hanke_identity_automorphism():
     tower, a, _ = setup(2, 1)
     ident = LocalFieldAuto.identity(tower, 1, PREC)
-    ok, wit = hanke_test_deg3(2, 1, a, ident)
+    ok, wit = hanke_test_deg3(1, a, ident)
     assert ok and wit["branch"] == 1
     assert unramified_norm(wit["lambda"], 1, 3) == \
         LaurentSeries.one(tower, 1, PREC)
@@ -79,7 +79,7 @@ def test_hanke_inertial_example():
     img = LaurentSeries.from_pairs(tower, 1, [(1, tower.one()),
                                               (2, tower.one())], PREC)
     alpha = LocalFieldAuto(tower, 1, 0, img)
-    ok, wit = hanke_test_deg3(2, 1, a, alpha)
+    ok, wit = hanke_test_deg3(1, a, alpha)
     assert ok and wit["branch"] == 1
     assert unramified_norm(wit["lambda"], 1, 3) == alpha(a) / a
 
@@ -90,7 +90,7 @@ def test_hanke_witness_passes_descent_both_fields():
         tower, a, c = setup(p, i)
         for _ in range(10):
             alpha = rand_k_auto(tower, i, rng)
-            ok, wit = hanke_test_deg3(p, i, a, alpha)
+            ok, wit = hanke_test_deg3(i, a, alpha)
             assert ok
             beta_inv = invert_auto(extend_auto(alpha, 3 * i))
             bmat = wit["g"].map_entries(beta_inv)
@@ -108,8 +108,8 @@ def test_hanke_norm_absorption():
     a2 = a * n_mu.with_subfield(1)
     for _ in range(5):
         alpha = rand_k_auto(tower, 1, rng)
-        ok1, _ = hanke_test_deg3(2, 1, a, alpha)
-        ok2, _ = hanke_test_deg3(2, 1, a2, alpha)
+        ok1, _ = hanke_test_deg3(1, a, alpha)
+        ok2, _ = hanke_test_deg3(1, a2, alpha)
         assert ok1 == ok2 == True
 
 

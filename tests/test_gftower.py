@@ -1,13 +1,38 @@
+import hashlib
 import random
+import sys
+from array import array
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from autsplit.gftower import (FFElement, NormNotOne, NotDivisor, NotInSubfield,
-                              NotPrime, Overflow, build_tower, frobenius,
-                              hilbert90_solve, in_subfield, relative_norm,
-                              relative_trace, subfield_generator)
+from autsplit.gftower import (LOG_ZERO, FFElement, NormNotOne, NotDivisor,
+                              NotInSubfield, NotPrime, Overflow, build_tower,
+                              frobenius, hilbert90_solve, in_subfield,
+                              relative_norm, relative_trace, subfield_generator)
+
+
+# -- element helpers -----------------------------------------------------
+
+def gen(tower):
+    """The designated generator g of F_{p^M}^x."""
+    return FFElement(tower, 0 if tower.q == 2 else 1)
+
+
+def code_of(vec, p):
+    return sum(c * p ** j for j, c in enumerate(vec))
+
+
+def from_coeffs(tower, coeffs):
+    return tower.from_code(code_of(coeffs, tower.p))
+
+
+def elements(tower):
+    """All q elements, zero first then generator powers."""
+    yield tower.zero()
+    for k in range(tower.q - 1):
+        yield FFElement(tower, k)
 
 
 # -- independent oracles -------------------------------------------------
@@ -50,7 +75,7 @@ def brute_pow(tower, x, e):
 def test_prime_field_tower():
     t = build_tower(2, 1, 1, 1)
     assert t.M == 1 and t.q == 2
-    assert t.gen() == t.one()
+    assert gen(t) == t.one()
 
 
 def test_ambient_degree():
@@ -61,7 +86,7 @@ def test_ambient_degree():
 def test_generator_order_exhaustive():
     t = build_tower(3, 1, 2, 2)
     assert t.M == 4
-    assert brute_order(t, t.gen()) == 80
+    assert brute_order(t, gen(t)) == 80
 
 
 def test_not_prime():
@@ -101,6 +126,58 @@ def test_modulus_is_irreducible_brute():
             assert not divides(list(lower) + [1])
 
 
+@pytest.mark.parametrize("p,M", [(2, 1), (3, 1), (2, 2), (2, 3), (3, 2), (5, 2),
+                                 (3, 3), (7, 2), (2, 10), (2, 11), (3, 5),
+                                 (3, 7), (5, 4), (7, 3)])
+def test_tables_match_polynomial_powers(p, M):
+    # step g^k by raw polynomial multiplication; 1 + g^k by adding 1 to
+    # the constant coefficient
+    t = build_tower(p, M, 1, 1)
+    Q, mod = t.q - 1, list(t.modulus)
+    g = [t.g_code // p ** j % p for j in range(M)]
+    assert len(t._exp) == len(t._zech) == Q and len(t._log) == t.q
+    assert t._log[0] == LOG_ZERO
+    cur = [1] + [0] * (M - 1)
+    for k in range(Q):
+        code = code_of(cur, p)
+        assert t._exp[k] == code
+        assert t._log[code] == k
+        plus_one = code_of([(cur[0] + 1) % p] + cur[1:], p)
+        assert t._zech[k] == (t._log[plus_one] if plus_one else LOG_ZERO)
+        cur = poly_mul_mod(cur, g, mod, p)
+    assert cur == [1] + [0] * (M - 1)   # g has order exactly q - 1
+
+
+def table_digest(tower):
+    h = hashlib.sha256()
+    for tbl in (tower._exp, tower._log, tower._zech):
+        a = array("i", tbl)
+        if sys.byteorder == "big":
+            a.byteswap()
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("key,modulus,g_code,digest", [
+    ((2, 2, 3, 2), (1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1), 3,
+     "ae704df3d55a1a2d0e248bfb8f5898a22aa2deb6d4edba3d9e317978526f21e4"),
+    ((2, 2, 3, 3), (1, 0, 0, 1) + (0,) * 14 + (1,), 10,
+     "3bf62a539f1802470175d1f8031a926a92e041942d8e0631a0a8037803320cac"),
+    ((3, 1, 10, 1), (1, 0, 2, 0, 0, 0, 0, 0, 0, 0, 1), 34,
+     "2c8b75b5593b7681775e2e42a16e86e7678eebc76bbd8e071db11894d9b3af00"),
+    ((5, 4, 1, 1), (2, 0, 0, 0, 1), 6,
+     "e2a913845e4a4afcbf923c83481b99b4c1b6a07821e72c52a1be2890121547d5"),
+    ((7, 3, 1, 1), (2, 0, 0, 1), 22,
+     "73d5578c3b0d9466c56152f0af665cc1380fdee0ff57ab7f6ca6bc4803effa1d"),
+])
+def test_tables_pinned(key, modulus, g_code, digest):
+    # modulus, generator and the SHA-256 of the little-endian int32 exp,
+    # log and zech tables, as serialized codes and reports depend on them
+    t = build_tower(*key)
+    assert t.modulus == modulus and t.g_code == g_code
+    assert table_digest(t) == digest
+
+
 def test_deterministic_rebuild():
     a = build_tower(2, 1, 3, 1)
     b = build_tower(2, 1, 3, 1)
@@ -114,7 +191,7 @@ def test_element_roundtrip_coeffs():
     t = build_tower(2, 1, 3, 1)
     for code in range(t.q):
         x = t.from_code(code)
-        assert t.from_coeffs(x.coeffs) == x
+        assert from_coeffs(t, x.coeffs) == x
 
 
 def test_field_axioms_sampled():
@@ -142,7 +219,7 @@ def test_frobenius_identity_cases():
 
 def test_frobenius_is_pth_power():
     t = build_tower(3, 1, 2, 1)
-    x = t.gen()  # a nonsquare generator of F_9
+    x = gen(t)  # a nonsquare generator of F_9
     assert frobenius(x, 1) == brute_pow(t, x, 3)
     for code in range(t.q):
         y = t.from_code(code)
@@ -161,7 +238,7 @@ def test_frobenius_additive_in_exponent(code, e1, e2):
 
 def test_subfield_generator_top_and_bottom():
     t = build_tower(2, 2, 2, 1)  # M = 4
-    assert subfield_generator(t, t.M) == t.gen()
+    assert subfield_generator(t, t.M) == gen(t)
     assert subfield_generator(t, 1) == t.one()  # F_2^x is trivial
     with pytest.raises(NotDivisor):
         subfield_generator(t, 3)
@@ -173,7 +250,7 @@ def test_subfield_generator_order_and_fixedness():
     assert z.order() == 3
     assert frobenius(z, 2) == z
     # exhaustively: fixed set of Frobenius^2 = {0} + powers of z
-    fixed = {x.log for x in t.elements() if frobenius(x, 2) == x}
+    fixed = {x.log for x in elements(t) if frobenius(x, 2) == x}
     expected = {-1} | {(z ** k).log for k in range(3)}
     assert fixed == expected
 
@@ -182,7 +259,7 @@ def test_subfield_membership_matches_powers_all_divisors():
     t = build_tower(2, 2, 2, 2)  # M = 8
     for j in (1, 2, 4, 8):
         zj = subfield_generator(t, j)
-        members = {x.log for x in t.elements() if in_subfield(x, j)}
+        members = {x.log for x in elements(t) if in_subfield(x, j)}
         expected = {-1} | {(zj ** k).log for k in range(2 ** j - 1)}
         assert members == expected
 
@@ -192,7 +269,7 @@ def test_subfield_membership_matches_powers_all_divisors():
 def test_relative_norm_trivial_cases():
     t = build_tower(2, 2, 3, 1)
     assert relative_norm(t.one(), 2, 3) == t.one()
-    x = t.gen()
+    x = gen(t)
     assert relative_norm(x, t.M, 1) == x
 
 
@@ -219,7 +296,7 @@ def test_relative_norm_multiplicative():
 
 def test_relative_norm_rejects_outsiders():
     t = build_tower(2, 1, 2, 2)
-    outside = t.gen()  # generates F_16, not in F_4
+    outside = gen(t)  # generates F_16, not in F_4
     with pytest.raises(NotInSubfield):
         relative_norm(outside, 1, 2)
 
@@ -227,7 +304,7 @@ def test_relative_norm_rejects_outsiders():
 def test_relative_trace_linear():
     t = build_tower(2, 2, 3, 1)
     z = subfield_generator(t, 2)
-    x = t.gen()
+    x = gen(t)
     assert relative_trace(x, 2, 3) * z == relative_trace(
         x * z, 2, 3)  # F_4-linearity
 
@@ -245,7 +322,7 @@ def test_hilbert90_m1_forces_one():
     y = hilbert90_solve(t.one(), 2, 1)
     assert y
     with pytest.raises(NormNotOne):
-        hilbert90_solve(t.gen(), 4, 1)
+        hilbert90_solve(gen(t), 4, 1)
 
 
 def test_hilbert90_big_field_example():
@@ -262,7 +339,7 @@ def test_hilbert90_brute_force_cross_check():
     # agrees with brute-force search over generator powers
     t = build_tower(2, 2, 3, 2)
     rng = random.Random(11)
-    z12 = t.gen()
+    z12 = gen(t)
     for _ in range(20):
         c = z12 ** rng.randrange(t.q - 1)
         c = c / frobenius(c, 4) if False else c ** (2 ** 4 - 1)  # norm-1 shape
