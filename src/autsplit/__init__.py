@@ -16,8 +16,8 @@ Subpackage map:
 """
 
 from .brauer import (BrauerClass, CSADescriptor, GroupDescriptor,
-                     base_change_csa, base_change_group, d_part, descent_form,
-                     galois_subfield_exists, invariant, splits_globally_charp,
+                     base_change_csa, d_part, descent_form, invariant,
+                     non_split_witness, splits_globally_charp,
                      splits_over_subfield, wedderburn)
 from .gftower import (FFElement, FieldTower, build_tower, frobenius,
                       hilbert90_solve, relative_norm, subfield_generator)
@@ -27,7 +27,7 @@ from .series import (LaurentSeries, SeriesMatrix, frobenius_coeffwise,
 from .autk import (LocalFieldAuto, compose_auto, decompose_auto, extend_auto,
                    invert_auto)
 from .cyclic import (AlgebraElement, AlgebraMatrix, CyclicAlgebra,
-                     SemilinearAuto, compose_semilinear, intaut, phi_auto)
+                     SemilinearAuto, acts_like, compose_semilinear)
 from .sections import SectionContext, glue_section, verify_section
 
 __all__ = [name for name in dir() if not name.startswith("_")]

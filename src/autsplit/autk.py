@@ -80,9 +80,6 @@ class LocalFieldAuto:
         img = self.image_of_T
         return img.val == 1 and len(img.logs) == 1 and img.logs[0] == 0
 
-    def is_identity(self) -> bool:
-        return self.e == 0 and self.is_torus_trivial()
-
     def __eq__(self, other):
         if not isinstance(other, LocalFieldAuto):
             return NotImplemented
@@ -122,12 +119,6 @@ def decompose_auto(alpha: LocalFieldAuto):
     jimg = img.scale(c.inverse())
     jpart = LocalFieldAuto(alpha.tower, alpha.j, 0, jimg)
     return jpart, c, alpha.e
-
-
-def recompose_auto(jpart: LocalFieldAuto, c: FFElement, e: int) -> LocalFieldAuto:
-    comp = compose_auto(jpart, LocalFieldAuto.ev(c, jpart.j, jpart.prec))
-    return compose_auto(comp, LocalFieldAuto.frobenius_power(
-        jpart.tower, jpart.j, e, jpart.prec))
 
 
 def extend_auto(alpha: LocalFieldAuto, new_j: int) -> LocalFieldAuto:

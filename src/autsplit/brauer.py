@@ -44,12 +44,6 @@ class BrauerClass:
         f = Fraction(num, den) % 1
         return BrauerClass(f.numerator, f.denominator)
 
-    def as_fraction(self) -> Fraction:
-        return Fraction(self.numerator, self.denominator)
-
-    def __mul__(self, m: int) -> BrauerClass:
-        return BrauerClass.from_fraction(self.numerator * m, self.denominator)
-
     def __repr__(self):
         return f"{self.numerator}/{self.denominator}"
 
@@ -86,19 +80,6 @@ def base_change_csa(A: CSADescriptor, m: int) -> CSADescriptor:
     return CSADescriptor(A.d, A.r * m)
 
 
-def base_change_group(G: GroupDescriptor, m: int) -> GroupDescriptor:
-    """Base change of SL_{n'}(A(d',r')) along a degree-m extension.
-
-    With a = gcd(d', m) the result is SL_{a n'}(A(d'/a, (m/a) r')).
-    Requires division input gcd(d', r') = 1.
-    """
-    dp, rp = G.algebra.d, G.algebra.r
-    if gcd(dp, rp) != 1:
-        raise NotDivisionInput("base_change_group needs gcd(d, r) = 1")
-    a = gcd(dp, m)
-    return GroupDescriptor(a * G.n, CSADescriptor(dp // a, (m // a) * rp))
-
-
 def splits_over_subfield(n: int, d: int, m: int) -> bool:
     """Splitting over a fixed Galois subfield of index m: gcd(nd, m) | n."""
     return n % gcd(n * d, m) == 0
@@ -124,14 +105,6 @@ def descent_form(n: int, d: int, r: int, m: int) -> GroupDescriptor | None:
     return GroupDescriptor(n // a, CSADescriptor(a * d, rp))
 
 
-def galois_subfield_exists(p: int, i: int, q: int, a: int) -> bool:
-    """Whether some K' <= F_{p^i}((T)) has finite Galois index divisible
-    by q^a: true iff q = p or q^a divides i(p^i - 1)."""
-    if q == p:
-        return True
-    return (i * (p ** i - 1)) % (q ** a) == 0
-
-
 def splits_globally_charp(n: int, d: int, p: int, i: int) -> bool:
     """Splitting over every Galois subfield of F_{p^i}((T)):
     gcd(d, p) = 1 and gcd(nd, i(p^i - 1)) divides n."""
@@ -142,7 +115,12 @@ def splits_globally_charp(n: int, d: int, p: int, i: int) -> bool:
 
 def non_split_witness(n: int, d: int, p: int, i: int) -> int | None:
     """Smallest realizable Galois subfield index q^a with gcd(nd, q^a)
-    not dividing n, or None when the group splits globally."""
+    not dividing n, or None when the group splits globally.
+
+    Index p^a is realizable for every a, and q^a for a prime q != p when
+    q^a divides i(p^i - 1).  Only a prime q dividing nd can give a
+    witness, since gcd(nd, q^a) = 1 otherwise, so those are the only
+    primes tried and i(p^i - 1) is never factored."""
     nd = n * d
     witnesses = []
     if gcd(d, p) != 1:
@@ -151,7 +129,7 @@ def non_split_witness(n: int, d: int, p: int, i: int) -> int | None:
             a += 1
         witnesses.append(p ** a)
     tame = i * (p ** i - 1)
-    for q in _prime_factors(tame):
+    for q in _prime_factors(nd):
         if q == p:
             continue
         a = 1

@@ -16,16 +16,19 @@ a dedicated unit test.
 
 Reduced norms are determinants of the left regular representation over E;
 semilinear automorphisms are stored as an inner part (a matrix taken
-projectively), a field automorphism of E commuting with sigma, and the
-twist x sent along with u.  Equality of semilinear automorphisms is
-decided by comparing actions on a fixed generating set of matrices, since
-neither the inner part nor the twist data is unique.
+projectively, given together with its inverse, since nothing here inverts
+a matrix), a field automorphism of E commuting with sigma, and the twist
+x sent along with u.  Equality of semilinear automorphisms is decided by
+comparing actions on a fixed generating set of matrices, since neither
+the inner part nor the twist data is unique.
 
 Every matrix the sections build is diagonal, block diagonal or monomial,
-so an algebra matrix stores only its entries other than zero, row by row,
-and a product multiplies only the stored nonzero pairs.  The comparison
-on generators uses additivity: f(I + x*e_ab) = f(I) + (column a of g)
-phi(x) (row b of g^-1), and the two parts are compared separately.
+so an algebra matrix has one constructor, AlgebraMatrix(alg, entries),
+taking one {column: entry} dict per row: it stores only the entries
+given, and a product multiplies only the stored nonzero pairs.  The
+comparison on generators uses additivity: f(I + x*e_ab) = f(I) + (column
+a of g) phi(x) (row b of g^-1), and the two parts are compared
+separately.
 """
 
 from __future__ import annotations
@@ -34,8 +37,8 @@ from typing import Iterable, Sequence
 
 from .autk import LocalFieldAuto
 from .gftower import FieldTower, subfield_generator
-from .series import (LaurentSeries, NotInvertible, SeriesMatrix,
-                     frobenius_coeffwise, series_in_subfield, unramified_norm)
+from .series import (LaurentSeries, SeriesMatrix, frobenius_coeffwise,
+                     series_in_subfield, unramified_norm)
 
 
 class AdmissibilityFailure(ValueError):
@@ -52,8 +55,6 @@ class CyclicAlgebra:
             raise ValueError("d must be positive")
         self.tower, self.i, self.d, self.r, self.prec = tower, i, d, r, prec
         self.jE = i * d
-        from math import gcd
-        self.is_division = gcd(d, r) == 1
 
     # -- element factories --------------------------------------------------
 
@@ -88,10 +89,6 @@ class CyclicAlgebra:
         """The Galois generator of E/K (coefficientwise Frobenius^i)."""
         return frobenius_coeffwise(s, self.i * t)
 
-    def descriptor(self) -> dict:
-        return {"p": self.tower.p, "i": self.i, "d": self.d, "r": self.r,
-                "prec": self.prec}
-
     def __repr__(self):
         return f"A(d={self.d}, r={self.r}) over F_{{{self.tower.p}^{self.i}}}((T))"
 
@@ -111,12 +108,6 @@ class AlgebraElement:
     def __add__(self, other: AlgebraElement) -> AlgebraElement:
         return AlgebraElement(self.alg, tuple(a + b for a, b in
                                               zip(self.comps, other.comps)))
-
-    def __neg__(self) -> AlgebraElement:
-        return AlgebraElement(self.alg, tuple(-a for a in self.comps))
-
-    def __sub__(self, other: AlgebraElement) -> AlgebraElement:
-        return self + (-other)
 
     def __mul__(self, other: AlgebraElement) -> AlgebraElement:
         """Every component of a product is known to at most alg.prec: the
@@ -222,23 +213,10 @@ class AlgebraMatrix:
 
     __slots__ = ("alg", "n", "entries")
 
-    def __init__(self, alg: CyclicAlgebra, rows: Sequence[Sequence[AlgebraElement]]):
-        """From dense rows; entries identical to alg.zero() are not stored."""
-        n = len(rows)
-        for row in rows:
-            if len(row) != n:
-                raise ValueError("matrix must be square")
-        self.alg, self.n = alg, n
-        self.entries = tuple({t: e for t, e in enumerate(row)
-                              if not _is_algebra_zero(e)} for row in rows)
-
-    @classmethod
-    def from_entries(cls, alg: CyclicAlgebra,
-                     entries: Sequence[dict[int, AlgebraElement]]) -> AlgebraMatrix:
+    def __init__(self, alg: CyclicAlgebra,
+                 entries: Sequence[dict[int, AlgebraElement]]):
         """From one {column: entry} dict per row, stored as given."""
-        m = cls.__new__(cls)
-        m.alg, m.n, m.entries = alg, len(entries), tuple(entries)
-        return m
+        self.alg, self.n, self.entries = alg, len(entries), tuple(entries)
 
     @property
     def rows(self) -> tuple[tuple[AlgebraElement, ...], ...]:
@@ -252,7 +230,7 @@ class AlgebraMatrix:
 
     @staticmethod
     def scalar_matrix(a: AlgebraElement, n: int) -> AlgebraMatrix:
-        return AlgebraMatrix.from_entries(a.alg, [{s: a} for s in range(n)])
+        return AlgebraMatrix(a.alg, [{s: a} for s in range(n)])
 
     @staticmethod
     def block_diagonal(blocks: Sequence[AlgebraMatrix]) -> AlgebraMatrix:
@@ -261,18 +239,17 @@ class AlgebraMatrix:
             entries.extend({off + t: e for t, e in row.items()}
                            for row in blk.entries)
             off += blk.n
-        return AlgebraMatrix.from_entries(blocks[0].alg, entries)
+        return AlgebraMatrix(blocks[0].alg, entries)
 
     def __mul__(self, other: AlgebraMatrix) -> AlgebraMatrix:
         if self.n != other.n:
             raise ValueError("size mismatch")
         right = _nonzero_rows(other)
-        return AlgebraMatrix.from_entries(
-            self.alg, [_row_times(row, right) for row in self.entries])
+        return AlgebraMatrix(self.alg,
+                             [_row_times(row, right) for row in self.entries])
 
     def __pow__(self, e: int) -> AlgebraMatrix:
-        if e < 0:
-            return self.inverse() ** (-e)
+        """A power e >= 0 by repeated squaring."""
         result = AlgebraMatrix.identity(self.alg, self.n)
         base = self
         while e:
@@ -292,63 +269,8 @@ class AlgebraMatrix:
 
     __hash__ = None
 
-    def inverse(self) -> AlgebraMatrix:
-        """Gaussian elimination over the algebra; pivots must be units."""
-        alg, n = self.alg, self.n
-        zero = alg.zero()
-        work = [dict(r) for r in self.entries]
-        aug = [dict(r) for r in AlgebraMatrix.identity(alg, n).entries]
-        for k in range(n):
-            piv_inv = None
-            for m in range(k, n):
-                if work[m].get(k, zero).is_zero():
-                    continue
-                try:
-                    piv_inv = work[m][k].inverse()
-                except NotInvertible:
-                    continue
-                if m != k:
-                    work[k], work[m] = work[m], work[k]
-                    aug[k], aug[m] = aug[m], aug[k]
-                break
-            if piv_inv is None:
-                raise NotInvertible("matrix over the algebra is singular")
-            work[k] = {c: piv_inv * e for c, e in work[k].items()}
-            aug[k] = {c: piv_inv * e for c, e in aug[k].items()}
-            for m in range(n):
-                f = work[m].get(k, zero)
-                if m == k or f.is_zero():
-                    continue
-                work[m] = _row_minus(work[m], f, work[k], zero)
-                aug[m] = _row_minus(aug[m], f, aug[k], zero)
-        return AlgebraMatrix.from_entries(alg, aug)
-
-    def matrix_reduced_norm(self) -> LaurentSeries:
-        """det of the (n*d) x (n*d) matrix of entrywise regular
-        representations; restricts the usual reduced norm of M_n(A)."""
-        alg, n, d = self.alg, self.n, self.alg.d
-        zero = LaurentSeries.zero(alg.tower, alg.jE, alg.prec)
-        big = [[zero] * (n * d) for _ in range(n * d)]
-        for s, row in enumerate(self.entries):
-            for t, a in row.items():
-                if a.is_zero():
-                    continue
-                rep = a.regular_representation().rows
-                for rr in range(d):
-                    for cc in range(d):
-                        big[s * d + rr][t * d + cc] = rep[rr][cc]
-        det = SeriesMatrix(alg.tower, alg.jE, alg.prec, big).det()
-        return det.with_subfield(alg.i)
-
     def __repr__(self):
         return "[" + ",\n ".join(repr(list(r)) for r in self.rows) + "]"
-
-
-def _is_algebra_zero(e: AlgebraElement) -> bool:
-    """Whether e is alg.zero() itself: no terms, every component known
-    to exactly alg.prec."""
-    prec = e.alg.prec
-    return all(not c and c.prec == prec for c in e.comps)
 
 
 def _nonzero_rows(m: AlgebraMatrix) -> list[list[tuple[int, AlgebraElement]]]:
@@ -371,11 +293,6 @@ def _row_times(row: dict[int, AlgebraElement],
     return out
 
 
-def _row_minus(r1: dict, f: AlgebraElement, r2: dict, zero: AlgebraElement) -> dict:
-    """r1 - f * r2 at every position either row stores; the others stay 0."""
-    return {c: r1.get(c, zero) - f * r2.get(c, zero) for c in r1.keys() | r2.keys()}
-
-
 def _rows_equal(r1: dict, r2: dict, zero: AlgebraElement) -> bool:
     return all(r1.get(t, zero) == r2.get(t, zero) for t in r1.keys() | r2.keys())
 
@@ -387,9 +304,10 @@ def _rows_equal(r1: dict, r2: dict, zero: AlgebraElement) -> bool:
 class SemilinearAuto:
     """intaut(g) o phi(alpha, x) acting on matrices over A(d,r).
 
-    ``g`` is taken projectively; ``alpha`` is an automorphism of E
-    commuting with sigma (its T-image must have F_{p^i} coefficients) and
-    ``x`` satisfies the admissibility condition N_{E/K}(x) =
+    ``g`` is taken projectively and comes with its inverse ``inner_inv``;
+    ``inner`` None stands for the identity.  ``alpha`` is an automorphism
+    of E commuting with sigma (its T-image must have F_{p^i} coefficients)
+    and ``x`` satisfies the admissibility condition N_{E/K}(x) =
     alpha(T^r)/T^r.  Compare automorphisms with ``acts_like``, never by
     their stored data.
     """
@@ -401,10 +319,10 @@ class SemilinearAuto:
                  inner_inv: AlgebraMatrix | None = None, check: bool = True):
         self.alg, self.n = alg, n
         if inner is None:
-            inner = AlgebraMatrix.identity(alg, n)
-            inner_inv = inner
-        self.inner = inner
-        self.inner_inv = inner_inv if inner_inv is not None else inner.inverse()
+            inner = inner_inv = AlgebraMatrix.identity(alg, n)
+        elif inner_inv is None:
+            raise TypeError("an inner part needs its inverse inner_inv")
+        self.inner, self.inner_inv = inner, inner_inv
         self.alphaE = alphaE
         self.x = x.with_subfield(alg.jE)
         if check:
@@ -456,23 +374,9 @@ class SemilinearAuto:
 
     def apply_matrix_entrywise(self, M: AlgebraMatrix) -> AlgebraMatrix:
         # phi maps alg.zero() to itself, so missing entries stay missing
-        return AlgebraMatrix.from_entries(self.alg, [
+        return AlgebraMatrix(self.alg, [
             {t: self.apply_element(e) for t, e in row.items()}
             for row in M.entries])
-
-
-def phi_auto(alg: CyclicAlgebra, n: int, alphaE: LocalFieldAuto,
-             x: LaurentSeries) -> SemilinearAuto:
-    """The twist automorphism phi~(alpha, x) with trivial inner part."""
-    return SemilinearAuto(alg, n, None, alphaE, x)
-
-
-def intaut(g: AlgebraMatrix, g_inv: AlgebraMatrix | None = None) -> SemilinearAuto:
-    """Conjugation by g (an algebraic automorphism of SL_n)."""
-    alg = g.alg
-    ident = LocalFieldAuto.identity(alg.tower, alg.jE, alg.prec)
-    one = LaurentSeries.one(alg.tower, alg.jE, alg.prec)
-    return SemilinearAuto(alg, g.n, g, ident, one, inner_inv=g_inv, check=False)
 
 
 def compose_semilinear(f1: SemilinearAuto, f2: SemilinearAuto) -> SemilinearAuto:
@@ -487,24 +391,6 @@ def compose_semilinear(f1: SemilinearAuto, f2: SemilinearAuto) -> SemilinearAuto
     x = f1.x * f1.alphaE(f2.x)
     return SemilinearAuto(alg, f1.n, inner, alphaE, x, inner_inv=inner_inv,
                           check=False)
-
-
-def invert_semilinear(f: SemilinearAuto) -> SemilinearAuto:
-    from .autk import invert_auto
-    alg = f.alg
-    alpha_inv = invert_auto(f.alphaE)
-    x_inv = alpha_inv(f.x.inverse())
-    shell = SemilinearAuto(alg, f.n, None, alpha_inv, x_inv, check=False)
-    inner = shell.apply_matrix_entrywise(f.inner_inv)
-    inner_inv = shell.apply_matrix_entrywise(f.inner)
-    return SemilinearAuto(alg, f.n, inner, alpha_inv, x_inv,
-                          inner_inv=inner_inv, check=False)
-
-
-def identity_semilinear(alg: CyclicAlgebra, n: int) -> SemilinearAuto:
-    ident = LocalFieldAuto.identity(alg.tower, alg.jE, alg.prec)
-    one = LaurentSeries.one(alg.tower, alg.jE, alg.prec)
-    return SemilinearAuto(alg, n, None, ident, one, check=False)
 
 
 def generator_matrices(alg: CyclicAlgebra, n: int) -> list[AlgebraMatrix]:
@@ -532,7 +418,7 @@ def generator_matrices(alg: CyclicAlgebra, n: int) -> list[AlgebraMatrix]:
                 for (a, b) in ((s, s + 1), (s + 1, s)):
                     entries = [{k: one} for k in range(n)]
                     entries[a] = {a: one, b: elt}
-                    gens.append(AlgebraMatrix.from_entries(alg, entries))
+                    gens.append(AlgebraMatrix(alg, entries))
     return gens
 
 

@@ -33,16 +33,15 @@ from .series import (LaurentSeries, SeriesMatrix, frobenius_coeffwise,
 
 @dataclass
 class CyclicCocycle:
-    """Cocycle on Gal(l/k) = <gamma>, stored by its value at gamma."""
+    """Cocycle on Gal(l/k) = <gamma>, [l : k] = 3, stored by its value at
+    gamma."""
     gamma_matrix: SeriesMatrix
     i: int          # gamma acts on coefficients by Frobenius^i
-    degree: int     # [l : k]
 
     @staticmethod
-    def standard(tower: FieldTower, i: int, a: LaurentSeries,
-                 degree: int = 3) -> CyclicCocycle:
+    def standard(tower: FieldTower, i: int, a: LaurentSeries) -> CyclicCocycle:
         """gamma -> [[0,0,a],[1,0,0],[0,1,0]], the inner form with slot a."""
-        j = i * degree
+        j = 3 * i
         prec = a.prec
         one = LaurentSeries.one(tower, j, prec)
         zero = LaurentSeries.zero(tower, j, prec)
@@ -50,26 +49,10 @@ class CyclicCocycle:
         m = SeriesMatrix(tower, j, prec, [[zero, zero, al],
                                           [one, zero, zero],
                                           [zero, one, zero]])
-        return CyclicCocycle(m, i, degree)
+        return CyclicCocycle(m, i)
 
     def gamma_action(self, mat: SeriesMatrix) -> SeriesMatrix:
         return mat.map_entries(lambda e: frobenius_coeffwise(e, self.i))
-
-    def value(self, power: int) -> SeriesMatrix:
-        """Extension by the cocycle law c_{gamma^(s+1)} = c_gamma gamma(c_{gamma^s})."""
-        m = self.gamma_matrix
-        acc = SeriesMatrix.identity(m.tower, m.j, m.n, m.prec)
-        for _ in range(power % self.degree):
-            acc = m * self.gamma_action(acc)
-        return acc
-
-    def closes(self) -> bool:
-        """The extension to gamma^degree is projectively trivial."""
-        m = full = self.gamma_matrix
-        for _ in range(self.degree - 1):
-            full = m * self.gamma_action(full)
-        return full.proportional_to(SeriesMatrix.identity(m.tower, m.j, m.n,
-                                                          m.prec))
 
 
 def descent_condition_check(c: CyclicCocycle, bmat: SeriesMatrix, e_flag: bool,
@@ -109,7 +92,7 @@ def hanke_test_deg3(i: int, a: LaurentSeries, alpha: LocalFieldAuto):
         raise ValueError("tower does not contain the unramified cubic extension")
     beta_inv = invert_auto(extend_auto(alpha, jl))
     a_l = a.with_subfield(jl)
-    cocycle = CyclicCocycle.standard(tower, i, a, degree=3)
+    cocycle = CyclicCocycle.standard(tower, i, a)
 
     def gamma(s, power=1):
         return frobenius_coeffwise(s, i * power)

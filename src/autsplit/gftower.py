@@ -67,15 +67,11 @@ class NormNotOne(ValueError):
 
 
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for q in range(2, int(n ** 0.5) + 1):
-        if n % q == 0:
-            return False
-    return True
+    return _prime_factors(n) == [n]
 
 
 def _prime_factors(n: int) -> list[int]:
+    """The distinct primes dividing n, ascending; [] for n < 2."""
     out = []
     q = 2
     while q * q <= n:
@@ -458,14 +454,6 @@ class FFElement:
         t = self.tower
         code = 0 if self.log == LOG_ZERO else t._exp[self.log]
         return _code_to_vec(code, t.p, t.M)
-
-    def order(self) -> int:
-        """Multiplicative order (1 has order 1)."""
-        if self.log == LOG_ZERO:
-            raise ZeroDivisionError("zero has no multiplicative order")
-        t = self.tower
-        from math import gcd
-        return (t.q - 1) // gcd(self.log, t.q - 1) if t.q > 2 else 1
 
     def __repr__(self):
         if self.log == LOG_ZERO:

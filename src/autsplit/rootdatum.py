@@ -79,7 +79,6 @@ class TitsIndexDescriptor:
     """^g X_{n, l}: the type plus the order g of the classifying Galois group."""
     g: int
     type: SimpleType
-    classifying_degree: int = 0    # [l : k]; 0 means "same as g"
 
     def __post_init__(self):
         auts = aut_r(self.type)
@@ -113,9 +112,6 @@ class FiniteGroupTable:
         self.order = order
         self.table = tuple(tuple(r) for r in table)
         self.identity = identity
-
-    def mul(self, x: int, y: int) -> int:
-        return self.table[x][y]
 
     def inv(self, x: int) -> int:
         return self.table[x].index(self.identity)
@@ -241,50 +237,3 @@ def ses_verdict(idx: TitsIndexDescriptor,
             "reason": "complement found" if splits else "no complement exists",
             "complement": sorted(comp) if comp is not None else None}
 
-
-# -- small standard tables, mostly for tests and the CLI ----------------
-
-def cyclic_table(n: int) -> FiniteGroupTable:
-    return FiniteGroupTable([[(x + y) % n for y in range(n)] for x in range(n)])
-
-
-def direct_product_table(g1: FiniteGroupTable, g2: FiniteGroupTable) -> FiniteGroupTable:
-    n1, n2 = g1.order, g2.order
-    def idx(x1, x2):
-        return x1 * n2 + x2
-    table = [[0] * (n1 * n2) for _ in range(n1 * n2)]
-    for x1 in range(n1):
-        for x2 in range(n2):
-            for y1 in range(n1):
-                for y2 in range(n2):
-                    table[idx(x1, x2)][idx(y1, y2)] = idx(g1.mul(x1, y1),
-                                                          g2.mul(x2, y2))
-    return FiniteGroupTable(table, idx(g1.identity, g2.identity))
-
-
-def symmetric3_table() -> FiniteGroupTable:
-    import itertools
-    perms = sorted(itertools.permutations(range(3)))
-    index = {p: k for k, p in enumerate(perms)}
-    table = [[index[tuple(p[q[m]] for m in range(3))] for q in perms]
-             for p in perms]
-    return FiniteGroupTable(table, index[(0, 1, 2)])
-
-
-def quaternion_table() -> FiniteGroupTable:
-    # 1, -1, i, -i, j, -j, k, -k
-    names = ["1", "-1", "i", "-i", "j", "-j", "k", "-k"]
-    def mul(a, b):
-        sa, va = (a[0] == "-", a.lstrip("-"))
-        sb, vb = (b[0] == "-", b.lstrip("-"))
-        rules = {("1", "1"): "1", ("1", "i"): "i", ("1", "j"): "j", ("1", "k"): "k",
-                 ("i", "1"): "i", ("j", "1"): "j", ("k", "1"): "k",
-                 ("i", "i"): "-1", ("j", "j"): "-1", ("k", "k"): "-1",
-                 ("i", "j"): "k", ("j", "k"): "i", ("k", "i"): "j",
-                 ("j", "i"): "-k", ("k", "j"): "-i", ("i", "k"): "-j"}
-        res = rules[(va, vb)]
-        sign = (res[0] == "-") ^ sa ^ sb
-        core = res.lstrip("-")
-        return ("-" if sign else "") + core
-    table = [[names.index(mul(a, b)) for b in names] for a in names]
-    return FiniteGroupTable(table, 0)

@@ -55,8 +55,7 @@ class SectionContext:
     requires.
     """
 
-    def __init__(self, p: int, i: int, d: int, r: int, n: int, prec: int = 32,
-                 require_split: bool = True):
+    def __init__(self, p: int, i: int, d: int, r: int, n: int, prec: int = 32):
         if gcd(d, p) != 1:
             raise ValueError("gcd(d, p) must be 1")
         if gcd(d, r) != 1:
@@ -64,7 +63,7 @@ class SectionContext:
         self.p, self.i, self.d, self.r, self.n, self.prec = p, i, d, r, n, prec
         self.a, self.b = d_part(p ** i - 1, d)
         self.a2, self.b2 = d_part(i, d)
-        if require_split and not splits_globally_charp(n, d, p, i):
+        if not splits_globally_charp(n, d, p, i):
             raise ValueError(
                 "no global section exists: witness subfield degree "
                 f"{non_split_witness(n, d, p, i)}")
@@ -171,7 +170,7 @@ class SectionContext:
         block_rows = [{t_: scalars[c.log] for t_, c in enumerate(row) if c}
                       for row in blocks]
         bsz = len(blocks)
-        return AlgebraMatrix.from_entries(alg, [
+        return AlgebraMatrix(alg, [
             {cp * bsz + t_: e for t_, e in row.items()}
             for cp in range(copies) for row in block_rows])
 
@@ -181,8 +180,8 @@ class SectionContext:
         for v in values:
             entries.extend([v] * self.b)
         entries = entries * (self.n // (self.b * self.b2))
-        return AlgebraMatrix.from_entries(
-            self.algebra, [{k: v} for k, v in enumerate(entries)])
+        return AlgebraMatrix(self.algebra,
+                             [{k: v} for k, v in enumerate(entries)])
 
     def matrix_w(self) -> AlgebraMatrix:
         """Block-cyclic matrix with sub-diagonal Id_b and top-right u*Id_b."""
@@ -192,7 +191,7 @@ class SectionContext:
         m = b * b2
         rows = [{(b2 - 1) * b + t_: uu} for t_ in range(b)]
         rows += [{k - b: one} for k in range(b, m)]
-        w = AlgebraMatrix.from_entries(alg, rows)
+        w = AlgebraMatrix(alg, rows)
         if self.n == m:
             return w
         return AlgebraMatrix.block_diagonal([w] * (self.n // m))
@@ -396,8 +395,6 @@ class CheckResult:
 @dataclass
 class VerificationReport:
     context: dict
-    samples: int
-    seed: int
     checks: list[CheckResult] = field(default_factory=list)
 
     def add(self, name: str, passed: bool, detail: str = ""):
@@ -406,11 +403,6 @@ class VerificationReport:
     @property
     def all_passed(self) -> bool:
         return all(c.passed for c in self.checks)
-
-    def to_dict(self):
-        return {"context": self.context, "samples": self.samples,
-                "seed": self.seed, "all_passed": self.all_passed,
-                "checks": [c.to_dict() for c in self.checks]}
 
     def lines(self):
         for c in self.checks:
@@ -470,7 +462,7 @@ def verify_section(ctx: SectionContext, samples: int = 20,
                    seed: int = 0) -> VerificationReport:
     """Run every verifiable identity of the construction and report."""
     rng = random.Random(seed)
-    rep = VerificationReport(ctx.descriptor(), samples, seed)
+    rep = VerificationReport(ctx.descriptor())
     gens = ctx.generators()
     alg = ctx.algebra
     eq = lambda f1, f2: acts_like(f1, f2, gens)

@@ -141,10 +141,6 @@ class LaurentSeries:
 
     # -- inspection ---------------------------------------------------------
 
-    def is_zero(self) -> bool:
-        """Zero as far as the precision horizon can tell."""
-        return not self.logs
-
     def coeff(self, k: int) -> FFElement:
         if k >= self.prec:
             raise ValueError(f"coefficient of T^{k} is beyond precision {self.prec}")

@@ -6,11 +6,32 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from autsplit.brauer import (BrauerClass, CSADescriptor, GroupDescriptor,
-                             NotDivisionInput, base_change_csa,
-                             base_change_group, d_part, descent_form,
-                             galois_subfield_exists, invariant,
-                             non_split_witness, splits_globally_charp,
-                             splits_over_subfield, wedderburn)
+                             NotDivisionInput, base_change_csa, d_part,
+                             descent_form, invariant, non_split_witness,
+                             splits_globally_charp, splits_over_subfield,
+                             wedderburn)
+from autsplit.gftower import _prime_factors
+
+
+def base_change_group(G, m):
+    """Base change of SL_{n'}(A(d',r')) along a degree-m extension: with
+    a = gcd(d', m) it is SL_{a n'}(A(d'/a, (m/a) r')).  Needs division
+    input gcd(d', r') = 1."""
+    dp, rp = G.algebra.d, G.algebra.r
+    if gcd(dp, rp) != 1:
+        raise NotDivisionInput("base_change_group needs gcd(d, r) = 1")
+    a = gcd(dp, m)
+    return GroupDescriptor(a * G.n, CSADescriptor(dp // a, (m // a) * rp))
+
+
+def galois_subfield_exists(p, i, q, a):
+    """Whether some K' <= F_{p^i}((T)) has finite Galois index divisible
+    by q^a: true iff q = p or q^a divides i(p^i - 1)."""
+    return q == p or (i * (p ** i - 1)) % (q ** a) == 0
+
+
+def as_fraction(c):
+    return Fraction(c.numerator, c.denominator)
 
 
 def test_invariant_examples():
@@ -51,8 +72,8 @@ def test_base_change_group_examples():
 @given(st.integers(1, 12), st.integers(0, 11), st.integers(1, 12))
 def test_invariant_base_change_compatible(d, r, m):
     A = CSADescriptor(d, r % d if d > 1 else 0)
-    lhs = invariant(base_change_csa(A, m)).as_fraction()
-    rhs = (invariant(A).as_fraction() * m) % 1
+    lhs = as_fraction(invariant(base_change_csa(A, m)))
+    rhs = (as_fraction(invariant(A)) * m) % 1
     assert lhs == rhs
 
 
@@ -115,6 +136,49 @@ def test_non_split_witness_matches_brute_force():
                 for d in range(1, 7):
                     assert non_split_witness(n, d, p, i) == \
                         brute_force_witness(n, d, p, i), (n, d, p, i)
+
+
+def witness_over_tame_primes(n, d, p, tame_primes, tame):
+    """The witness search over every prime of i(p^i - 1), given its
+    factorization, rather than over the primes of nd alone."""
+    nd = n * d
+    witnesses = []
+    if gcd(d, p) != 1:
+        a = 1
+        while n % gcd(nd, p ** a) == 0:
+            a += 1
+        witnesses.append(p ** a)
+    for q in tame_primes:
+        if q == p:
+            continue
+        a = 1
+        while tame % (q ** a) == 0:
+            if n % gcd(nd, q ** a) != 0:
+                witnesses.append(q ** a)
+                break
+            a += 1
+    return min(witnesses) if witnesses else None
+
+
+def test_non_split_witness_matches_search_over_tame_primes():
+    # a prime q not dividing nd has gcd(nd, q^a) = 1, so it never witnesses
+    for p in (2, 3, 5, 7, 11, 13):
+        for i in range(1, 9):
+            tame = i * (p ** i - 1)
+            tame_primes = _prime_factors(tame)
+            for n in range(1, 13):
+                for d in range(1, 13):
+                    assert non_split_witness(n, d, p, i) == \
+                        witness_over_tame_primes(n, d, p, tame_primes,
+                                                 tame), (n, d, p, i)
+
+
+def test_non_split_witness_never_factors_the_tame_index():
+    # 2^127 - 1 is prime: trial division of 127 * (2^127 - 1) would not end
+    assert non_split_witness(1, 2, 2, 127) == 2          # wild: p divides d
+    assert non_split_witness(1, 3, 2, 127) is None       # 3 divides no index
+    assert non_split_witness(1, 127, 2, 127) == 127      # 127 divides i
+    assert non_split_witness(127, 127, 2, 127) is None
 
 
 def test_non_split_witness_large_degree():

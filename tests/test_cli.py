@@ -3,13 +3,13 @@ import io
 import json
 from contextlib import redirect_stdout
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
 
 from autsplit.cli import main, parse_series
 from autsplit.gftower import build_tower, subfield_generator
-from autsplit.series import LaurentSeries
 
 
 def run_cli(argv):
@@ -55,6 +55,12 @@ def test_split_check_exit_codes():
     code, out = run_cli(["split-check", "--subfield", "--n", "2", "--d", "2",
                          "--m", "2"])
     assert code == 0
+
+    # 2^127 - 1 is prime; the witness search never factors i(p^i - 1)
+    code, doc = validate_json_output(["split-check", "--charp", "--n", "1",
+                                      "--d", "2", "--p", "2", "--i", "127"])
+    assert code == 1 and doc["result"] == {"verdict": "NON-SPLIT",
+                                           "witness_subfield_degree": 2}
 
 
 def test_descent_form_cli():
@@ -203,49 +209,81 @@ def test_parse_series_round_trip():
 # adjugate code), so a change of elimination order or of precision
 # bookkeeping in nrd, in the hanke descent check or in the section
 # verifier shows here.
+JSON, TEXT = ["--output", "json"], ["--output", "text"]
+C4_C2 = str(Path(__file__).with_name("c4_c2.json"))   # C4 over its C2
 GOLDEN_REPORTS = [
-    ("67bde55cee266f40ab898bec00f4bf32c0d99eaff3d269bb20e7aa277439bec0",
-     ["nrd", "--p", "2", "--i", "1", "--d", "3", "--r", "1", "--prec", "12",
-      "--element", "1+T;T;1"]),
-    ("6e21f21d97b53e5adf19281a3c4583b57249467daa06f4e139f67bc7d4a6115a",
-     ["nrd", "--p", "3", "--i", "1", "--d", "2", "--r", "1", "--prec", "10",
-      "--element", "2+T^2;1+T"]),
-    ("32092c62e4f0b8e0891bbc667371b200515d54e741379055115aae327069a44b",
-     ["nrd", "--p", "2", "--i", "2", "--d", "3", "--r", "2", "--prec", "9",
-      "--element", "g+T;T^-1;g^2*T^3"]),
-    ("fd88b6d6c2d0974e9a2d297dab6e9256aafeedc558e24596cc2e92fdfed3293e",
-     ["hanke", "--p", "2", "--i", "1", "--r", "1", "--alpha", "T+T^2",
-      "--prec", "12"]),
-    ("33e7927eebd194a77667f4e80609be1f29894e1acd8c7fc6a27ccb1a43fddcde",
-     ["hanke", "--p", "3", "--i", "1", "--r", "2", "--alpha", "2*T+T^3",
-      "--prec", "10"]),
-    ("b1957fde9c3f47fd27ee24d06704d6ed1f2ac366ce09780e564e0e4a2e86d564",
-     ["hanke", "--p", "2", "--i", "2", "--r", "1", "--alpha", "g*T+T^2",
-      "--frob", "1", "--prec", "8"]),
-    ("9d478a4eaddf8790ac8692ed9b35e4ab69c75666c39e79d5b7835916230a0f84",
-     ["section", "synth", "--p", "3", "--i", "1", "--d", "2", "--r", "1",
-      "--n", "2", "--samples", "3", "--prec", "12", "--seed", "5"]),
+    ("67bde55cee266f40ab898bec00f4bf32c0d99eaff3d269bb20e7aa277439bec0", 0,
+     JSON + ["nrd", "--p", "2", "--i", "1", "--d", "3", "--r", "1", "--prec",
+             "12", "--element", "1+T;T;1"]),
+    ("6e21f21d97b53e5adf19281a3c4583b57249467daa06f4e139f67bc7d4a6115a", 0,
+     JSON + ["nrd", "--p", "3", "--i", "1", "--d", "2", "--r", "1", "--prec",
+             "10", "--element", "2+T^2;1+T"]),
+    ("32092c62e4f0b8e0891bbc667371b200515d54e741379055115aae327069a44b", 0,
+     JSON + ["nrd", "--p", "2", "--i", "2", "--d", "3", "--r", "2", "--prec",
+             "9", "--element", "g+T;T^-1;g^2*T^3"]),
+    ("fd88b6d6c2d0974e9a2d297dab6e9256aafeedc558e24596cc2e92fdfed3293e", 0,
+     JSON + ["hanke", "--p", "2", "--i", "1", "--r", "1", "--alpha", "T+T^2",
+             "--prec", "12"]),
+    ("33e7927eebd194a77667f4e80609be1f29894e1acd8c7fc6a27ccb1a43fddcde", 0,
+     JSON + ["hanke", "--p", "3", "--i", "1", "--r", "2", "--alpha", "2*T+T^3",
+             "--prec", "10"]),
+    ("b1957fde9c3f47fd27ee24d06704d6ed1f2ac366ce09780e564e0e4a2e86d564", 0,
+     JSON + ["hanke", "--p", "2", "--i", "2", "--r", "1", "--alpha", "g*T+T^2",
+             "--frob", "1", "--prec", "8"]),
+    ("9d478a4eaddf8790ac8692ed9b35e4ab69c75666c39e79d5b7835916230a0f84", 0,
+     JSON + ["section", "synth", "--p", "3", "--i", "1", "--d", "2", "--r",
+             "1", "--n", "2", "--samples", "3", "--prec", "12", "--seed",
+             "5"]),
     # b = 3: the C_b section's inner part Y is block diagonal; recorded
     # from the dense algebra-matrix products
-    ("42e5132700eafd8ed988062e65af91cb1dd6761eaac16fd36a39064bf029577d",
-     ["section", "synth", "--p", "2", "--i", "2", "--d", "3", "--r", "1",
-      "--n", "3", "--prec", "16", "--samples", "4", "--seed", "3"]),
-    ("5aa085e8c8b6345bf08f8fdf9ab3deb7628b53200a687346024200aeb8ed1fc0",
-     ["section", "synth", "--p", "2", "--i", "2", "--d", "3", "--r", "2",
-      "--n", "6", "--prec", "12", "--samples", "2", "--seed", "3"]),
+    ("42e5132700eafd8ed988062e65af91cb1dd6761eaac16fd36a39064bf029577d", 0,
+     JSON + ["section", "synth", "--p", "2", "--i", "2", "--d", "3", "--r",
+             "1", "--n", "3", "--prec", "16", "--samples", "4", "--seed",
+             "3"]),
+    ("5aa085e8c8b6345bf08f8fdf9ab3deb7628b53200a687346024200aeb8ed1fc0", 0,
+     JSON + ["section", "synth", "--p", "2", "--i", "2", "--d", "3", "--r",
+             "2", "--n", "6", "--prec", "12", "--samples", "2", "--seed",
+             "3"]),
     # b' = 3: the C_b' section's inner part W is block cyclic
-    ("0feaedcea2d8e7c35494ce146e3c2f7b1611c23a87305addb649150720303366",
-     ["section", "synth", "--p", "2", "--i", "3", "--d", "3", "--r", "1",
-      "--n", "3", "--prec", "12", "--samples", "4", "--seed", "3"]),
+    ("0feaedcea2d8e7c35494ce146e3c2f7b1611c23a87305addb649150720303366", 0,
+     JSON + ["section", "synth", "--p", "2", "--i", "3", "--d", "3", "--r",
+             "1", "--n", "3", "--prec", "12", "--samples", "4", "--seed",
+             "3"]),
+    # the other subcommands, the verdicts that exit 1 and one text report
+    ("4184e90e4c68c1e095de62596ac1bdc127c777d6b871720e30347a1c254c83df", 0,
+     JSON + ["brauer", "basechange", "--d", "4", "--r", "1", "--m", "6"]),
+    ("11ddadc07b9a86f9419ac673fb7d07d0d6c983f80c251ab9511358e82c2fe6d8", 1,
+     JSON + ["split-check", "--charp", "--n", "1", "--d", "3", "--p", "2",
+             "--i", "2"]),
+    ("bf21ff79be8d0f4ace320a6438cc0f9351bebe9cbd4275a8ca3a51a60acf56a1", 1,
+     JSON + ["split-check", "--charp", "--n", "2", "--d", "6", "--p", "5",
+             "--i", "2"]),
+    ("d89a9cc154a3bcdd8dc34760355764d77e91d47308faf2cfa33b09f21e6f68b1", 0,
+     JSON + ["descent-form", "--n", "2", "--d", "3", "--r", "1", "--m", "2"]),
+    ("8731c37059e6f39d7f1133bee359f45a2f3e79ed4991d633531f0435436e894e", 1,
+     JSON + ["descent-form", "--n", "2", "--d", "3", "--r", "1", "--m", "6"]),
+    ("394c77c54bdb3c1bf2194d35536dc50362e7ece447c7f61b99aa6740a8052cf1", 0,
+     JSON + ["ses-verdict", "--g", "6", "--family", "D", "--rank", "4"]),
+    ("0a81da4788ae0a62f46908aed56ee2a3d2ffe48925fbeab8a0b509d10fc58464", 1,
+     JSON + ["extension", "split", "--file", C4_C2]),
+    ("401b25f89e40c8a290751af5934ddcd065e59ef883d4e1b72b265f6265db5059", 0,
+     TEXT + ["section", "synth", "--p", "3", "--i", "1", "--d", "2", "--r",
+             "1", "--n", "2", "--prec", "10", "--samples", "2", "--seed",
+             "4"]),
 ]
 
 
-@pytest.mark.parametrize("digest, argv", GOLDEN_REPORTS,
-                         ids=[" ".join(argv[:1] + argv[2:4] + argv[6:8])
-                              for _, argv in GOLDEN_REPORTS])
-def test_golden_reports(digest, argv):
-    code, out = run_cli(["--output", "json"] + argv)
-    assert code == 0
+def golden_id(argv):
+    words = [Path(w).name if w == C4_C2 else w for w in argv[2:]]
+    return (" ".join(words[:1] + words[2:4] + words[6:8])
+            + ("" if argv[:2] == JSON else " (text)"))
+
+
+@pytest.mark.parametrize("digest, code, argv", GOLDEN_REPORTS,
+                         ids=[golden_id(argv) for _, _, argv in GOLDEN_REPORTS])
+def test_golden_reports(digest, code, argv):
+    got, out = run_cli(argv)
+    assert got == code
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 

@@ -247,7 +247,7 @@ def test_subfield_generator_top_and_bottom():
 def test_subfield_generator_order_and_fixedness():
     t = build_tower(2, 2, 2, 1)  # F_16, j = 2
     z = subfield_generator(t, 2)
-    assert z.order() == 3
+    assert brute_order(t, z) == 3
     assert frobenius(z, 2) == z
     # exhaustively: fixed set of Frobenius^2 = {0} + powers of z
     fixed = {x.log for x in elements(t) if frobenius(x, 2) == x}
@@ -281,7 +281,7 @@ def test_relative_norm_of_generator():
     direct = z6 * frobenius(z6, 2) * frobenius(z6, 4)
     assert n == direct
     assert n == z6 ** ((2 ** 6 - 1) // (2 ** 2 - 1))
-    assert n.order() == 3  # generates F_4^x
+    assert brute_order(t, n) == 3  # generates F_4^x
 
 
 def test_relative_norm_multiplicative():

@@ -38,8 +38,7 @@ def test_matrix_entry_pairs_counts_the_products_made(monkeypatch):
     W = ctx.matrix_w()
     # a stored entry that is zero at a lower precision is no pair
     low_zero = alg.scalar(alg.zero().comps[0].truncate(4))
-    D = AlgebraMatrix.from_entries(alg, [{0: alg.u(), 2: low_zero}, {},
-                                         {1: alg.one()}])
+    D = AlgebraMatrix(alg, [{0: alg.u(), 2: low_zero}, {}, {1: alg.one()}])
     made = []
     product = AlgebraElement.__mul__
 

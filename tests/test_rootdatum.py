@@ -1,12 +1,54 @@
+import itertools
 import random
 
 import pytest
 
 from autsplit.rootdatum import (BadTower, ExtensionProblem, FiniteGroupTable,
                                 SimpleType, TitsIndexDescriptor, aut_r,
-                                cyclic_table, direct_product_table,
-                                extension_splits, quaternion_table,
-                                ses_verdict, symmetric3_table)
+                                extension_splits, ses_verdict)
+
+
+# -- small standard groups ----------------------------------------------------
+
+def cyclic_table(n):
+    return FiniteGroupTable([[(x + y) % n for y in range(n)] for x in range(n)])
+
+
+def direct_product_table(g1, g2):
+    """(x1, x2) is numbered x1 * |g2| + x2."""
+    n2 = g2.order
+    elems = list(itertools.product(range(g1.order), range(n2)))
+    table = [[g1.table[x1][y1] * n2 + g2.table[x2][y2] for y1, y2 in elems]
+             for x1, x2 in elems]
+    return FiniteGroupTable(table, g1.identity * n2 + g2.identity)
+
+
+def symmetric3_table():
+    perms = sorted(itertools.permutations(range(3)))
+    index = {p: k for k, p in enumerate(perms)}
+    table = [[index[tuple(p[q[m]] for m in range(3))] for q in perms]
+             for p in perms]
+    return FiniteGroupTable(table, index[(0, 1, 2)])
+
+
+def quaternion_table():
+    """Q8 as the units +-1, +-i, +-j, +-k, numbered 1, -1, i, -i, j, -j, k,
+    -k: element 2u + s is (-1)^s times unit u of 1, i, j, k."""
+    # unit products: (sign, unit) of u * v
+    prod = [[(0, 0), (0, 1), (0, 2), (0, 3)],
+            [(0, 1), (1, 0), (0, 3), (1, 2)],
+            [(0, 2), (1, 3), (1, 0), (0, 1)],
+            [(0, 3), (0, 2), (1, 1), (1, 0)]]
+
+    def mul(x, y):
+        sign, unit = prod[x // 2][y // 2]
+        return 2 * unit + (sign + x + y) % 2
+
+    return FiniteGroupTable([[mul(x, y) for y in range(8)] for x in range(8)])
+
+
+def cube(g, x):
+    return g.table[x][g.table[x][x]]
 
 
 def test_aut_r_table():
@@ -67,8 +109,7 @@ def test_c4_over_c2_does_not_split():
 def test_s3_over_a3_splits():
     g = symmetric3_table()
     # A3 = the two 3-cycles and the identity
-    a3 = frozenset(x for x in range(6)
-                   if g.mul(x, g.mul(x, x)) == g.identity)
+    a3 = frozenset(x for x in range(6) if cube(g, x) == g.identity)
     assert len(a3) == 3
     prob = ExtensionProblem(g, a3)
     splits, comp = extension_splits(prob)
@@ -107,8 +148,7 @@ def test_schur_zassenhaus_coprime_cases():
              (symmetric3_table(), None)]
     for g, n in cases:
         if n is None:
-            n = frozenset(x for x in range(6)
-                          if g.mul(x, g.mul(x, x)) == g.identity)
+            n = frozenset(x for x in range(6) if cube(g, x) == g.identity)
         splits, comp = extension_splits(ExtensionProblem(g, n))
         assert splits
 
@@ -124,7 +164,7 @@ def test_relabeling_invariance():
         rng.shuffle(tail)
         perm = [0] + tail
         inv = [perm.index(k) for k in range(4)]
-        table = [[perm[g.mul(inv[x], inv[y])] for y in range(4)]
+        table = [[perm[g.table[inv[x]][inv[y]]] for y in range(4)]
                  for x in range(4)]
         g2 = FiniteGroupTable(table, perm[0])
         n2 = frozenset(perm[x] for x in n)

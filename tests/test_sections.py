@@ -5,14 +5,14 @@ import pytest
 from autsplit.autk import LocalFieldAuto, compose_auto
 from autsplit.cyclic import (AlgebraMatrix, SemilinearAuto, _elementary_shape,
                              _rank_one, acts_like, acts_trivially,
-                             compose_semilinear, identity_semilinear,
-                             invert_semilinear)
-from autsplit.gftower import build_tower, frobenius, subfield_generator
+                             compose_semilinear)
+from autsplit.gftower import frobenius, subfield_generator
 from autsplit.sections import (SectionContext, glue_section, random_j_element,
                                random_k_auto, section_Ca,
                                section_Caprime, section_Cb, section_Cbprime,
                                section_J, underlying_k_auto, verify_section)
 from autsplit.series import LaurentSeries
+from test_cyclic import invert_semilinear
 
 
 CTX1 = SectionContext(2, 1, 3, 1, 1, prec=24)
@@ -182,10 +182,9 @@ def test_tampered_c_flags_caprime():
 
 def test_verification_report_shape():
     rep = verify_section(CTX1, samples=2, seed=5)
-    doc = rep.to_dict()
-    assert doc["all_passed"] is True
-    assert doc["seed"] == 5
-    names = [c["name"] for c in doc["checks"]]
+    assert rep.all_passed is True
+    assert rep.context == CTX1.descriptor()
+    names = [c.to_dict()["name"] for c in rep.checks]
     assert len([n for n in names if n.startswith("commutation_")]) == 9
     assert "glue_homomorphism" in names and "glue_section_property" in names
 
@@ -242,7 +241,8 @@ def test_elementary_image_is_identity_image_plus_rank_one():
             R = _rank_one(f, a, b, x)
             summed = [[base[s][t] + R.get(s, {}).get(t, zero)
                        for t in range(ctx.n)] for s in range(ctx.n)]
-            assert f.apply(G) == AlgebraMatrix(alg, summed)
+            assert f.apply(G) == AlgebraMatrix(
+                alg, [dict(enumerate(row)) for row in summed])
 
 
 # -- mutation controls: a T^k change to one ingredient is flagged ------------
@@ -259,10 +259,10 @@ def mutated(f, part, k, pos):
         return SemilinearAuto(alg, f.n, f.inner, f.alphaE, f.x + t_k,
                               inner_inv=f.inner_inv, check=False)
     mats = {"inner": f.inner, "inner_inv": f.inner_inv}
-    rows = [list(row) for row in mats[part].rows]
+    entries = [dict(row) for row in mats[part].entries]
     s, t = pos
-    rows[s][t] = rows[s][t] + alg.scalar(t_k)
-    mats[part] = AlgebraMatrix(alg, rows)
+    entries[s][t] = entries[s].get(t, alg.zero()) + alg.scalar(t_k)
+    mats[part] = AlgebraMatrix(alg, entries)
     return SemilinearAuto(alg, f.n, mats["inner"], f.alphaE, f.x,
                           inner_inv=mats["inner_inv"], check=False)
 
