@@ -18,13 +18,14 @@ coefficient vector read high-to-low), and ``g`` is the first element in
 code order of multiplicative order p^M - 1.  Tables are built once per
 (p, i, d, b) and cached.
 
-Storage and cost.  ``_exp`` (log -> code) and ``_log`` (code -> log) are
-``array('i')``, 4 bytes an entry.  ``_zech`` stays a ``list``: the series
-products, sums and compositions read it in their inner loops, and reading
-an array boxes a new int every time, which costs about a tenth of a
-synth-deep round.  Building the tables takes a constant number of table
-lookups per element (see ``FieldTower._build_tables``): about 0.06 s for
-F_{3^10}, 0.5 s for F_{3^12} and 1.3 s for F_{2^21} in CPython 3.11 on
+Storage and cost.  ``_exp`` (log -> code), ``_log`` (code -> log) and
+``_zech`` are ``array('i')``, 4 bytes an entry.  Reading an array boxes a
+new int every time, but the loop that reads the tables most, the series
+product in characteristic 2, sums codes read from ``_exp`` and reads no
+Zech entry, so an array ``_zech`` costs no measurable time there.  Building
+the tables takes a constant number of table lookups per element (see
+``FieldTower._build_tables``): about 0.03 s for F_{3^10}, 0.2 s for
+F_{3^12} and for F_{1000003}, and 0.5 s for F_{2^21} in CPython 3.11 on
 one core of a 2-vCPU VM.
 """
 
@@ -36,14 +37,18 @@ from typing import Sequence
 
 LOG_ZERO = -1
 
-# The tables take about 48 bytes per element (two 4-byte array entries, and
-# a pointer and a boxed int in the Zech list), about 100 MB at this size.
-# The limit bounds that memory; the build time is linear in p^M.
+# The tables take about 12 bytes per element (three 4-byte array entries),
+# about 25 MB at this size.  The limit bounds that memory; the build time is
+# linear in p^M.
 MAX_FIELD_SIZE = 1 << 21
 
 # Stride, in elements, of the blocks that fill the exp table once it holds
 # that many.
 _BLOCK = 1 << 10
+
+# Zech entries are computed this many at a time, so that no list of all q
+# boxed ints exists while the table is built.
+_ZECH_CHUNK = 1 << 16
 
 
 class NotPrime(ValueError):
@@ -66,8 +71,36 @@ class NormNotOne(ValueError):
     """Hilbert 90 input whose relative norm is not 1."""
 
 
+# Miller-Rabin with the primes up to 41 as bases decides primality exactly
+# for every n below this bound (Sorenson and Webster, 2015).
+PRIME_TEST_BOUND = 3317044064679887385961981
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
 def _is_prime(n: int) -> bool:
-    return _prime_factors(n) == [n]
+    """Whether n is prime, for n < PRIME_TEST_BOUND (ValueError above)."""
+    if n >= PRIME_TEST_BOUND:
+        raise ValueError(f"primality is decided only below {PRIME_TEST_BOUND}, "
+                         f"got {n}")
+    if n < 2:
+        return False
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -254,9 +287,13 @@ class FieldTower:
         entries each, and the build took 3.1-3.5 s against 1.4-1.6 s for
         XOR, run side by side.
 
+        In a prime field (M = 1) a code is the element itself, so a block
+        step is c * g^s mod p and needs no tables.
+
         Zech needs only log(1 + g^k), and adding 1 to a code changes its
         lowest digit alone: c ^ 1 for p = 2, else c + 1, or c - (p - 1)
-        when that digit is p - 1.
+        when that digit is p - 1.  It is filled _ZECH_CHUNK entries at a
+        time, so no list of all its boxed ints is ever held.
         """
         p, M, q, f = self.p, self.M, self.q, self.modulus
         self.g_code = self._find_generator_code()
@@ -265,7 +302,7 @@ class FieldTower:
         w = (M + 1) // 2
         P, mask = p ** w, (1 << w) - 1
         S = 1 if p == 2 else p.bit_length() + 1
-        if p > 2:
+        if p > 2 and M > 1:
             third = -(-M // 3)
             r0, r1, r2 = (_reduce_table(p, S, range(t, min(t + third, M)))
                           for t in (0, third, 2 * third))
@@ -273,26 +310,34 @@ class FieldTower:
             m = (1 << k1) - 1
         exp = array("i", [1])
         for stride, stop in ((1, min(_BLOCK, Q)), (_BLOCK, Q)):
-            lo, hi = self._chunk_tables(_poly_powmod(g, stride, f, p), w, S)
+            h = _poly_powmod(g, stride, f, p)
+            if M > 1:
+                lo, hi = self._chunk_tables(h, w, S)
             while len(exp) < stop:
                 n = len(exp)
                 block = exp[n - stride:min(n, stop - stride)]
-                if p == 2:
-                    exp.extend([lo[c & mask] ^ hi[c >> w] for c in block])
+                if M == 1:
+                    exp.fromlist([c * h[0] % p for c in block])
+                elif p == 2:
+                    exp.fromlist([lo[c & mask] ^ hi[c >> w] for c in block])
                 else:
-                    exp.extend([r0[(v := lo[c % P] + hi[c // P]) & m]
-                                + r1[v >> k1 & m] + r2[v >> k2]
-                                for c in block])
+                    exp.fromlist([r0[(v := lo[c % P] + hi[c // P]) & m]
+                                  + r1[v >> k1 & m] + r2[v >> k2]
+                                  for c in block])
         if _poly_mulmod(_code_to_vec(exp[-1], p, M), g, f, p) != (1,):
             raise RuntimeError("generator order mismatch")  # pragma: no cover
         log = array("i", [LOG_ZERO]) * q
         for k, c in enumerate(exp):
             log[c] = k
-        if p == 2:
-            zech = [log[c ^ 1] for c in exp]
-        else:
-            top = p - 1
-            zech = [log[c + 1 if c % p != top else c - top] for c in exp]
+        zech = array("i")
+        top = p - 1
+        for n in range(0, Q, _ZECH_CHUNK):
+            chunk = exp[n:n + _ZECH_CHUNK]
+            if p == 2:
+                zech.fromlist([log[c ^ 1] for c in chunk])
+            else:
+                zech.fromlist([log[c + 1 if c % p != top else c - top]
+                               for c in chunk])
         self._exp, self._log, self._zech = exp, log, zech
         # log of -1, used for subtraction; in characteristic 2 it is 0.
         self._neg_log = 0 if p == 2 else Q // 2

@@ -18,6 +18,7 @@ norms of the cyclic algebra and the PGL_3 descent checks are built on it.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from math import isqrt
 from typing import Iterable, Optional, Sequence
 
@@ -74,6 +75,62 @@ def _frob_log(t: FieldTower, la: int, e: int) -> int:
     if la == LOG_ZERO or t.q == 2:
         return la
     return la * t._frob_exp[e % t.M] % (t.q - 1)
+
+
+def _terms(logs: Sequence[int], start: int = 0) -> list[tuple[int, int]]:
+    """(index, log) of the nonzero entries of a log window, indices from
+    start."""
+    return [(k, lg) for k, lg in enumerate(logs, start) if lg != LOG_ZERO]
+
+
+def _sum_of_products(t: FieldTower, n: int, groups) -> list[int]:
+    """Logs of the first n coefficients of the sum, over (outer, inner) in
+    groups, of c*e*T^(i + k) for (i, c) in outer and (k, e) in inner; each
+    holds (index, log) of nonzero terms in increasing index.
+
+    In characteristic 2 the sums are taken over codes, where addition is
+    XOR: each pair costs one read of exp at la + lb - Q, which indexing
+    wraps to (la + lb) mod Q since exp has Q entries, and the codes turn
+    back into logs once at the end.  For odd p the sums are taken over
+    logs, each pair adding in through Zech.  The pairs of one outer term
+    stop at the truncation, so callers put the factor with fewer terms
+    outside.
+    """
+    Q = t.q - 1
+    if t.p == 2:
+        exp = t._exp
+        buf = [0] * n
+        for outer, inner in groups:
+            last = inner[-1][0] if inner else 0
+            for i, la in outer:
+                room = n - i
+                if room <= 0:
+                    break
+                la -= Q
+                for k, lb in (inner if last < room
+                              else inner[:bisect_left(inner, (room,))]):
+                    buf[i + k] ^= exp[la + lb]
+        log = t._log
+        return [log[c] for c in buf]        # log[0] is LOG_ZERO
+    zech = t._zech
+    buf = [LOG_ZERO] * n
+    for outer, inner in groups:
+        last = inner[-1][0] if inner else 0
+        for i, la in outer:
+            room = n - i
+            if room <= 0:
+                break
+            for k, lb in (inner if last < room
+                          else inner[:bisect_left(inner, (room,))]):
+                lm = (la + lb) % Q
+                k += i
+                cur = buf[k]
+                if cur == LOG_ZERO:
+                    buf[k] = lm
+                else:
+                    z = zech[(lm - cur) % Q]
+                    buf[k] = LOG_ZERO if z == LOG_ZERO else (cur + z) % Q
+    return buf
 
 
 class LaurentSeries:
@@ -213,41 +270,44 @@ class LaurentSeries:
         return self + (-other)
 
     def __mul__(self, other: LaurentSeries) -> LaurentSeries:
+        """The product, with val = self.val + other.val and precision
+        min(self.prec + other.val, other.prec + self.val).
+
+        A monomial factor only shifts the other's logs.  In characteristic
+        2 a square, two factors with equal log windows whatever their val
+        and prec, is sum c_k^2 T^(2k): (x + y)^2 = x^2 + y^2 leaves no
+        cross terms, so each log doubles and lands at twice its index.
+        Other products loop over the nonzero terms of the factor with
+        fewer of them, each against the other's nonzero terms up to the
+        truncation (``_sum_of_products``).  In characteristic 2 the term
+        products are summed as codes by XOR, one exp read per pair, and the
+        sums turn back into logs once; for odd p each adds in through Zech.
+        """
         self._require_compatible(other)
         t = self.tower
-        if not self.logs or not other.logs:
-            prec = min(self.prec + other.val, other.prec + self.val)
-            return LaurentSeries.zero(t, self.j, prec)
         prec = min(self.prec + other.val, other.prec + self.val)
-        lo = self.val + other.val
-        Q = t.q - 1
         alogs, blogs = self.logs, other.logs
+        if not alogs or not blogs:
+            return LaurentSeries.zero(t, self.j, prec)
+        lo = self.val + other.val
+        n = prec - lo
+        Q = t.q - 1
         if len(alogs) == 1 or len(blogs) == 1:
             # a monomial factor c*T^v: one term per coefficient, no sums
             (c,), rest = (alogs, blogs) if len(alogs) == 1 else (blogs, alogs)
             out = [lg if lg == LOG_ZERO else (lg + c) % Q
-                   for lg in rest[:prec - lo]]
+                   for lg in rest[:n]]
             return LaurentSeries(t, self.j, lo, out, prec, _checked=True)
-        out = [LOG_ZERO] * (prec - lo)
-        zech = t._zech
-        av, bv = self.val, other.val
-        for ia, la in enumerate(alogs):
-            if la == LOG_ZERO:
-                continue
-            base = av + ia + bv - lo
-            top = min(len(blogs), prec - lo - base)
-            for ib in range(top):
-                lb = blogs[ib]
-                if lb == LOG_ZERO:
-                    continue
-                lm = (la + lb) % Q
-                k = base + ib
-                cur = out[k]
-                if cur == LOG_ZERO:
-                    out[k] = lm
-                else:
-                    z = zech[(lm - cur) % Q]
-                    out[k] = LOG_ZERO if z == LOG_ZERO else (cur + z) % Q
+        if t.p == 2 and alogs == blogs:
+            out = [LOG_ZERO] * n
+            half = [lg if lg == LOG_ZERO else 2 * lg % Q
+                    for lg in alogs[:(n + 1) // 2]]
+            out[:2 * len(half):2] = half
+            return LaurentSeries(t, self.j, lo, out, prec, _checked=True)
+        if (len(alogs) - alogs.count(LOG_ZERO)
+                > len(blogs) - blogs.count(LOG_ZERO)):
+            alogs, blogs = blogs, alogs
+        out = _sum_of_products(t, n, ((_terms(alogs), _terms(blogs)),))
         return LaurentSeries(t, self.j, lo, out, prec, _checked=True)
 
     def scale(self, c: FFElement) -> LaurentSeries:
@@ -556,31 +616,17 @@ def _compose_unit(coeffs: Sequence[int], target: LaurentSeries, prec: int,
         powers.append(target.truncate(prec))
     while len(powers) <= m:
         powers.append((powers[-1] * powers[1]).truncate(prec))
-    Q = t.q - 1
-    zech = t._zech
+    terms = [_terms(pw.logs, pw.val) for pw in powers[:m]]
     acc = None
     for start in range((n - 1) // m * m, -1, -m):
-        out = [LOG_ZERO] * prec
+        # the block sum_r c_r t^r, plus acc * t^m (times 1) from the second on
+        groups = [(((0, c),), terms[r])
+                  for r, c in enumerate(coeffs[start:start + m]) if c != LOG_ZERO]
         if acc is not None:
             prod = acc * powers[m]
-            head = prod.logs[:max(prec - prod.val, 0)]
-            out[prod.val:prod.val + len(head)] = head
-        for r, c in enumerate(coeffs[start:start + m]):
-            if c == LOG_ZERO:
-                continue
-            pw = powers[r]
-            k = pw.val
-            for lg in pw.logs:
-                if lg != LOG_ZERO:
-                    lm = (lg + c) % Q
-                    cur = out[k]
-                    if cur == LOG_ZERO:
-                        out[k] = lm
-                    else:
-                        z = zech[(lm - cur) % Q]
-                        out[k] = LOG_ZERO if z == LOG_ZERO else (cur + z) % Q
-                k += 1
-        acc = LaurentSeries(t, j, 0, out, prec, _checked=True)
+            groups.append((((0, 0),), _terms(prod.logs, prod.val)))
+        acc = LaurentSeries(t, j, 0, _sum_of_products(t, prec, groups), prec,
+                            _checked=True)
     return acc
 
 

@@ -9,7 +9,7 @@ import jsonschema
 import pytest
 
 from autsplit.cli import main, parse_series
-from autsplit.gftower import build_tower, subfield_generator
+from autsplit.gftower import PRIME_TEST_BOUND, build_tower, subfield_generator
 
 
 def run_cli(argv):
@@ -61,6 +61,18 @@ def test_split_check_exit_codes():
                                       "--d", "2", "--p", "2", "--i", "127"])
     assert code == 1 and doc["result"] == {"verdict": "NON-SPLIT",
                                            "witness_subfield_degree": 2}
+
+
+def test_split_check_large_prime_characteristic(capsys):
+    # 2^61 - 1 needs no field table, and its primality test is immediate
+    code, doc = validate_json_output(["split-check", "--charp", "--n", "1",
+                                      "--d", "3", "--p", str(2 ** 61 - 1),
+                                      "--i", "1"])
+    assert code == 1 and doc["result"]["verdict"] == "NON-SPLIT"
+    # above the bound of the primality test, --p is refused, naming it
+    code, err = run_cli_usage(["split-check", "--charp", "--n", "1", "--d", "3",
+                               "--p", str(PRIME_TEST_BOUND), "--i", "1"], capsys)
+    assert code == 2 and str(PRIME_TEST_BOUND) in err and "Traceback" not in err
 
 
 def test_descent_form_cli():

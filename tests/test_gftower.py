@@ -2,15 +2,17 @@ import hashlib
 import random
 import sys
 from array import array
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from autsplit.gftower import (LOG_ZERO, FFElement, NormNotOne, NotDivisor,
-                              NotInSubfield, NotPrime, Overflow, build_tower,
-                              frobenius, hilbert90_solve, in_subfield,
-                              relative_norm, relative_trace, subfield_generator)
+from autsplit.gftower import (LOG_ZERO, PRIME_TEST_BOUND, FFElement,
+                              NormNotOne, NotDivisor, NotInSubfield, NotPrime,
+                              Overflow, _is_prime, build_tower, frobenius,
+                              hilbert90_solve, in_subfield, relative_norm,
+                              relative_trace, subfield_generator)
 
 
 # -- element helpers -----------------------------------------------------
@@ -99,6 +101,33 @@ def test_overflow():
         build_tower(2, 5, 5, 5)
 
 
+def trial_division_is_prime(n):
+    return n >= 2 and all(n % q for q in range(2, isqrt(n) + 1))
+
+
+def test_is_prime_matches_trial_division():
+    assert [n for n in range(100_000) if _is_prime(n)] == \
+        [n for n in range(100_000) if trial_division_is_prime(n)]
+
+
+def test_is_prime_large_inputs():
+    # Carmichael numbers fool the Fermat test to every coprime base; the
+    # Chernick ones (6k+1)(12k+1)(18k+1) here have no factor below 41
+    for n in (561, 1105, 1729, 41041, 9746347772161, 56052361, 118901521,
+              172947529, 216821881, 228842209):
+        assert not _is_prime(n)
+    # the least strong pseudoprimes to all prime bases up to 31 and up to
+    # 37; bases 37 and 41 catch them
+    assert not _is_prime(3825123056546413051)
+    assert not _is_prime(318665857834031151167461)
+    for n in (2 ** 61 - 1, 2 ** 31 - 1, 1_000_003, 2 ** 64 - 59):
+        assert _is_prime(n)
+    assert not _is_prime(1_000_003 * (2 ** 61 - 1))
+    assert not _is_prime(PRIME_TEST_BOUND - 2)
+    with pytest.raises(ValueError):
+        _is_prime(PRIME_TEST_BOUND)
+
+
 def test_modulus_is_irreducible_brute():
     # no monic factor of degree 1..M//2 divides the modulus (naive check)
     t = build_tower(3, 1, 2, 2)
@@ -128,7 +157,7 @@ def test_modulus_is_irreducible_brute():
 
 @pytest.mark.parametrize("p,M", [(2, 1), (3, 1), (2, 2), (2, 3), (3, 2), (5, 2),
                                  (3, 3), (7, 2), (2, 10), (2, 11), (3, 5),
-                                 (3, 7), (5, 4), (7, 3)])
+                                 (3, 7), (5, 4), (7, 3), (1031, 1), (4099, 1)])
 def test_tables_match_polynomial_powers(p, M):
     # step g^k by raw polynomial multiplication; 1 + g^k by adding 1 to
     # the constant coefficient
@@ -169,6 +198,11 @@ def table_digest(tower):
      "e2a913845e4a4afcbf923c83481b99b4c1b6a07821e72c52a1be2890121547d5"),
     ((7, 3, 1, 1), (2, 0, 0, 1), 22,
      "73d5578c3b0d9466c56152f0af665cc1380fdee0ff57ab7f6ca6bc4803effa1d"),
+    # prime fields, whose exp table is stepped by c * g^s mod p
+    ((65521, 1, 1, 1), (0, 1), 17,
+     "b7291ca803a475e8ff589583a99b05dd968176d8dfc7a9ca9292345a652d1d2a"),
+    ((1000003, 1, 1, 1), (0, 1), 2,
+     "97b4348e2c2fb684a4484e03df431e95427716ecdf2813a58dc9f6d41bb10ef8"),
 ])
 def test_tables_pinned(key, modulus, g_code, digest):
     # modulus, generator and the SHA-256 of the little-endian int32 exp,

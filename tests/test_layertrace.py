@@ -1,14 +1,18 @@
 """The benchmark's layer tracer reaches into the package by name: it wraps
-the functions listed in benchmark/layertrace.py and counts algebra-matrix
-entry pairs through the dense ``rows`` view.  These tests load that file
-read-only, so a refactor that breaks the traced run shows here."""
+the functions listed in benchmark/layertrace.py, counts algebra-matrix
+entry pairs through the dense ``rows`` view and series term pairs from the
+log windows.  These tests load that file read-only, so a refactor that
+breaks the traced run, or changes what a counter means, shows here."""
 
 import importlib
+import random
 import types
 from pathlib import Path
 
 from autsplit.cyclic import AlgebraElement, AlgebraMatrix
+from autsplit.gftower import LOG_ZERO, build_tower
 from autsplit.sections import SectionContext
+from autsplit.series import LaurentSeries
 
 LAYERTRACE = Path(__file__).resolve().parents[1] / "benchmark" / "layertrace.py"
 
@@ -56,3 +60,37 @@ def test_matrix_entry_pairs_counts_the_products_made(monkeypatch):
         A * B
         monkeypatch.setattr(AlgebraElement, "__mul__", product)
         assert len(made) == stored
+
+
+def schoolbook_pairs(a, b):
+    """The nonzero coefficient pairs the schoolbook product multiplies:
+    every (ia, ib) with both logs nonzero and ia + ib below the product's
+    relative precision min(a.prec - a.val, b.prec - b.val)."""
+    if not a.logs or not b.logs:
+        return 0
+    room = min(a.prec + b.val, b.prec + a.val) - a.val - b.val
+    return sum(1 for ia, la in enumerate(a.logs) if la != LOG_ZERO
+               for ib, lb in enumerate(b.logs[:max(room - ia, 0)])
+               if lb != LOG_ZERO)
+
+
+def test_series_term_pairs_counts_the_schoolbook_pairs():
+    # the counter measures the work a product asks for, whatever route the
+    # product takes: squares, sparse factors, truncation, empty windows
+    lt = load_layertrace()
+    rng = random.Random(9)
+    tower = build_tower(2, 2, 3, 1)
+    step = (tower.q - 1) // 3
+    for _ in range(300):
+        density = rng.choice((1.0, 0.5, 0.125, 0.0))
+        windows = []
+        for _ in range(2):
+            n = rng.randrange(1, 30)
+            logs = [rng.randrange(3) * step if rng.random() < density
+                    else LOG_ZERO for _ in range(n)]
+            windows.append((rng.randrange(-4, 5), logs, n + rng.randrange(-6, 10)))
+        if rng.random() < 0.3:
+            windows[1] = (rng.randrange(-4, 5),) + windows[0][1:]  # a square
+        a, b = (LaurentSeries(tower, 2, v, logs, v + prec)
+                for v, logs, prec in windows)
+        assert lt._series_term_pairs(a, b) == schoolbook_pairs(a, b), (a, b)

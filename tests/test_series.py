@@ -101,6 +101,133 @@ def test_constant_arithmetic_matches_field(c1, c2, c3):
     assert (s1 * s2 + s3).coeff(0) == x1 * x2 + x3
 
 
+# -- the product kernel -------------------------------------------------------
+
+def schoolbook_mul(a, b):
+    """Reference: the product as a double loop over the log windows, each
+    term added in through Zech, with val a.val + b.val and precision
+    min(a.prec + b.val, b.prec + a.val).  The package's product must give
+    the same val, logs and prec in every characteristic."""
+    t = a.tower
+    prec = min(a.prec + b.val, b.prec + a.val)
+    if not a.logs or not b.logs:
+        return LaurentSeries.zero(t, a.j, prec)
+    lo = a.val + b.val
+    Q = t.q - 1
+    out = [LOG_ZERO] * max(prec - lo, 0)
+    for ia, la in enumerate(a.logs):
+        if la == LOG_ZERO:
+            continue
+        for ib in range(min(len(b.logs), prec - lo - ia)):
+            lb = b.logs[ib]
+            if lb == LOG_ZERO:
+                continue
+            lm = (la + lb) % Q
+            cur = out[ia + ib]
+            if cur == LOG_ZERO:
+                out[ia + ib] = lm
+            else:
+                z = t._zech[(lm - cur) % Q]
+                out[ia + ib] = LOG_ZERO if z == LOG_ZERO else (cur + z) % Q
+    return LaurentSeries(t, a.j, lo, out, prec, _checked=True)
+
+
+def random_window(tower, j, rng, length, density):
+    """Logs of `length` coefficients in F_{p^j}, each nonzero with
+    probability `density`, the first and last nonzero."""
+    step = (tower.q - 1) // (tower.p ** j - 1)
+    return [rng.randrange(tower.p ** j - 1) * step
+            if k in (0, length - 1) or rng.random() < density else LOG_ZERO
+            for k in range(length)]
+
+
+# (tower, subfield): F_2 (Q = 1), F_4, F_9, F_25, and F_{2^21} with its
+# subfield F_{2^7}, the tables synth-deep multiplies over
+KERNEL_FIELDS = pytest.mark.parametrize("tower,j", [
+    (build_tower(2, 1, 1, 1), 1), (T4, 2), (T3, 2), (build_tower(5, 1, 2, 1), 2),
+    (build_tower(2, 7, 3, 1), 7)], ids=["F2", "F4", "F9", "F25", "F2^21"])
+
+
+@KERNEL_FIELDS
+def test_mul_matches_schoolbook(tower, j):
+    rng = random.Random(tower.q)
+    for density in (1.0, 0.5, 0.125, 0.0):
+        for _ in range(12):
+            la, lb = rng.randrange(1, 40), rng.randrange(1, 40)
+            a = LaurentSeries(tower, j, rng.randrange(-5, 6),
+                              random_window(tower, j, rng, la, density),
+                              rng.randrange(la - 5, la + 20))
+            b = LaurentSeries(tower, j, rng.randrange(-5, 6),
+                              random_window(tower, j, rng, lb, rng.choice(
+                                  (density, 1.0, 0.125))),
+                              rng.randrange(lb - 5, lb + 20))
+            assert shape(a * b) == shape(schoolbook_mul(a, b)), (a, b)
+            assert shape(b * a) == shape(schoolbook_mul(b, a)), (a, b)
+
+
+@KERNEL_FIELDS
+def test_squares_match_schoolbook(tower, j):
+    # equal log windows with the same or a different val and precision;
+    # in characteristic 2 these take the square path
+    rng = random.Random(3 * tower.q)
+    squares = 0
+    for density in (1.0, 0.5, 0.125):
+        for length in (2, 3, 8, 33):
+            logs = random_window(tower, j, rng, length, density)
+            for va, vb in ((0, 0), (-3, 2), (4, -1)):
+                for pa, pb in ((length, length), (length + 7, length + 2),
+                               (length - 1, length + 30),
+                               (length // 2 + 1, length)):
+                    a = LaurentSeries(tower, j, va, logs, va + pa)
+                    b = LaurentSeries(tower, j, vb, logs, vb + pb)
+                    squares += a.logs == b.logs
+                    assert shape(a * b) == shape(schoolbook_mul(a, b)), (a, b)
+                    assert shape(a * a) == shape(schoolbook_mul(a, a)), a
+    assert squares >= 24
+
+
+@KERNEL_FIELDS
+def test_mul_edge_windows_match_schoolbook(tower, j):
+    gen = subfield_generator(tower, j)
+    one = LaurentSeries.one(tower, j, 10)
+    dense = LaurentSeries(tower, j, -4, [gen.log] * 9, 5)
+    cases = [
+        (LaurentSeries.zero(tower, j, 6), dense),        # an empty window
+        (dense, LaurentSeries.zero(tower, j, -20)),      # prec - lo <= 0
+        (LaurentSeries.zero(tower, j, -3), LaurentSeries.zero(tower, j, 2)),
+        (LaurentSeries.T_power(tower, j, -7, 3), dense),  # a monomial
+        (dense, LaurentSeries.T_power(tower, j, 2, 2)),
+        (dense, dense),
+        (dense, one + LaurentSeries.T_power(tower, j, 1, 10)),
+        (LaurentSeries(tower, j, -2, [0, LOG_ZERO, LOG_ZERO, gen.log], 2),
+         LaurentSeries(tower, j, 1, [gen.log, LOG_ZERO, 0], 40)),
+    ]
+    for a, b in cases:
+        assert shape(a * b) == shape(schoolbook_mul(a, b)), (a, b)
+        assert shape(b * a) == shape(schoolbook_mul(b, a)), (a, b)
+
+
+def test_mul_loops_over_the_sparser_factor(monkeypatch):
+    # the outer loop runs over the factor with fewer nonzero terms, so
+    # each of its terms walks the longer list of the other's
+    import autsplit.series as series
+    seen = []
+    kernel = series._sum_of_products
+
+    def recording(t, n, groups):
+        seen.extend((len(outer), len(inner)) for outer, inner in groups)
+        return kernel(t, n, groups)
+
+    monkeypatch.setattr(series, "_sum_of_products", recording)
+    gen = subfield_generator(T4, 2)
+    dense = LaurentSeries(T4, 2, 0, [gen.log] * 16, 16)
+    sparse = LaurentSeries(T4, 2, 0, [0] + [LOG_ZERO] * 7 + [0], 16)
+    for a, b in ((dense, sparse), (sparse, dense)):
+        seen.clear()
+        a * b
+        assert seen == [(2, 16)]
+
+
 # -- coefficientwise Frobenius ---------------------------------------------
 
 def test_frobenius_coeffwise_trivial():
