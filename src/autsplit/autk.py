@@ -19,16 +19,9 @@ from .series import (LaurentSeries, frobenius_coeffwise, reversion,
 
 
 class LocalFieldAuto:
-    """Automorphism of F_{p^j}((T)): coefficient Frobenius power + T-image.
+    """Automorphism of F_{p^j}((T)): coefficient Frobenius power + T-image."""
 
-    ``_powers`` is the power cache: (P, [t^0, t^1, ...]), the baby powers
-    of the T-image t truncated at T^P that ``substitute`` last built, so
-    every series of working precision P that one automorphism maps shares
-    them.  It is replaced when a series needs another P, and ``__eq__``
-    ignores it.
-    """
-
-    __slots__ = ("tower", "j", "e", "image_of_T", "prec", "_powers")
+    __slots__ = ("tower", "j", "e", "image_of_T", "prec")
 
     def __init__(self, tower: FieldTower, j: int, e: int,
                  image_of_T: LaurentSeries):
@@ -41,7 +34,6 @@ class LocalFieldAuto:
         self.e = e % j
         self.image_of_T = image_of_T
         self.prec = image_of_T.prec
-        self._powers = (None, None)
 
     # -- constructors -----------------------------------------------------
 
@@ -71,10 +63,7 @@ class LocalFieldAuto:
         twisted = frobenius_coeffwise(s, self.e) if self.e else s
         if self.is_torus_trivial():
             return twisted.truncate(min(twisted.prec, self.prec))
-        prec = min(twisted.prec, self.prec)
-        if self._powers[0] != prec:
-            self._powers = (prec, [])
-        return substitute(twisted, self.image_of_T, self._powers[1])
+        return substitute(twisted, self.image_of_T)
 
     def is_torus_trivial(self) -> bool:
         img = self.image_of_T

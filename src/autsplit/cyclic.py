@@ -423,7 +423,7 @@ def generator_matrices(alg: CyclicAlgebra, n: int) -> list[AlgebraMatrix]:
 
 
 def acts_like(f1: SemilinearAuto, f2: SemilinearAuto,
-              gens: Iterable[AlgebraMatrix] | None = None) -> bool:
+              gens: Iterable[AlgebraMatrix]) -> bool:
     """Equality as automorphisms: f1(G) == f2(G) for every generator G.
 
     f(M) = g phi~(M) g^-1 is additive in M, so an elementary generator
@@ -434,16 +434,11 @@ def acts_like(f1: SemilinearAuto, f2: SemilinearAuto,
     of the two comparisons fails.  Scalar generators, and any other matrix
     passed in ``gens``, are pushed through ``apply``.
     """
-    if gens is None:
-        gens = generator_matrices(f1.alg, f1.n)
     return _same_images(f1, f2, gens)
 
 
-def acts_trivially(f: SemilinearAuto,
-                   gens: Iterable[AlgebraMatrix] | None = None) -> bool:
+def acts_trivially(f: SemilinearAuto, gens: Iterable[AlgebraMatrix]) -> bool:
     """f(G) == G for every generator G, compared as in ``acts_like``."""
-    if gens is None:
-        gens = generator_matrices(f.alg, f.n)
     return _same_images(f, None, gens)
 
 

@@ -184,13 +184,11 @@ def _is_irreducible(f, p):
     if m < 1:
         return False
     x = (0, 1)
-    # x^(p^m) == x mod f, and x^(p^(m/q)) - x coprime to f for prime q | m.
-    xp = _poly_powmod(x, p, f, p)
+    # x^(p^m) == x mod f, and x^(p^(m/q)) - x coprime to f for prime q | m;
+    # x^(p^(k+1)) = (x^(p^k))^p mod f.
     frob = [x]
-    cur = x
     for _ in range(m):
-        cur = _poly_compose_mod(cur, xp, f, p)
-        frob.append(cur)
+        frob.append(_poly_powmod(frob[-1], p, f, p))
     if _poly_trim(_poly_sub(frob[m], x, p)) != ():
         return False
     for q in _prime_factors(m):
@@ -204,20 +202,6 @@ def _poly_sub(a, b, p):
     n = max(len(a), len(b))
     return _poly_trim([((a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)) % p
                        for i in range(n)])
-
-
-def _poly_compose_mod(a, g, f, p):
-    # a(g) mod f by Horner.
-    res: tuple[int, ...] = ()
-    for coeff in reversed(a):
-        res = _poly_mulmod(res, g, f, p)
-        base = list(res) if res else []
-        if coeff:
-            if not base:
-                base = [0]
-            base[0] = (base[0] + coeff) % p
-        res = _poly_trim(base)
-    return res
 
 
 def _code_to_vec(code: int, p: int, m: int) -> tuple[int, ...]:

@@ -259,10 +259,9 @@ def section_J(ctx: SectionContext, alpha: LocalFieldAuto) -> SemilinearAuto:
 
 def section_Ca(ctx: SectionContext, j: int) -> SemilinearAuto:
     """Section on C_a = <ev(zeta^b T)>: inner diag of z-powers, twist z^(b'j)."""
-    alg, t = ctx.algebra, ctx.tower
+    alg = ctx.algebra
     scalar = ctx.zeta ** (ctx.b * j)
-    alphaE = extend_auto(LocalFieldAuto.ev(scalar, ctx.i, ctx.prec), ctx.jE) \
-        if scalar.log != 0 else LocalFieldAuto.identity(t, ctx.jE, ctx.prec)
+    alphaE = extend_auto(LocalFieldAuto.ev(scalar, ctx.i, ctx.prec), ctx.jE)
     twist = LaurentSeries.constant(ctx.z ** (ctx.b2 * j), ctx.jE, ctx.prec)
     if ctx.z.log == 0:
         return SemilinearAuto(alg, ctx.n, None, alphaE, twist)
@@ -280,10 +279,9 @@ def section_Cb(ctx: SectionContext, j: int) -> SemilinearAuto:
 
     The inner part repeats the embedded image of y^(-j) and the twist is
     (F^i(y)/y)^j, whose unramified norm is zeta^(arj)."""
-    alg, t = ctx.algebra, ctx.tower
+    alg = ctx.algebra
     scalar = ctx.zeta ** (ctx.a * j)
-    alphaE = extend_auto(LocalFieldAuto.ev(scalar, ctx.i, ctx.prec), ctx.jE) \
-        if scalar.log != 0 else LocalFieldAuto.identity(t, ctx.jE, ctx.prec)
+    alphaE = extend_auto(LocalFieldAuto.ev(scalar, ctx.i, ctx.prec), ctx.jE)
     twist = LaurentSeries.constant(ctx.x_hat ** j, ctx.jE, ctx.prec)
     if ctx.b == 1:
         return SemilinearAuto(alg, ctx.n, None, alphaE, twist)
@@ -318,7 +316,7 @@ def section_Cbprime(ctx: SectionContext, j: int) -> SemilinearAuto:
     W = ctx.matrix_w()
     u_inv_mat = AlgebraMatrix.scalar_matrix(alg.u().inverse(), ctx.n)
     W_inv = (W ** (ctx.b2 - 1)) * u_inv_mat if ctx.b2 > 1 else u_inv_mat
-    k = j % ctx.b2 if ctx.b2 > 0 else 0
+    k = j % ctx.b2
     extra = (j - k) // ctx.b2
     # W^j = (u Id)^extra W^k; keep the u-power explicit so negative j and
     # large j stay cheap and exact
@@ -453,11 +451,6 @@ def _conj(f, g, f_inv):
     return compose_semilinear(compose_semilinear(f, g), f_inv)
 
 
-def _ev_k(ctx, scalar):
-    return LocalFieldAuto.ev(scalar, ctx.i, ctx.prec) if scalar.log != 0 \
-        else LocalFieldAuto.identity(ctx.tower, ctx.i, ctx.prec)
-
-
 def verify_section(ctx: SectionContext, samples: int = 20,
                    seed: int = 0) -> VerificationReport:
     """Run every verifiable identity of the construction and report."""
@@ -511,7 +504,8 @@ def verify_section(ctx: SectionContext, samples: int = 20,
                     section_J(ctx, conj))
         return pair
 
-    ev = lambda e: lambda j: _ev_k(ctx, ctx.zeta ** (e * j))
+    ev = lambda e: lambda j: LocalFieldAuto.ev(
+        ctx.zeta ** (e * j), ctx.i, ctx.prec)
     frob = lambda e: lambda j: LocalFieldAuto.frobenius_power(
         ctx.tower, ctx.i, e * j, ctx.prec)
     relations = [

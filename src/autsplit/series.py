@@ -558,8 +558,7 @@ def frobenius_coeffwise(s: LaurentSeries, e: int) -> LaurentSeries:
                       tuple([_frob_log(t, lg, e) for lg in s.logs]), s.prec)
 
 
-def substitute(s: LaurentSeries, target: LaurentSeries,
-               powers: Optional[list] = None) -> LaurentSeries:
+def substitute(s: LaurentSeries, target: LaurentSeries) -> LaurentSeries:
     """s(T -> target) for a uniformiser image target (valuation exactly 1).
 
     Brent-Kung baby-step/giant-step composition.  With P = min(s.prec,
@@ -567,12 +566,11 @@ def substitute(s: LaurentSeries, target: LaurentSeries,
     (only n <= P terms can reach below T^P), take m = ceil(sqrt(n)), the
     baby powers t^0 ... t^m of t = target truncated at T^P, cut u into
     blocks of m coefficients, form each block sum_r c_{bm+r} t^r from
-    scaled baby powers, and run Horner in t^m over the blocks.  That is
-    about 2*sqrt(n) series products, against n for Horner in t, so
-    O(sqrt(n)*M(n)) with M(n) the cost of one product.  ``powers``, when
-    given, is a list of baby powers at this P that the call extends in
-    place, so one automorphism applied to many series builds them once
-    (see ``LocalFieldAuto``).
+    scaled baby powers, and run Horner in t^m over the blocks, each giant
+    step acc * t^m summed in one pass with its block.  That is about
+    2*sqrt(n) series products, against n for Horner in t, so
+    O(sqrt(n)*M(n)) with M(n) the cost of one product.  Each call builds
+    its own baby powers and keeps nothing.
 
     The output is what Horner's rule in t gives, as a value and in its
     (val, logs, prec).  Horner ends on the constant c_0 != 0 added at
@@ -595,39 +593,44 @@ def substitute(s: LaurentSeries, target: LaurentSeries,
     if prec <= 0:
         res = LaurentSeries.zero(t, s.j, prec)
     else:
-        res = _compose_unit(s.logs[:prec], target, prec,
-                            [] if powers is None else powers)
+        res = _compose_unit(s.logs[:prec], target, prec)
     if s.val:
         res = res * (target ** s.val if s.val > 0
                      else target.inverse() ** (-s.val))
     return res.truncate(min(res.prec, prec))
 
 
-def _compose_unit(coeffs: Sequence[int], target: LaurentSeries, prec: int,
-                  powers: list) -> LaurentSeries:
+def _compose_unit(coeffs: Sequence[int], target: LaurentSeries,
+                  prec: int) -> LaurentSeries:
     """sum_k coeffs[k] * target^k mod T^prec (prec >= 1), with precision
-    exactly prec; ``powers`` holds target^0, target^1, ... truncated at
-    prec and is extended in place."""
+    exactly prec.
+
+    The baby powers are built by halves, t^k = t^(k//2) * t^(k - k//2):
+    the same values as t^(k-1) * t, but in characteristic 2 every even
+    power is then a square, which ``LaurentSeries.__mul__`` takes by
+    Frobenius.  The giant step acc * t^m is one more group of each block's
+    ``_sum_of_products``, so acc stays a list of logs from block to block
+    and one series is built at the end.
+    """
     t, j = target.tower, target.j
     n = len(coeffs)
     m = isqrt(n - 1) + 1                      # ceil(sqrt(n))
-    if not powers:
-        powers.append(LaurentSeries.one(t, j, prec))
-        powers.append(target.truncate(prec))
-    while len(powers) <= m:
-        powers.append((powers[-1] * powers[1]).truncate(prec))
-    terms = [_terms(pw.logs, pw.val) for pw in powers[:m]]
+    powers = [LaurentSeries.one(t, j, prec), target.truncate(prec)]
+    for k in range(2, m + 1):
+        powers.append((powers[k // 2] * powers[k - k // 2]).truncate(prec))
+    terms = [_terms(pw.logs, pw.val) for pw in powers]
+    giant = terms[m]
     acc = None
     for start in range((n - 1) // m * m, -1, -m):
-        # the block sum_r c_r t^r, plus acc * t^m (times 1) from the second on
+        # the block sum_r c_r t^r, plus acc * t^m from the second on
         groups = [(((0, c),), terms[r])
                   for r, c in enumerate(coeffs[start:start + m]) if c != LOG_ZERO]
         if acc is not None:
-            prod = acc * powers[m]
-            groups.append((((0, 0),), _terms(prod.logs, prod.val)))
-        acc = LaurentSeries(t, j, 0, _sum_of_products(t, prec, groups), prec,
-                            _checked=True)
-    return acc
+            prev = _terms(acc)
+            groups.append((prev, giant) if len(prev) <= len(giant)
+                          else (giant, prev))
+        acc = _sum_of_products(t, prec, groups)
+    return LaurentSeries(t, j, 0, acc, prec, _checked=True)
 
 
 def hensel_root(s: LaurentSeries, m: int) -> LaurentSeries:
