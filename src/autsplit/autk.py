@@ -38,10 +38,6 @@ class LocalFieldAuto:
     # -- constructors -----------------------------------------------------
 
     @staticmethod
-    def identity(tower: FieldTower, j: int, prec: int) -> LocalFieldAuto:
-        return LocalFieldAuto(tower, j, 0, LaurentSeries.T_power(tower, j, 1, prec))
-
-    @staticmethod
     def ev(c: FFElement, j: int, prec: int) -> LocalFieldAuto:
         """The torus automorphism T -> c*T (c a nonzero constant)."""
         if not c:

@@ -73,11 +73,15 @@ class CyclicAlgebra:
         return AlgebraElement(self, tuple(comps))
 
     def u(self) -> AlgebraElement:
-        if self.d == 1:
-            return self.scalar(LaurentSeries.T_power(self.tower, self.jE,
-                                                     self.r, self.prec))
-        comps = [LaurentSeries.zero(self.tower, self.jE, self.prec)] * self.d
-        comps[1] = LaurentSeries.one(self.tower, self.jE, self.prec)
+        return self.u_power(1)
+
+    def u_power(self, e: int) -> AlgebraElement:
+        """u^e = u^(e mod d) T^(r*floor(e/d)) exactly, for every integer e:
+        u^d = T^r is central, so no inverse is taken."""
+        d = self.d
+        comps = [LaurentSeries.zero(self.tower, self.jE, self.prec)] * d
+        comps[e % d] = LaurentSeries.T_power(self.tower, self.jE,
+                                             self.r * (e // d), self.prec)
         return AlgebraElement(self, tuple(comps))
 
     def from_components(self, comps: Sequence[LaurentSeries]) -> AlgebraElement:

@@ -6,11 +6,11 @@ Frobenius power, so there are no embedding maps to keep compatible.
 
 Representation.  An element is stored by its discrete logarithm with
 respect to a fixed multiplicative generator ``g`` (``LOG_ZERO`` for 0).
-Multiplication, inversion and Frobenius are exponent arithmetic; addition
-uses a Zech logarithm table.  A second encoding, the *code*, is the
-integer sum(c_j * p^j) of the coefficient vector (c_0, ..., c_{M-1}) in
-the polynomial basis modulo the tower modulus; codes are what gets
-serialized.
+Multiplication, inversion and Frobenius are exponent arithmetic.  A
+second encoding, the *code*, is the integer sum(c_j * p^j) of the
+coefficient vector (c_0, ..., c_{M-1}) in the polynomial basis modulo the
+tower modulus; codes are what gets serialized.  Addition XORs codes in
+characteristic 2 and uses a Zech logarithm table for odd p.
 
 Determinism.  The modulus is the first irreducible monic polynomial of
 degree M in code order (which is exactly lexicographic order on the
@@ -18,15 +18,12 @@ coefficient vector read high-to-low), and ``g`` is the first element in
 code order of multiplicative order p^M - 1.  Tables are built once per
 (p, i, d, b) and cached.
 
-Storage and cost.  ``_exp`` (log -> code), ``_log`` (code -> log) and
-``_zech`` are ``array('i')``, 4 bytes an entry.  Reading an array boxes a
-new int every time, but the loop that reads the tables most, the series
-product in characteristic 2, sums codes read from ``_exp`` and reads no
-Zech entry, so an array ``_zech`` costs no measurable time there.  Building
-the tables takes a constant number of table lookups per element (see
-``FieldTower._build_tables``): about 0.03 s for F_{3^10}, 0.2 s for
-F_{3^12} and for F_{1000003}, and 0.5 s for F_{2^21} in CPython 3.11 on
-one core of a 2-vCPU VM.
+Storage and cost.  ``_exp`` (log -> code), ``_log`` (code -> log) and,
+for odd p only, ``_zech`` are ``array('i')``, 4 bytes an entry: 8 bytes
+an element in characteristic 2, 12 for odd p.  Building the tables takes
+a constant number of table lookups per element (see ``_build_tables``):
+about 0.03 s for F_{3^10}, 0.2 s for F_{3^12} and for F_{1000003}, and
+0.3 s for F_{2^21} in CPython 3.11 on one core of a 2-vCPU VM.
 """
 
 from __future__ import annotations
@@ -37,17 +34,17 @@ from typing import Sequence
 
 LOG_ZERO = -1
 
-# The tables take about 12 bytes per element (three 4-byte array entries),
-# about 25 MB at this size.  The limit bounds that memory; the build time is
-# linear in p^M.
+# The tables take 8 bytes per element in characteristic 2 (exp and log)
+# and 12 for odd p (plus Zech), at most about 25 MB at this size.  The limit
+# bounds that memory; the build time is linear in p^M.
 MAX_FIELD_SIZE = 1 << 21
 
 # Stride, in elements, of the blocks that fill the exp table once it holds
 # that many.
 _BLOCK = 1 << 10
 
-# Zech entries are computed this many at a time, so that no list of all q
-# boxed ints exists while the table is built.
+# Zech entries (odd p only) are computed this many at a time, so that no
+# list of all q boxed ints exists while the table is built.
 _ZECH_CHUNK = 1 << 16
 
 
@@ -222,7 +219,7 @@ def _reduce_table(p: int, S: int, slots: range) -> list[int]:
 
 
 class FieldTower:
-    """The ambient field F_{p^M}, M = i*d*b, with log/Zech tables.
+    """The ambient field F_{p^M}, M = i*d*b, with exp/log tables.
 
     Instances are immutable after construction and safe to share.
     """
@@ -254,7 +251,7 @@ class FieldTower:
         raise RuntimeError("no irreducible polynomial found")  # pragma: no cover
 
     def _build_tables(self):
-        """Fill ``_exp``, ``_log`` and ``_zech`` in O(q) table lookups.
+        """Fill ``_exp``, ``_log`` and (odd p) ``_zech`` in O(q) lookups.
 
         ``_exp`` grows in blocks: the next block is g^s times the s codes
         before it, one code at a time (s = 1) up to _BLOCK codes, then
@@ -274,10 +271,11 @@ class FieldTower:
         In a prime field (M = 1) a code is the element itself, so a block
         step is c * g^s mod p and needs no tables.
 
-        Zech needs only log(1 + g^k), and adding 1 to a code changes its
-        lowest digit alone: c ^ 1 for p = 2, else c + 1, or c - (p - 1)
-        when that digit is p - 1.  It is filled _ZECH_CHUNK entries at a
-        time, so no list of all its boxed ints is ever held.
+        Characteristic 2 adds as log[exp[a] ^ exp[b]] and has no Zech
+        table.  For odd p, Zech needs only log(1 + g^k), and adding 1 to a
+        code changes its lowest digit alone: c + 1, or c - (p - 1) when that
+        digit is p - 1.  It is filled _ZECH_CHUNK entries at a time, so no
+        list of all its boxed ints is ever held.
         """
         p, M, q, f = self.p, self.M, self.q, self.modulus
         self.g_code = self._find_generator_code()
@@ -313,18 +311,17 @@ class FieldTower:
         log = array("i", [LOG_ZERO]) * q
         for k, c in enumerate(exp):
             log[c] = k
+        self._exp, self._log = exp, log
+        # log of -1, used for subtraction; in characteristic 2 it is 0.
+        self._neg_log = 0 if p == 2 else Q // 2
+        if p == 2:
+            return
         zech = array("i")
         top = p - 1
         for n in range(0, Q, _ZECH_CHUNK):
-            chunk = exp[n:n + _ZECH_CHUNK]
-            if p == 2:
-                zech.fromlist([log[c ^ 1] for c in chunk])
-            else:
-                zech.fromlist([log[c + 1 if c % p != top else c - top]
-                               for c in chunk])
-        self._exp, self._log, self._zech = exp, log, zech
-        # log of -1, used for subtraction; in characteristic 2 it is 0.
-        self._neg_log = 0 if p == 2 else Q // 2
+            zech.fromlist([log[c + 1 if c % p != top else c - top]
+                           for c in exp[n:n + _ZECH_CHUNK]])
+        self._zech = zech
 
     def _chunk_tables(self, h, w: int, S: int):
         """Tables lo, hi for multiplication by the polynomial h.
@@ -431,6 +428,8 @@ class FFElement:
             return other
         if lb == LOG_ZERO:
             return self
+        if t.p == 2:
+            return FFElement(t, t._log[t._exp[la] ^ t._exp[lb]])
         z = t._zech[(lb - la) % (t.q - 1)]
         if z == LOG_ZERO:
             return FFElement(t, LOG_ZERO)

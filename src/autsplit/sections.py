@@ -314,20 +314,18 @@ def section_Cbprime(ctx: SectionContext, j: int) -> SemilinearAuto:
     alphaE = LocalFieldAuto.frobenius_power(t, ctx.jE, ctx.a2 * j, ctx.prec)
     one = LaurentSeries.one(t, ctx.jE, ctx.prec)
     W = ctx.matrix_w()
-    u_inv_mat = AlgebraMatrix.scalar_matrix(alg.u().inverse(), ctx.n)
+    u_inv_mat = AlgebraMatrix.scalar_matrix(alg.u_power(-1), ctx.n)
     W_inv = (W ** (ctx.b2 - 1)) * u_inv_mat if ctx.b2 > 1 else u_inv_mat
     k = j % ctx.b2
     extra = (j - k) // ctx.b2
     # W^j = (u Id)^extra W^k; keep the u-power explicit so negative j and
     # large j stay cheap and exact
-    u_pow = AlgebraMatrix.scalar_matrix(alg.u() ** extra, ctx.n) if extra \
-        else None
     Wj = W ** k
     Wj_inv = W_inv ** k
-    if u_pow is not None:
-        u_pow_inv = AlgebraMatrix.scalar_matrix(alg.u() ** (-extra), ctx.n)
-        Wj = Wj * u_pow
-        Wj_inv = u_pow_inv * Wj_inv
+    if extra:
+        Wj = Wj * AlgebraMatrix.scalar_matrix(alg.u_power(extra), ctx.n)
+        Wj_inv = AlgebraMatrix.scalar_matrix(alg.u_power(-extra), ctx.n) \
+            * Wj_inv
     return SemilinearAuto(alg, ctx.n, Wj, alphaE, one, inner_inv=Wj_inv)
 
 

@@ -234,6 +234,9 @@ class LaurentSeries:
             raise ValueError("series live over different fields")
 
     def __add__(self, other: LaurentSeries) -> LaurentSeries:
+        """Where both have a term, characteristic 2 adds by XOR of codes
+        (log[0] is LOG_ZERO, so a cancelling pair needs no test) and odd p
+        through Zech."""
         self._require_compatible(other)
         if not other.logs and other.prec >= self.prec:
             return self
@@ -246,18 +249,26 @@ class LaurentSeries:
         start = self.val - lo
         head = self.logs[:max(prec - self.val, 0)]
         out[start:start + len(head)] = head
-        Q = t.q - 1
-        zech = t._zech
         k = other.val - lo
-        for lb in other.logs[:max(prec - other.val, 0)]:
-            if lb != LOG_ZERO:
-                cur = out[k]
-                if cur == LOG_ZERO:
-                    out[k] = lb
-                else:
-                    z = zech[(lb - cur) % Q]
-                    out[k] = LOG_ZERO if z == LOG_ZERO else (cur + z) % Q
-            k += 1
+        tail = other.logs[:max(prec - other.val, 0)]
+        if t.p == 2:
+            exp, log = t._exp, t._log
+            for lb in tail:
+                if lb != LOG_ZERO:
+                    cur = out[k]
+                    out[k] = lb if cur == LOG_ZERO else log[exp[cur] ^ exp[lb]]
+                k += 1
+        else:
+            Q, zech = t.q - 1, t._zech
+            for lb in tail:
+                if lb != LOG_ZERO:
+                    cur = out[k]
+                    if cur == LOG_ZERO:
+                        out[k] = lb
+                    else:
+                        z = zech[(lb - cur) % Q]
+                        out[k] = LOG_ZERO if z == LOG_ZERO else (cur + z) % Q
+                k += 1
         return LaurentSeries(t, self.j, lo, out, prec, _checked=True)
 
     def __neg__(self) -> LaurentSeries:

@@ -49,7 +49,7 @@ def rand_series(rng, j=2):
 
 def test_identity_acts_trivially():
     rng = random.Random(0)
-    ident = LocalFieldAuto.identity(TW, 2, PREC)
+    ident = LocalFieldAuto.ev(TW.one(), 2, PREC)
     for _ in range(5):
         s = rand_series(rng)
         assert ident(s) == s
@@ -75,7 +75,7 @@ def test_apply_to_negative_valuation():
 def test_compose_with_identity_and_scalars():
     rng = random.Random(1)
     alpha = rand_auto(rng)
-    ident = LocalFieldAuto.identity(TW, 2, PREC)
+    ident = LocalFieldAuto.ev(TW.one(), 2, PREC)
     assert compose_auto(alpha, ident) == alpha
     assert compose_auto(ident, alpha) == alpha
     ev1 = LocalFieldAuto.ev(ZETA, 2, PREC)
@@ -111,7 +111,7 @@ def test_inverse_random():
 
 
 def test_decompose_trivial_cases():
-    ident = LocalFieldAuto.identity(TW, 2, PREC)
+    ident = LocalFieldAuto.ev(TW.one(), 2, PREC)
     j, c, e = decompose_auto(ident)
     assert is_identity(j) and c == TW.one() and e == 0
     ev = LocalFieldAuto.ev(ZETA, 2, PREC)

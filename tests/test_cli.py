@@ -112,6 +112,16 @@ def test_section_synth_small_run():
     assert "VERIFIED" in out
 
 
+@pytest.mark.parametrize("argv", ["--p 2 --i 1 --d 3 --r 2 --n 1 --prec 2",
+                                  "--p 3 --i 1 --d 4 --r 3 --n 2 --prec 3"])
+def test_section_synth_with_r_at_least_prec(argv):
+    # u is singular mod T^prec when r >= prec; section_Cbprime takes its
+    # powers exactly, so these split inputs no longer exit 2
+    code, out = run_cli(["section", "synth"] + argv.split()
+                        + ["--samples", "6", "--seed", "1"])
+    assert code == 0 and "verdict: VERIFIED" in out
+
+
 def test_hanke_cli():
     code, out = run_cli(["hanke", "--p", "2", "--i", "1", "--r", "1",
                          "--alpha", "T+T^2", "--prec", "16"])

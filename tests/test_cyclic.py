@@ -8,8 +8,9 @@ from autsplit.cyclic import (AdmissibilityFailure, AlgebraMatrix,
                              acts_trivially, compose_semilinear,
                              generator_matrices)
 from autsplit.gftower import build_tower, frobenius, subfield_generator
-from autsplit.series import (LaurentSeries, SeriesMatrix, norm_equation_solve,
-                             series_in_subfield, unramified_norm)
+from autsplit.series import (LaurentSeries, NotInvertible, SeriesMatrix,
+                             norm_equation_solve, series_in_subfield,
+                             unramified_norm)
 
 PREC = 16
 
@@ -53,14 +54,14 @@ def phi_auto(alg, n, alphaE, x):
 def intaut(g, g_inv):
     """Conjugation by g."""
     alg = g.alg
-    ident = LocalFieldAuto.identity(alg.tower, alg.jE, alg.prec)
+    ident = LocalFieldAuto.ev(alg.tower.one(), alg.jE, alg.prec)
     one = LaurentSeries.one(alg.tower, alg.jE, alg.prec)
     return SemilinearAuto(alg, g.n, g, ident, one, inner_inv=g_inv,
                           check=False)
 
 
 def identity_semilinear(alg, n):
-    ident = LocalFieldAuto.identity(alg.tower, alg.jE, alg.prec)
+    ident = LocalFieldAuto.ev(alg.tower.one(), alg.jE, alg.prec)
     one = LaurentSeries.one(alg.tower, alg.jE, alg.prec)
     return phi_auto(alg, n, ident, one)
 
@@ -131,6 +132,23 @@ def test_u_power_d_is_uniformiser_power():
         u = alg.u()
         assert u * u ** (d - 1) == alg.scalar(
             LaurentSeries.T_power(alg.tower, alg.jE, r, alg.prec))
+
+
+def test_exact_u_powers():
+    # u_power(e) is the product of e copies of u, or of -e copies of the
+    # inverse that elimination finds while r < prec
+    for (p, i, d, r) in ((2, 1, 3, 1), (3, 1, 2, 1), (2, 2, 3, 2),
+                         (2, 1, 1, 2)):
+        alg = make_algebra(p, i, d, r)
+        u, u_inv = alg.u(), alg.u().inverse()
+        for e in range(-2 * d - 1, 2 * d + 2):
+            assert alg.u_power(e) == (u ** e if e >= 0 else u_inv ** -e), e
+            assert alg.u_power(e) * alg.u_power(-e) == alg.one()
+    # r >= prec: u is singular mod T^prec, yet u^-1 = T^-r u^(d-1) is exact
+    alg = make_algebra(2, 1, 3, 2, prec=2)
+    with pytest.raises(NotInvertible):
+        alg.u().inverse()
+    assert alg.u_power(-1) * alg.u() == alg.u() * alg.u_power(-1) == alg.one()
 
 
 def test_commutative_part_is_series_product():
@@ -305,7 +323,7 @@ def test_phi_is_ring_homomorphism():
 
 def test_admissibility_failure():
     alg = make_algebra(2, 1, 3, 1)
-    ident = LocalFieldAuto.identity(alg.tower, alg.jE, alg.prec)
+    ident = LocalFieldAuto.ev(alg.tower.one(), alg.jE, alg.prec)
     bad = LaurentSeries.T_power(alg.tower, alg.jE, 1, alg.prec)
     with pytest.raises(AdmissibilityFailure):
         phi_auto(alg, 1, ident, bad)
@@ -389,7 +407,7 @@ def test_trivial_central_twist_acts_trivially():
     inner = AlgebraMatrix.scalar_matrix(
         alg.scalar(s_series.inverse()), 2)
     inner_inv = AlgebraMatrix.scalar_matrix(alg.scalar(s_series), 2)
-    ident = LocalFieldAuto.identity(t, 3, alg.prec)
+    ident = LocalFieldAuto.ev(t.one(), 3, alg.prec)
     f = SemilinearAuto(alg, 2, inner, ident, twist, inner_inv=inner_inv,
                        check=False)
     assert acts_trivially(f, generator_matrices(f.alg, f.n))

@@ -49,7 +49,7 @@ def test_cocycle_extension_closes():
 
 def test_trivial_b_trivial_beta_descends():
     tower, _, c = setup(2, 1)
-    ident = LocalFieldAuto.identity(tower, 3, PREC)
+    ident = LocalFieldAuto.ev(tower.one(), 3, PREC)
     b = SeriesMatrix.identity(tower, 3, 3, PREC)
     assert descent_condition_check(c, b, False, ident)
 
@@ -65,7 +65,7 @@ def test_canonical_gamma_twist_descends():
 
 def test_perturbed_b_fails():
     tower, _, c = setup(2, 1)
-    ident = LocalFieldAuto.identity(tower, 3, PREC)
+    ident = LocalFieldAuto.ev(tower.one(), 3, PREC)
     rows = [list(r) for r in SeriesMatrix.identity(tower, 3, 3, PREC).rows]
     z8 = subfield_generator(tower, 3)
     rows[0][1] = LaurentSeries.constant(z8, 3, PREC)   # non-equivariant bump
@@ -75,7 +75,7 @@ def test_perturbed_b_fails():
 
 def test_hanke_identity_automorphism():
     tower, a, _ = setup(2, 1)
-    ident = LocalFieldAuto.identity(tower, 1, PREC)
+    ident = LocalFieldAuto.ev(tower.one(), 1, PREC)
     ok, wit = hanke_test_deg3(1, a, ident)
     assert ok and wit["branch"] == 1
     assert unramified_norm(wit["lambda"], 1, 3) == \

@@ -2,6 +2,7 @@ import hashlib
 import random
 import sys
 from array import array
+from functools import lru_cache
 from math import isqrt
 
 import pytest
@@ -13,6 +14,7 @@ from autsplit.gftower import (LOG_ZERO, PRIME_TEST_BOUND, FFElement,
                               Overflow, _is_prime, build_tower, frobenius,
                               hilbert90_solve, in_subfield, relative_norm,
                               relative_trace, subfield_generator)
+from autsplit.series import LaurentSeries
 
 
 # -- element helpers -----------------------------------------------------
@@ -51,6 +53,27 @@ def poly_mul_mod(a, b, mod, p):
             for t in range(len(mod)):
                 res[k - m + t] = (res[k - m + t] - c * mod[t]) % p
     return res[:m]
+
+
+def poly_pow_mod(a, e, mod, p):
+    acc = [1] + [0] * (len(mod) - 2)
+    while e:
+        if e & 1:
+            acc = poly_mul_mod(acc, a, mod, p)
+        a = poly_mul_mod(a, a, mod, p)
+        e >>= 1
+    return acc
+
+
+@lru_cache(maxsize=None)
+def zech_table(tower):
+    """log(1 + g^k) for each k: the tower's own table for odd p; in
+    characteristic 2 the tower keeps none, so it is derived here as
+    log[exp[k] ^ 1]."""
+    if tower.p != 2:
+        return tower._zech
+    log = tower._log
+    return array("i", [log[c ^ 1] for c in tower._exp])
 
 
 def brute_order(tower, x):
@@ -164,22 +187,24 @@ def test_tables_match_polynomial_powers(p, M):
     t = build_tower(p, M, 1, 1)
     Q, mod = t.q - 1, list(t.modulus)
     g = [t.g_code // p ** j % p for j in range(M)]
-    assert len(t._exp) == len(t._zech) == Q and len(t._log) == t.q
+    zech = zech_table(t)
+    assert len(t._exp) == len(zech) == Q and len(t._log) == t.q
     assert t._log[0] == LOG_ZERO
+    assert hasattr(t, "_zech") == (p != 2)   # characteristic 2 adds by XOR
     cur = [1] + [0] * (M - 1)
     for k in range(Q):
         code = code_of(cur, p)
         assert t._exp[k] == code
         assert t._log[code] == k
         plus_one = code_of([(cur[0] + 1) % p] + cur[1:], p)
-        assert t._zech[k] == (t._log[plus_one] if plus_one else LOG_ZERO)
+        assert zech[k] == (t._log[plus_one] if plus_one else LOG_ZERO)
         cur = poly_mul_mod(cur, g, mod, p)
     assert cur == [1] + [0] * (M - 1)   # g has order exactly q - 1
 
 
 def table_digest(tower):
     h = hashlib.sha256()
-    for tbl in (tower._exp, tower._log, tower._zech):
+    for tbl in (tower._exp, tower._log, zech_table(tower)):
         a = array("i", tbl)
         if sys.byteorder == "big":
             a.byteswap()
@@ -210,6 +235,67 @@ def test_tables_pinned(key, modulus, g_code, digest):
     t = build_tower(*key)
     assert t.modulus == modulus and t.g_code == g_code
     assert table_digest(t) == digest
+
+
+@pytest.mark.parametrize("key,j", [((2, 1, 1, 1), 1), ((2, 2, 1, 1), 2),
+                                   ((2, 11, 1, 1), 11), ((2, 7, 3, 1), 7)],
+                         ids=["F2", "F4", "F2^11", "F2^7<F2^21"])
+def test_char2_addition_matches_vector_sums(key, j):
+    # F_{2^j} as raw polynomial powers of its generator g^step, so the
+    # expected sums read none of the tower's tables
+    t = build_tower(*key)
+    M, mod = t.M, list(t.modulus)
+    step = (t.q - 1) // (2 ** j - 1)
+    h = poly_pow_mod([t.g_code >> s & 1 for s in range(M)], step, mod, 2)
+    vec = {LOG_ZERO: (0,) * M}
+    cur = [1] + [0] * (M - 1)
+    for k in range(2 ** j - 1):
+        vec[k * step] = tuple(cur)
+        cur = poly_mul_mod(cur, h, mod, 2)
+    assert cur == [1] + [0] * (M - 1)
+    log_of = {v: lg for lg, v in vec.items()}
+    logs = sorted(vec)
+
+    def expected(la, lb):
+        return log_of[tuple((x + y) % 2 for x, y in zip(vec[la], vec[lb]))]
+
+    rng = random.Random(j)
+    pairs = ([(a, b) for a in logs for b in logs] if j < 11 else
+             [(a, a) for a in logs] +
+             [(rng.choice(logs), rng.choice(logs)) for _ in range(4000)])
+    for la, lb in pairs:
+        assert (FFElement(t, la) + FFElement(t, lb)).log == expected(la, lb)
+
+    def window(length):
+        return [rng.choice(logs) for _ in range(length)]
+
+    cancelled = 0
+    for _ in range(300):
+        va, wa = rng.randrange(-3, 4), window(rng.randrange(13))
+        pa = va + len(wa) + rng.randrange(-3, 4)
+        if rng.random() < 0.5:      # b shares some or all of a's terms
+            vb, wb = va, [lg if rng.random() < 0.7 else rng.choice(logs)
+                          for lg in wa]
+        else:
+            vb, wb = rng.randrange(-3, 4), window(rng.randrange(13))
+        pb = vb + len(wb) + rng.randrange(-3, 4)
+        a = LaurentSeries(t, j, va, wa, pa)
+        b = LaurentSeries(t, j, vb, wb, pb)
+        s = a + b
+        prec = min(pa, pb)
+
+        def coeff(v, w, k):
+            return w[k - v] if v <= k < v + len(w) else LOG_ZERO
+
+        sums = [expected(coeff(va, wa, k), coeff(vb, wb, k))
+                for k in range(min(va, vb), prec)]
+        cancelled += any(coeff(va, wa, k) != LOG_ZERO and sums[k - min(va, vb)]
+                         == LOG_ZERO for k in range(min(va, vb), prec))
+        nonzero = [k for k, lg in enumerate(sums, min(va, vb))
+                   if lg != LOG_ZERO]
+        assert s.prec == prec and s.val == (nonzero[0] if nonzero else prec)
+        assert [s.coeff(k).log for k in range(min(va, vb), prec)] == sums
+    assert cancelled >= 20
 
 
 def test_deterministic_rebuild():

@@ -56,7 +56,7 @@ def test_root_of_zeta():
 
 
 def test_section_J_identity_and_hensel_witness():
-    ident = LocalFieldAuto.identity(CTX1.tower, 1, CTX1.prec)
+    ident = LocalFieldAuto.ev(CTX1.tower.one(), 1, CTX1.prec)
     f = section_J(CTX1, ident)
     assert acts_trivially(f, CTX1.generators())
     # alpha(T) = T + T^2: x_alpha^3 = 1 + T, twist is x_alpha itself
@@ -145,7 +145,7 @@ def test_section_Cbprime_properties():
 
 def test_glue_identity_and_J_case():
     for ctx in (CTX1, CTX2):
-        ident = LocalFieldAuto.identity(ctx.tower, ctx.i, ctx.prec)
+        ident = LocalFieldAuto.ev(ctx.tower.one(), ctx.i, ctx.prec)
         assert acts_trivially(glue_section(ctx, ident), ctx.generators())
         rng = random.Random(2)
         al = random_j_element(ctx, rng)
@@ -284,6 +284,43 @@ def test_mutations_are_flagged_once_prec_exceeds_k(part):
                     (pos, k)
             # T^prec is beyond that precision: nothing changed
             assert acts_like(f, mutated(f, part, prec, pos), gens)
+
+
+CTX_B2 = SectionContext(2, 3, 3, 1, 3, prec=8)    # b' = 3: a 3x3 cyclic W
+
+
+def with_mutated_w(ctx, k, pos):
+    """A copy of ctx whose block-cyclic W has T^k added to one entry."""
+    import copy
+    alg = ctx.algebra
+    entries = [dict(row) for row in ctx.matrix_w().entries]
+    s, t = pos
+    entries[s][t] = entries[s][t] + alg.scalar(
+        LaurentSeries.T_power(alg.tower, alg.jE, k, alg.prec))
+    out = copy.copy(ctx)
+    out.matrix_w = lambda: AlgebraMatrix(alg, entries)
+    return out
+
+
+def test_mutated_w_is_flagged_below_its_precision():
+    # W feeds section_Cbprime, so a T^k change shows in the commutation
+    # relations of f_Cb' as well as in the direct check W^b' = u*Id
+    ctx = CTX_B2
+    assert ctx.b2 == 3 and verify_section(ctx, samples=2, seed=0).all_passed
+    W = ctx.matrix_w()
+    for pos in [(0, ctx.n - 1), (1, 0)]:        # the u entry, an Id entry
+        s, t = pos
+        prec = min(c.prec for c in W.entries[s][t].comps)
+        assert prec == ctx.prec
+        for k in range(prec):
+            rep = verify_section(with_mutated_w(ctx, k, pos), samples=2,
+                                 seed=0)
+            failed = {c.name for c in rep.checks if not c.passed}
+            assert {"W_power_bprime_is_u_Id",
+                    "commutation_8_Cbprime_Ca"} <= failed, (pos, k)
+        # T^prec is beyond that precision: nothing changed
+        assert verify_section(with_mutated_w(ctx, prec, pos), samples=2,
+                              seed=0).all_passed
 
 
 def test_identity_image_is_compared_for_each_elementary_generator():
