@@ -32,11 +32,13 @@ from math import gcd
 from .autk import (LocalFieldAuto, compose_auto, decompose_auto, extend_auto,
                    invert_auto, restrict_auto)
 from .brauer import d_part, non_split_witness, splits_globally_charp
-from .cyclic import (AlgebraMatrix, CyclicAlgebra, SemilinearAuto, acts_like,
-                     acts_trivially, compose_semilinear, generator_matrices)
+from .cyclic import (AdmissibilityFailure, AlgebraMatrix, CyclicAlgebra,
+                     SemilinearAuto, acts_like, acts_trivially,
+                     compose_semilinear, generator_matrices)
 from .gftower import (FFElement, build_tower, frobenius, hilbert90_solve,
                       subfield_generator)
-from .series import LaurentSeries, hensel_root
+from .series import (LaurentSeries, NotInvertible, PrecisionExhausted,
+                     hensel_root)
 
 
 class DecompositionFailure(RuntimeError):
@@ -407,6 +409,33 @@ class VerificationReport:
             yield f"{status}  {c.name}{suffix}"
 
 
+# raised while the sides of a check are built or compared, these fail that
+# check instead of ending the verification
+CONSTRUCTION_FAILURES = (AdmissibilityFailure, DecompositionFailure,
+                         NotInvertible, PrecisionExhausted)
+
+
+class _Tally:
+    """The verdict of one check over its trials; a trial that raises one of
+    CONSTRUCTION_FAILURES fails, and the first such exception is kept."""
+
+    def __init__(self):
+        self.passed, self.error = True, ""
+
+    def holds(self, trial):
+        try:
+            self.passed &= bool(trial())
+        except CONSTRUCTION_FAILURES as exc:
+            self.fails(exc)
+
+    def fails(self, exc: Exception):
+        self.passed = False
+        self.error = self.error or f"{type(exc).__name__}: {exc}"
+
+    def detail(self, note: str = "") -> str:
+        return "; ".join(filter(None, (note, self.error)))
+
+
 def _random_field_elt(ctx, rng, degree):
     order = ctx.p ** degree - 1
     k = rng.randrange(order + 1)
@@ -451,7 +480,11 @@ def _conj(f, g, f_inv):
 
 def verify_section(ctx: SectionContext, samples: int = 20,
                    seed: int = 0) -> VerificationReport:
-    """Run every verifiable identity of the construction and report."""
+    """Run every verifiable identity of the construction and report.
+
+    A check whose sides cannot be built or compared, because one of
+    CONSTRUCTION_FAILURES is raised, fails with the exception in its detail;
+    the other checks still run."""
     rng = random.Random(seed)
     rep = VerificationReport(ctx.descriptor())
     gens = ctx.generators()
@@ -459,18 +492,25 @@ def verify_section(ctx: SectionContext, samples: int = 20,
     eq = lambda f1, f2: acts_like(f1, f2, gens)
     triv = lambda f: acts_trivially(f, gens)
 
+    def check(name, trials, note=""):
+        tally = _Tally()
+        for trial in trials:
+            tally.holds(trial)
+        rep.add(name, tally.passed, tally.detail(note))
+
     # partial-section orders ------------------------------------------------
-    rep.add("z_power_a_is_1", (ctx.z ** ctx.a).log == 0, f"a={ctx.a}")
-    W = ctx.matrix_w()
-    u_scalar = AlgebraMatrix.scalar_matrix(alg.u(), ctx.n)
-    rep.add("W_power_bprime_is_u_Id", W ** ctx.b2 == u_scalar,
-            f"b'={ctx.b2}")
-    rep.add("order_Ca", triv(section_Ca(ctx, ctx.a)), f"f_Ca(a), a={ctx.a}")
-    rep.add("order_Cb", triv(section_Cb(ctx, ctx.b)), f"f_Cb(b), b={ctx.b}")
-    rep.add("order_Caprime", triv(section_Caprime(ctx, ctx.a2)),
-            f"f_Ca'(a'), a'={ctx.a2}")
-    rep.add("order_Cbprime", triv(section_Cbprime(ctx, ctx.b2)),
-            f"f_Cb'(b'), b'={ctx.b2}")
+    check("z_power_a_is_1", [lambda: (ctx.z ** ctx.a).log == 0], f"a={ctx.a}")
+    check("W_power_bprime_is_u_Id",
+          [lambda: ctx.matrix_w() ** ctx.b2
+           == AlgebraMatrix.scalar_matrix(alg.u(), ctx.n)], f"b'={ctx.b2}")
+    check("order_Ca", [lambda: triv(section_Ca(ctx, ctx.a))],
+          f"f_Ca(a), a={ctx.a}")
+    check("order_Cb", [lambda: triv(section_Cb(ctx, ctx.b))],
+          f"f_Cb(b), b={ctx.b}")
+    check("order_Caprime", [lambda: triv(section_Caprime(ctx, ctx.a2))],
+          f"f_Ca'(a'), a'={ctx.a2}")
+    check("order_Cbprime", [lambda: triv(section_Cbprime(ctx, ctx.b2))],
+          f"f_Cb'(b'), b'={ctx.b2}")
 
     # sampled parameters ----------------------------------------------------
     n_pairs = max(2, samples // 6)
@@ -524,41 +564,43 @@ def verify_section(ctx: SectionContext, samples: int = 20,
          moves_alpha(section_Cbprime, frob(ctx.a2))),
     ]
     for name, js, ks, pair in relations:
-        ok = True
-        for j, k in zip(js, ks):
-            ok &= eq(*pair(j, k))
-        rep.add(name, ok, "" if js and ks else "vacuous (trivial factor)")
+        check(name, [lambda j=j, k=k, pair=pair: eq(*pair(j, k))
+                     for j, k in zip(js, ks)],
+              "" if js and ks else "vacuous (trivial factor)")
 
     # J-section is a homomorphism (cocycle law of the Hensel roots)
-    ok = True
-    for _ in range(max(2, samples // 4)):
-        al, be = random_j_element(ctx, rng), random_j_element(ctx, rng)
-        lhs = compose_semilinear(section_J(ctx, be), section_J(ctx, al))
-        ok &= eq(lhs, section_J(ctx, compose_auto(be, al)))
-    rep.add("J_section_homomorphism", ok)
+    pairs = [(random_j_element(ctx, rng), random_j_element(ctx, rng))
+             for _ in range(max(2, samples // 4))]
+    check("J_section_homomorphism",
+          [lambda al=al, be=be: eq(
+              compose_semilinear(section_J(ctx, be), section_J(ctx, al)),
+              section_J(ctx, compose_auto(be, al))) for al, be in pairs])
 
     # glued section: homomorphism law and section property
-    ok_hom, ok_sec = True, True
+    hom, sec = _Tally(), _Tally()
     for _ in range(samples):
         al = random_k_auto(ctx, rng)
         be = random_k_auto(ctx, rng)
-        g_al = glue_section(ctx, al)
-        ok_sec &= underlying_k_auto(g_al, ctx) == al
-        lhs = compose_semilinear(g_al, glue_section(ctx, be))
-        rhs = glue_section(ctx, compose_auto(al, be))
-        ok_hom &= eq(lhs, rhs)
-    detail = "" if samples else "vacuous (no samples)"
-    rep.add("glue_homomorphism", ok_hom, detail)
-    rep.add("glue_section_property", ok_sec, detail)
+        try:
+            g_al = glue_section(ctx, al)
+        except CONSTRUCTION_FAILURES as exc:
+            hom.fails(exc)
+            sec.fails(exc)
+            continue
+        sec.holds(lambda: underlying_k_auto(g_al, ctx) == al)
+        hom.holds(lambda: eq(compose_semilinear(g_al, glue_section(ctx, be)),
+                             glue_section(ctx, compose_auto(al, be))))
+    note = "" if samples else "vacuous (no samples)"
+    rep.add("glue_homomorphism", hom.passed, hom.detail(note))
+    rep.add("glue_section_property", sec.passed, sec.detail(note))
 
     # independence of the Hilbert-90 witness
-    ok = True
     if ctx.b > 1:
         y2 = ctx.y * subfield_generator(ctx.tower, ctx.i * ctx.d)
         alt = _with_witness(ctx, y2)
-        for j in jb or [1]:
-            ok &= eq(section_Cb(ctx, j), section_Cb(alt, j))
-        rep.add("y_independence", ok)
+        check("y_independence",
+              [lambda j=j: eq(section_Cb(ctx, j), section_Cb(alt, j))
+               for j in jb or [1]])
     else:
         rep.add("y_independence", True, "vacuous (b = 1)")
     return rep

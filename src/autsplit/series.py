@@ -11,6 +11,11 @@ smaller of the two precisions; the print form is
 ``T^v * (c0 + c1*T + ...) mod T^N`` with coefficients written as powers
 of the tower generator.
 
+Inverses (``LaurentSeries.inverse``) and compositional inverses
+(``reversion``) are Newton iterations, each step doubling the correct
+terms; ``norm_equation_solve`` lifts a doubling block at a time; the
+Hensel root is one exponentiation, s^(m^-1 mod p^K), with no Newton loop.
+
 ``SeriesMatrix`` is the one square-matrix type over such a field: products,
 determinants, linear solves, inverses and projective comparison.  Reduced
 norms of the cyclic algebra and the PGL_3 descent checks are built on it.
@@ -647,29 +652,53 @@ def _compose_unit(coeffs: Sequence[int], target: LaurentSeries,
 def hensel_root(s: LaurentSeries, m: int) -> LaurentSeries:
     """The unique x = 1 + O(T) with x^m = s, for gcd(m, p) = 1.
 
-    Newton iteration on x^m - s starting from 1; each step doubles the
-    number of correct terms, and the unit residue keeps every division
-    exact.
+    With n = s.prec and K least with p^K >= n, the 1-units mod T^n form a
+    group of exponent p^K: (1 + y)^(p^K) = 1 + y^(p^K) = 1 mod T^n for
+    val(y) >= 1.  So x -> x^m is a bijection of that group, inverted by
+    x -> x^e with e = m^-1 mod p^K, and x = s^e is the root; it is unique
+    because the group has no m-torsion.  The power is taken from the top
+    base-p digit of e down as x <- x^p * s^digit, where x^p is free: the
+    coefficient Frobenius with T -> T^p.  For p = 2 that is the square
+    ``LaurentSeries.__mul__`` takes by Frobenius, and the root costs one
+    product per nonzero bit of e below the top one, fewer than
+    K = ceil(log2 n).  For odd p each nonzero digit below the top one
+    costs one product, plus those that build s^digit, at most 2*log2(p)
+    per distinct digit; when p >= n, e is the one digit m^-1 mod p and
+    the root is s^e by binary powering.  The result has val 0 and
+    precision n.
     """
     t = s.tower
-    if m % t.p == 0:
-        raise PDividesExponent(f"characteristic {t.p} divides exponent {m}")
+    p = t.p
+    if m % p == 0:
+        raise PDividesExponent(f"characteristic {p} divides exponent {m}")
     if s.val != 0 or not s.logs or s.logs[0] != 0:
         raise BadResidue("Hensel input must be 1 + (positive order terms)")
-    if m == 1:
-        return s
-    minv = t.from_int(m).inverse()
     n = s.prec
-    x = LaurentSeries.one(t, s.j, 1)
-    known = 1
-    while known < n:
-        known = min(2 * known, n)
-        xk = LaurentSeries(t, s.j, x.val, x.logs, known, _checked=True)
-        sk = s.truncate(min(known, s.prec))
-        pw = xk ** (m - 1)
-        num = pw * xk - sk
-        x = xk - (num * pw.inverse()).scale(minv)
-    return x.truncate(n)
+    pk = 1
+    while pk < n:
+        pk *= p
+    e = pow(m, -1, pk)
+    digits = []
+    while e:
+        e, dig = divmod(e, p)
+        digits.append(dig)
+    s_pow = {dig: s ** dig for dig in set(digits) if dig}
+    x = LaurentSeries.one(t, s.j, n)
+    for dig in reversed(digits):
+        x = x * x if p == 2 else _pth_power(x)
+        if dig:
+            x = x * s_pow[dig]
+    return x
+
+
+def _pth_power(x: LaurentSeries) -> LaurentSeries:
+    """x^p at x's precision for val(x) = 0: (sum c_k T^k)^p is
+    sum c_k^p T^(pk) in characteristic p."""
+    t, p = x.tower, x.tower.p
+    out = [LOG_ZERO] * x.prec
+    head = x.logs[:(x.prec + p - 1) // p]
+    out[:p * len(head):p] = [_frob_log(t, lg, 1) for lg in head]
+    return LaurentSeries(t, x.j, 0, out, x.prec, _checked=True)
 
 
 def unramified_norm(s: LaurentSeries, i: int, d: int) -> LaurentSeries:

@@ -349,3 +349,80 @@ def test_noncommuting_factor_flags_commutation(monkeypatch):
     rep = verify_section(ctx, samples=2, seed=0)
     failed = {c.name for c in rep.checks if not c.passed}
     assert {"commutation_1_Ca_Cb", "commutation_3_Cb_J"} <= failed
+
+
+@pytest.mark.parametrize("params", [(2, 2, 3, 1, 3), (2, 7, 3, 1, 1),
+                                    (2, 2, 3, 2, 6)])
+def test_mutated_hensel_root_fails_a_check(params, monkeypatch):
+    # adding T^k to x_alpha breaks the norm of the twist of f_J, which
+    # SemilinearAuto refuses with AdmissibilityFailure for most k: that
+    # must fail the checks that build f_J, not end the verification
+    import io
+    import json
+    from contextlib import redirect_stdout
+    from autsplit import sections
+    from autsplit.cli import main
+    ctx = SectionContext(*params, prec=12)
+    root = sections.hensel_root
+    root_prec = ctx.prec - 1        # alpha(T)/T is known mod T^(prec - 1)
+
+    def plus_T_power(k):
+        def mutated_root(s, m):
+            x = root(s, m)
+            assert x.prec == root_prec
+            return x + LaurentSeries.T_power(x.tower, x.j, k, x.prec)
+        return mutated_root
+
+    raised = set()
+    for k in range(root_prec + 1):
+        monkeypatch.setattr(sections, "hensel_root", plus_T_power(k))
+        rep = verify_section(ctx, samples=2, seed=0)
+        failed = [c for c in rep.checks if not c.passed]
+        # T^root_prec is beyond the root's precision: nothing changed
+        assert bool(failed) == (k < root_prec), k
+        assert "J_section_homomorphism" in {c.name for c in failed} \
+            or k == root_prec
+        if any("AdmissibilityFailure: " in c.detail for c in failed):
+            raised.add(k)
+    assert set(range(1, 8)) <= raised
+    monkeypatch.setattr(sections, "hensel_root", plus_T_power(1))
+    p, i, d, r, n = params
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        code = main(["--output", "json", "section", "synth", "--p", str(p),
+                     "--i", str(i), "--d", str(d), "--r", str(r), "--n", str(n),
+                     "--prec", "12", "--samples", "2"])
+    assert code == 1
+    assert json.loads(buf.getvalue())["result"]["verdict"] == "CHECK-FAILED"
+
+
+@pytest.mark.parametrize("exc", ["AdmissibilityFailure", "DecompositionFailure",
+                                 "NotInvertible", "PrecisionExhausted"])
+def test_construction_failure_fails_only_its_check(exc, monkeypatch):
+    from autsplit import sections
+    error = {c.__name__: c for c in sections.CONSTRUCTION_FAILURES}[exc]
+    ctx = SectionContext(2, 2, 3, 1, 3, prec=8)
+    names = [c.name for c in verify_section(ctx, samples=2, seed=0).checks]
+
+    def broken(c, j):
+        raise error("cannot build")
+    monkeypatch.setattr(sections, "section_Caprime", broken)
+    rep = verify_section(ctx, samples=2, seed=0)
+    assert [c.name for c in rep.checks] == names
+    failed = {c.name: c.detail for c in rep.checks if not c.passed}
+    assert failed["order_Caprime"] == f"f_Ca'(a'), a'={ctx.a2}; {exc}: cannot build"
+    # every check that builds f_Ca' fails, every other one still passes
+    # (b' = 1, so commutation_4 has no samples)
+    assert set(failed) == {"order_Caprime", "commutation_5_Caprime_Cb",
+                           "commutation_6_Caprime_J", "glue_homomorphism",
+                           "glue_section_property"}
+
+
+def test_bad_input_errors_still_escape_the_verifier(monkeypatch):
+    from autsplit import sections
+
+    def broken(f, gens):
+        raise ValueError("bad input")
+    monkeypatch.setattr(sections, "acts_trivially", broken)    # order checks
+    with pytest.raises(ValueError, match="bad input"):
+        verify_section(SectionContext(2, 2, 3, 1, 3, prec=8), samples=2)

@@ -400,6 +400,43 @@ def hensel_oracle(s, m):
     return LaurentSeries(t, s.j, 0, [c.log for c in coeffs], prec)
 
 
+def newton_hensel_root(s, m):
+    """The root by Newton iteration on x^m - s from 1, each step doubling
+    the correct terms with one series inverse: the route ``hensel_root``
+    took before it became one exponentiation, kept as its reference."""
+    t = s.tower
+    if m == 1:
+        return s
+    minv = t.from_int(m).inverse()
+    n = s.prec
+    x = LaurentSeries.one(t, s.j, 1)
+    known = 1
+    while known < n:
+        known = min(2 * known, n)
+        xk = LaurentSeries(t, s.j, x.val, x.logs, known, _checked=True)
+        sk = s.truncate(min(known, s.prec))
+        pw = xk ** (m - 1)
+        num = pw * xk - sk
+        x = xk - (num * pw.inverse()).scale(minv)
+    return x.truncate(n)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 31])
+def test_hensel_root_matches_newton(p):
+    """The exponentiation root equals Newton's in (val, logs, prec) for
+    every m <= 9 prime to p, at precisions on both sides of powers of 2
+    and of p."""
+    tower = build_tower(p, 1, 2, 1)
+    rng = random.Random(p)
+    for n in (1, 2, 7, 8, 63, 64, 128):
+        for m in range(1, 10):
+            if m % p == 0:
+                continue
+            s = sample_series(tower, 2, rng, prec=n, val_range=(1, 2))
+            s = LaurentSeries.one(tower, 2, n) + s
+            assert shape(hensel_root(s, m)) == shape(newton_hensel_root(s, m))
+
+
 def test_hensel_trivial_cases():
     one = LaurentSeries.one(T4, 2, 16)
     assert hensel_root(one, 3) == one
