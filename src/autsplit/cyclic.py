@@ -29,6 +29,11 @@ given, and a product multiplies only the stored nonzero pairs.  The
 comparison on generators uses additivity: f(I + x*e_ab) = f(I) + (column
 a of g) phi(x) (row b of g^-1), and the two parts are compared
 separately.
+
+The builders store one element object at many positions (a scalar
+matrix holds one object n times), so phi~(M) maps each distinct stored
+object once per call, and a comparison maps each generator's x once per
+side.  These memos are local to the call and keep nothing.
 """
 
 from __future__ import annotations
@@ -107,7 +112,7 @@ class AlgebraElement:
         self.comps = comps
 
     def is_zero(self) -> bool:
-        return all(not c for c in self.comps)
+        return not any(c.logs for c in self.comps)
 
     def __add__(self, other: AlgebraElement) -> AlgebraElement:
         return AlgebraElement(self.alg, tuple(a + b for a, b in
@@ -115,24 +120,30 @@ class AlgebraElement:
 
     def __mul__(self, other: AlgebraElement) -> AlgebraElement:
         """Every component of a product is known to at most alg.prec: the
-        sum of its terms capped there, or the algebra's zero."""
+        sum of its terms capped there, or the algebra's zero.
+
+        Only the nonzero components of both factors take part, so a
+        product of two scalars is one series product whatever d is."""
         alg = self.alg
-        d, r, prec = alg.d, alg.r, alg.prec
+        d, r, i, prec = alg.d, alg.r, alg.i, alg.prec
+        right = [(t, yt) for t, yt in enumerate(other.comps) if yt.logs]
         out = [None] * d
         for s, xs in enumerate(self.comps):
-            if not xs:
+            if not xs.logs:
                 continue
-            for t, yt in enumerate(other.comps):
-                if not yt:
-                    continue
-                term = (alg.sigma(xs, t) if t else xs) * yt
-                k, wrap = (s + t) % d, (s + t) // d
-                if wrap:
-                    term = term.shift(r * wrap)
-                out[k] = term if out[k] is None else out[k] + term
-        zero = LaurentSeries.zero(alg.tower, alg.jE, prec)
+            for t, yt in right:
+                term = (frobenius_coeffwise(xs, i * t) if t else xs) * yt
+                k = s + t
+                if k >= d:                  # u^d = T^r; s, t < d wrap once
+                    k -= d
+                    term = term.shift(r)
+                cur = out[k]
+                out[k] = term if cur is None else cur + term
+        zero = None
         for k, c in enumerate(out):
             if c is None:
+                if zero is None:
+                    zero = LaurentSeries.zero(alg.tower, alg.jE, prec)
                 out[k] = zero
             elif c.prec > prec:
                 out[k] = c.truncate(prec)
@@ -267,6 +278,8 @@ class AlgebraMatrix:
     def __eq__(self, other):
         if not isinstance(other, AlgebraMatrix):
             return NotImplemented
+        if self.n != other.n:
+            return False
         zero = self.alg.zero()
         return all(_rows_equal(r1, r2, zero)
                    for r1, r2 in zip(self.entries, other.entries))
@@ -377,10 +390,22 @@ class SemilinearAuto:
         return self.inner * self.apply_matrix_entrywise(M) * self.inner_inv
 
     def apply_matrix_entrywise(self, M: AlgebraMatrix) -> AlgebraMatrix:
-        # phi maps alg.zero() to itself, so missing entries stay missing
-        return AlgebraMatrix(self.alg, [
-            {t: self.apply_element(e) for t, e in row.items()}
-            for row in M.entries])
+        """phi~(M), entry by entry.  phi maps alg.zero() to itself, so
+        missing entries stay missing.  Each distinct stored element object
+        is mapped once per call and its image stored at every position
+        that holds it: scalar, identity, staircase and constant block
+        matrices store one object n times, which costs one image."""
+        images = {}
+        out = []
+        for row in M.entries:
+            out_row = {}
+            for t, e in row.items():
+                img = images.get(id(e))
+                if img is None:
+                    img = images[id(e)] = self.apply_element(e)
+                out_row[t] = img
+            out.append(out_row)
+        return AlgebraMatrix(self.alg, out)
 
 
 def compose_semilinear(f1: SemilinearAuto, f2: SemilinearAuto) -> SemilinearAuto:
@@ -451,6 +476,7 @@ def _same_images(f1: SemilinearAuto, f2: SemilinearAuto | None,
     """Whether f1(G) == f2(G) for all G in gens; f2 None stands for the
     identity, whose image of G is G itself."""
     identity_checked = False
+    images = {}             # (side, id(x)) -> phi(x) for the elementary x
     for G in gens:
         shape = _elementary_shape(G)
         if shape is None:
@@ -463,8 +489,9 @@ def _same_images(f1: SemilinearAuto, f2: SemilinearAuto | None,
                 return False
             identity_checked = True
         a, b, x = shape
-        r1 = _rank_one(f1, a, b, x)
-        r2 = {a: {b: x}} if f2 is None else _rank_one(f2, a, b, x)
+        r1 = _rank_one(f1, a, b, x, _image(images, 1, f1, x))
+        r2 = {a: {b: x}} if f2 is None else _rank_one(
+            f2, a, b, x, _image(images, 2, f2, x))
         zero = G.alg.zero()
         if not all(_rows_equal(r1.get(s, {}), r2.get(s, {}), zero)
                    for s in r1.keys() | r2.keys()):
@@ -494,11 +521,25 @@ def _is_algebra_one(e: AlgebraElement) -> bool:
             and all(not c and c.prec == prec for c in e.comps[1:]))
 
 
-def _rank_one(f: SemilinearAuto, a: int, b: int,
-              x: AlgebraElement) -> dict[int, dict[int, AlgebraElement]]:
+def _image(images: dict, side: int, f: SemilinearAuto,
+           x: AlgebraElement) -> AlgebraElement:
+    """phi(x) under f, mapped once per (side, x) in one comparison: the
+    elementary generators share their x."""
+    key = (side, id(x))
+    img = images.get(key)
+    if img is None:
+        img = images[key] = f.apply_element(x)
+    return img
+
+
+def _rank_one(f: SemilinearAuto, a: int, b: int, x: AlgebraElement,
+              fx: AlgebraElement | None = None
+              ) -> dict[int, dict[int, AlgebraElement]]:
     """R = f(I + x*e_ab) - f(I), R_st = g_sa phi(x) (g^-1)_bt, by rows;
-    only the stored nonzero g_sa and (g^-1)_bt take part."""
-    fx = f.apply_element(x)
+    only the stored nonzero g_sa and (g^-1)_bt take part.  fx, when
+    given, is phi(x) already mapped."""
+    if fx is None:
+        fx = f.apply_element(x)
     row_b = [(t, e) for t, e in f.inner_inv.entries[b].items()
              if not e.is_zero()]
     out = {}

@@ -28,6 +28,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from math import gcd
+from operator import mul
 
 from .autk import (LocalFieldAuto, compose_auto, decompose_auto, extend_auto,
                    invert_auto, restrict_auto)
@@ -143,9 +144,8 @@ class SectionContext:
     def coordinates(self, x: FFElement) -> list[FFElement]:
         """Coordinates of x over F_{p^(id)} with respect to the basis."""
         t = self.tower
-        vec = x.coeffs
-        sol = [sum(self._coord_inv[rr][cc] * vec[cc] for cc in range(t.M)) % self.p
-               for rr in range(t.M)]
+        vec, p = x.coeffs, self.p
+        sol = [sum(map(mul, row, vec)) % p for row in self._coord_inv]
         id_ = self.i * self.d
         out = []
         for j in range(self.b):

@@ -239,9 +239,13 @@ class LaurentSeries:
             raise ValueError("series live over different fields")
 
     def __add__(self, other: LaurentSeries) -> LaurentSeries:
-        """Where both have a term, characteristic 2 adds by XOR of codes
-        (log[0] is LOG_ZERO, so a cancelling pair needs no test) and odd p
-        through Zech."""
+        """The sum at precision min(self.prec, other.prec).
+
+        The output window is the union of the two windows, capped at that
+        precision, so a sum costs the terms its operands store: two
+        constants add in one slot whatever the precision.  Where both have
+        a term, characteristic 2 adds by XOR of codes (log[0] is LOG_ZERO,
+        so a cancelling pair needs no test) and odd p through Zech."""
         self._require_compatible(other)
         if not other.logs and other.prec >= self.prec:
             return self
@@ -250,7 +254,9 @@ class LaurentSeries:
         t = self.tower
         prec = min(self.prec, other.prec)
         lo = min(self.val, other.val, prec)
-        out = [LOG_ZERO] * (prec - lo)
+        hi = min(max(self.val + len(self.logs), other.val + len(other.logs)),
+                 prec)
+        out = [LOG_ZERO] * (hi - lo)
         start = self.val - lo
         head = self.logs[:max(prec - self.val, 0)]
         out[start:start + len(head)] = head
@@ -295,9 +301,12 @@ class LaurentSeries:
         cross terms, so each log doubles and lands at twice its index.
         Other products loop over the nonzero terms of the factor with
         fewer of them, each against the other's nonzero terms up to the
-        truncation (``_sum_of_products``).  In characteristic 2 the term
-        products are summed as codes by XOR, one exp read per pair, and the
-        sums turn back into logs once; for odd p each adds in through Zech.
+        truncation (``_sum_of_products``), into min(N, la + lb - 1) slots
+        for windows of la and lb terms and N = prec - val: a product costs
+        its term pairs plus the slots its result can fill, not the
+        precision.  In characteristic 2 the term products are summed as
+        codes by XOR, one exp read per pair, and the sums turn back into
+        logs once; for odd p each adds in through Zech.
         """
         self._require_compatible(other)
         t = self.tower
@@ -313,6 +322,8 @@ class LaurentSeries:
             (c,), rest = (alogs, blogs) if len(alogs) == 1 else (blogs, alogs)
             out = [lg if lg == LOG_ZERO else (lg + c) % Q
                    for lg in rest[:n]]
+            if len(rest) <= n:      # untruncated: rest's ends stay nonzero
+                return _canonical(t, self.j, lo, tuple(out), prec)
             return LaurentSeries(t, self.j, lo, out, prec, _checked=True)
         if t.p == 2 and alogs == blogs:
             out = [LOG_ZERO] * n
@@ -323,7 +334,8 @@ class LaurentSeries:
         if (len(alogs) - alogs.count(LOG_ZERO)
                 > len(blogs) - blogs.count(LOG_ZERO)):
             alogs, blogs = blogs, alogs
-        out = _sum_of_products(t, n, ((_terms(alogs), _terms(blogs)),))
+        out = _sum_of_products(t, min(n, len(alogs) + len(blogs) - 1),
+                               ((_terms(alogs), _terms(blogs)),))
         return LaurentSeries(t, self.j, lo, out, prec, _checked=True)
 
     def scale(self, c: FFElement) -> LaurentSeries:
@@ -538,6 +550,8 @@ class SeriesMatrix:
 
     def proportional_to(self, other: SeriesMatrix) -> bool:
         """Equality up to a scalar: other = s * self for a series s."""
+        if self.n != other.n:
+            raise ValueError("size mismatch")
         pivot = None
         for row_a, row_b in zip(self.rows, other.rows):
             for a, b in zip(row_a, row_b):
@@ -570,8 +584,11 @@ def _least_valuation_row(mat, k: int) -> Optional[int]:
 def frobenius_coeffwise(s: LaurentSeries, e: int) -> LaurentSeries:
     """Apply x -> x^(p^e) to every coefficient; T is untouched."""
     t = s.tower
-    return _canonical(t, s.j, s.val,
-                      tuple([_frob_log(t, lg, e) for lg in s.logs]), s.prec)
+    Q = t.q - 1
+    f = t._frob_exp[e % t.M] if Q > 1 else 1
+    logs = s.logs if f == 1 else tuple([lg if lg == LOG_ZERO else lg * f % Q
+                                        for lg in s.logs])
+    return _canonical(t, s.j, s.val, logs, s.prec)
 
 
 def substitute(s: LaurentSeries, target: LaurentSeries) -> LaurentSeries:

@@ -536,3 +536,15 @@ def test_rank_one_row_stored_on_one_side_reads_as_zero():
     for G in gens:
         assert f1.apply(G) == f2.apply(G)
     assert acts_like(f1, f2, gens) and acts_like(f2, f1, gens)
+
+
+def test_matrices_of_different_sizes_are_not_equal():
+    # the common leading block agrees, which row-by-row zip alone accepted
+    alg = make_algebra(2, 1, 3, 1, prec=10)
+    for small, big in ((AlgebraMatrix.identity(alg, 2),
+                        AlgebraMatrix.identity(alg, 3)),
+                       (AlgebraMatrix.scalar_matrix(alg.u(), 1),
+                        AlgebraMatrix(alg, [{0: alg.u()}, {}]))):
+        assert small != big and big != small
+        assert not small == big and not big == small
+        assert small == AlgebraMatrix(alg, [dict(row) for row in small.entries])

@@ -229,6 +229,127 @@ def test_mul_loops_over_the_sparser_factor(monkeypatch):
         assert seen == [(2, 16)]
 
 
+# -- windowed sums and products against the precision-sized kernels ---------
+
+def reference_add(a, b):
+    """The sum as the kernel once took it: a buffer of prec - lo slots,
+    whatever the windows hold, normalised by the constructor."""
+    t = a.tower
+    if not b.logs and b.prec >= a.prec:
+        return a
+    if not a.logs and a.prec >= b.prec:
+        return b
+    prec = min(a.prec, b.prec)
+    lo = min(a.val, b.val, prec)
+    out = [LOG_ZERO] * (prec - lo)
+    head = a.logs[:max(prec - a.val, 0)]
+    out[a.val - lo:a.val - lo + len(head)] = head
+    for k, lb in enumerate(b.logs[:max(prec - b.val, 0)], b.val - lo):
+        if lb == LOG_ZERO:
+            continue
+        cur = out[k]
+        if cur == LOG_ZERO:
+            out[k] = lb
+        else:
+            z = zech_table(t)[(lb - cur) % (t.q - 1)]
+            out[k] = LOG_ZERO if z == LOG_ZERO else (cur + z) % (t.q - 1)
+    return LaurentSeries(t, a.j, lo, out, prec, _checked=True)
+
+
+def reference_mul(a, b):
+    """The product as the kernel once took it: every result, monomial
+    ones too, through the constructor, and the general case summed into
+    prec - val slots."""
+    from autsplit.series import _sum_of_products, _terms
+    t = a.tower
+    prec = min(a.prec + b.val, b.prec + a.val)
+    alogs, blogs = a.logs, b.logs
+    if not alogs or not blogs:
+        return LaurentSeries.zero(t, a.j, prec)
+    lo = a.val + b.val
+    n = prec - lo
+    Q = t.q - 1
+    if len(alogs) == 1 or len(blogs) == 1:
+        (c,), rest = (alogs, blogs) if len(alogs) == 1 else (blogs, alogs)
+        out = [lg if lg == LOG_ZERO else (lg + c) % Q for lg in rest[:n]]
+        return LaurentSeries(t, a.j, lo, out, prec, _checked=True)
+    if t.p == 2 and alogs == blogs:
+        out = [LOG_ZERO] * n
+        half = [lg if lg == LOG_ZERO else 2 * lg % Q
+                for lg in alogs[:(n + 1) // 2]]
+        out[:2 * len(half):2] = half
+        return LaurentSeries(t, a.j, lo, out, prec, _checked=True)
+    if (len(alogs) - alogs.count(LOG_ZERO)
+            > len(blogs) - blogs.count(LOG_ZERO)):
+        alogs, blogs = blogs, alogs
+    out = _sum_of_products(t, n, ((_terms(alogs), _terms(blogs)),))
+    return LaurentSeries(t, a.j, lo, out, prec, _checked=True)
+
+
+WINDOW_FIELDS = pytest.mark.parametrize("tower,j", [
+    (build_tower(2, 1, 1, 1), 1), (T4, 2), (T3, 2),
+    (build_tower(5, 1, 2, 1), 2)], ids=["F2", "F4", "F9", "F25"])
+
+
+def window_edge_cases(tower, j):
+    gen = subfield_generator(tower, j)
+    a = LaurentSeries(tower, j, 0, [gen.log, LOG_ZERO, 0, gen.log], 12)
+    one = LaurentSeries.one(tower, j, 32)
+    return [
+        (a, -a),                                          # cancels to zero
+        (a, -a.truncate(3)),                  # cancels below a lower prec
+        (LaurentSeries.constant(gen, j, 32), -LaurentSeries.constant(gen, j, 9)),
+        (LaurentSeries.zero(tower, j, 5), a),      # empty at lower precision
+        (a, LaurentSeries.zero(tower, j, 2)),
+        (LaurentSeries.zero(tower, j, 3), LaurentSeries.zero(tower, j, 7)),
+        (LaurentSeries.T_power(tower, j, 12, 12), a),     # val at prec
+        (LaurentSeries(tower, j, 9, [0, gen.log], 30), a.truncate(6)),
+        (LaurentSeries(tower, j, 3, [0, gen.log], 5), a),  # runs past prec
+        (LaurentSeries(tower, j, -3, [gen.log, LOG_ZERO, 0], 4), a),
+        (LaurentSeries.T_power(tower, j, -5, 1), a),      # negative val
+        (one, LaurentSeries(tower, j, 0, [gen.log] * 10, 30)),
+        (LaurentSeries.constant(gen, j, 4),               # truncated monomial
+         LaurentSeries(tower, j, 0, [0, gen.log, LOG_ZERO, LOG_ZERO, 0], 40)),
+        (LaurentSeries.constant(gen, j, 3),         # truncated onto a zero
+         LaurentSeries(tower, j, 0, [0, gen.log, LOG_ZERO, LOG_ZERO, 0], 40)),
+        (LaurentSeries.T_power(tower, j, 2, 5), a),     # untruncated monomial
+        (a, LaurentSeries(tower, j, 2, [gen.log, 0], 6)),
+        (a, a), (a, a.truncate(7)),
+    ]
+
+
+@WINDOW_FIELDS
+def test_windowed_kernels_match_the_precision_sized_ones(tower, j):
+    rng = random.Random(7 * tower.q)
+    pairs = window_edge_cases(tower, j)
+    for density in (1.0, 0.5, 0.125, 0.0):
+        for _ in range(40):
+            ops = []
+            for _ in range(2):
+                length = rng.randrange(1, 12)
+                val = rng.randrange(-4, 8)
+                ops.append(LaurentSeries(
+                    tower, j, val, random_window(tower, j, rng, length, density),
+                    val + rng.randrange(-2, length + 6)))
+            pairs.append(tuple(ops))
+    for a, b in pairs:
+        for x, y in ((a, b), (b, a)):
+            assert shape(x + y) == shape(reference_add(x, y)), (x, y)
+            assert shape(x * y) == shape(reference_mul(x, y)), (x, y)
+
+
+@WINDOW_FIELDS
+def test_frobenius_coeffwise_matches_per_coefficient_frobenius(tower, j):
+    from autsplit.series import _frob_log
+    rng = random.Random(11 * tower.q)
+    for _ in range(10):
+        s = LaurentSeries(tower, j, rng.randrange(-3, 3),
+                          random_window(tower, j, rng, 9, 0.5), 20)
+        for e in range(tower.M + 1):
+            assert shape(frobenius_coeffwise(s, e)) == (
+                s.val, tuple(_frob_log(tower, lg, e) for lg in s.logs), s.prec)
+
+
 # -- coefficientwise Frobenius ---------------------------------------------
 
 def test_frobenius_coeffwise_trivial():
@@ -746,3 +867,14 @@ def test_proportional_to_sees_a_perturbation_once_prec_exceeds_it():
             rows[1][2] = rows[1][2] + bump
             perturbed = SeriesMatrix(T4, 6, prec, rows)
             assert M.proportional_to(perturbed) == (k >= prec)
+
+
+def test_proportional_to_rejects_a_size_mismatch():
+    # the 2x2 identity is the leading block of the 3x3 one, which a
+    # row-by-row zip alone took for proportional
+    small = SeriesMatrix.identity(T3, 2, 2, 8)
+    big = SeriesMatrix.identity(T3, 2, 3, 8)
+    for a, b in ((small, big), (big, small)):
+        with pytest.raises(ValueError, match="size mismatch"):
+            a.proportional_to(b)
+    assert small.proportional_to(small)
