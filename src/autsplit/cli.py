@@ -5,19 +5,17 @@ seed), as text or as JSON validating against the bundled schema.  Exit
 codes: 0 for success / mathematical yes, 1 for mathematical no verdicts
 (with a witness where one exists), 2 for usage errors.
 
-The default working precision comes from the AUTSPLIT_PREC environment
-variable when set; it is read when the parser is built.  Out-of-range
-arguments (a precision or a size below 1, a negative sample count, a
-characteristic that is not prime) are usage errors, rejected before any
-arithmetic runs.  ``section synth`` and ``hanke`` need a precision of at
-least 2, since T itself is not known modulo T^1.
+The working precision is --prec, default series.DEFAULT_PREC.
+Out-of-range arguments (a precision or a size below 1, a negative sample
+count, a characteristic that is not prime) are usage errors, rejected
+before any arithmetic runs.  ``section synth`` and ``hanke`` need a
+precision of at least 2, since T itself is not known modulo T^1.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from math import gcd
 
@@ -29,7 +27,7 @@ from .gftower import _is_prime, build_tower, subfield_generator
 from .rootdatum import (ExtensionProblem, FiniteGroupTable, SimpleType,
                         TitsIndexDescriptor, extension_splits, ses_verdict)
 from .sections import SectionContext, verify_section
-from .series import LaurentSeries
+from .series import DEFAULT_PREC, LaurentSeries
 
 
 def positive_int(text: str) -> int:
@@ -243,12 +241,6 @@ def _cmd_ses_verdict(args) -> int:
 # -- parser ---------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
-    env_prec = os.environ.get("AUTSPLIT_PREC", "32")
-    try:
-        default_prec = positive_int(env_prec)
-    except (ValueError, argparse.ArgumentTypeError):
-        raise ValueError("AUTSPLIT_PREC must be an integer of at least 1, "
-                         f"got {env_prec!r}") from None
     top = argparse.ArgumentParser(
         prog="autsplit",
         description="Exact splitting analysis for semilinear automorphisms "
@@ -284,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     for flag, kind in (("--p", positive_int), ("--i", positive_int),
                        ("--d", positive_int), ("--r", int)):
         pn.add_argument(flag, type=kind, required=True)
-    pn.add_argument("--prec", type=positive_int, default=default_prec)
+    pn.add_argument("--prec", type=positive_int, default=DEFAULT_PREC)
     pn.add_argument("--element", required=True,
                     help="semicolon-separated u-components, e.g. '1+T;T^-1'")
     pn.set_defaults(func=_cmd_nrd)
@@ -296,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
                        ("--d", positive_int), ("--r", int),
                        ("--n", positive_int)):
         psy.add_argument(flag, type=kind, required=True)
-    psy.add_argument("--prec", type=series_prec, default=str(default_prec),
+    psy.add_argument("--prec", type=series_prec, default=str(DEFAULT_PREC),
                      help="work modulo T^PREC; at least 2 (default %(default)s)")
     psy.add_argument("--seed", type=int, default=0)
     psy.add_argument("--samples", type=nonnegative_int, default=20)
@@ -309,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     ph.add_argument("--alpha", required=True, help="image of T, e.g. 'T+T^2'")
     ph.add_argument("--frob", type=int, default=0,
                     help="residue Frobenius power of alpha")
-    ph.add_argument("--prec", type=series_prec, default=str(default_prec),
+    ph.add_argument("--prec", type=series_prec, default=str(DEFAULT_PREC),
                     help="work modulo T^PREC; at least 2 (default %(default)s)")
     ph.set_defaults(func=_cmd_hanke)
 

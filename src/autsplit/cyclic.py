@@ -33,7 +33,9 @@ separately.
 The builders store one element object at many positions (a scalar
 matrix holds one object n times), so phi~(M) maps each distinct stored
 object once per call, and a comparison maps each generator's x once per
-side.  These memos are local to the call and keep nothing.
+side.  These memos are local to the call and keep nothing.  Series and
+elements are never mutated, so an algebra builds its zero series and its
+zero(), one() and u() once and every builder and product shares them.
 """
 
 from __future__ import annotations
@@ -51,7 +53,12 @@ class AdmissibilityFailure(ValueError):
 
 
 class CyclicAlgebra:
-    """Descriptor for A(d,r) together with the ambient tower and precision."""
+    """Descriptor for A(d,r) together with the ambient tower and precision.
+
+    ``zero_series`` is the zero of E at the algebra's precision: zero(),
+    scalar, u_power, products and regular representations fill every
+    empty slot with this one object.
+    """
 
     def __init__(self, tower: FieldTower, i: int, d: int, r: int, prec: int):
         if tower.M % (i * d) != 0:
@@ -60,31 +67,32 @@ class CyclicAlgebra:
             raise ValueError("d must be positive")
         self.tower, self.i, self.d, self.r, self.prec = tower, i, d, r, prec
         self.jE = i * d
+        self.zero_series = LaurentSeries.zero(tower, self.jE, prec)
+        self._zero = AlgebraElement(self, (self.zero_series,) * d)
+        self._one = self.scalar(LaurentSeries.one(tower, self.jE, prec))
+        self._u = self.u_power(1)
 
     # -- element factories --------------------------------------------------
 
     def zero(self) -> AlgebraElement:
-        z = LaurentSeries.zero(self.tower, self.jE, self.prec)
-        return AlgebraElement(self, (z,) * self.d)
+        return self._zero
 
     def one(self) -> AlgebraElement:
-        return self.scalar(LaurentSeries.one(self.tower, self.jE, self.prec))
+        return self._one
 
     def scalar(self, s: LaurentSeries) -> AlgebraElement:
         if s.j != self.jE:
             s = s.with_subfield(self.jE)
-        comps = [LaurentSeries.zero(self.tower, self.jE, self.prec)] * self.d
-        comps[0] = s
-        return AlgebraElement(self, tuple(comps))
+        return AlgebraElement(self, (s,) + (self.zero_series,) * (self.d - 1))
 
     def u(self) -> AlgebraElement:
-        return self.u_power(1)
+        return self._u
 
     def u_power(self, e: int) -> AlgebraElement:
         """u^e = u^(e mod d) T^(r*floor(e/d)) exactly, for every integer e:
         u^d = T^r is central, so no inverse is taken."""
         d = self.d
-        comps = [LaurentSeries.zero(self.tower, self.jE, self.prec)] * d
+        comps = [self.zero_series] * d
         comps[e % d] = LaurentSeries.T_power(self.tower, self.jE,
                                              self.r * (e // d), self.prec)
         return AlgebraElement(self, tuple(comps))
@@ -120,7 +128,7 @@ class AlgebraElement:
 
     def __mul__(self, other: AlgebraElement) -> AlgebraElement:
         """Every component of a product is known to at most alg.prec: the
-        sum of its terms capped there, or the algebra's zero.
+        sum of its terms capped there, or alg.zero_series.
 
         Only the nonzero components of both factors take part, so a
         product of two scalars is one series product whatever d is."""
@@ -139,27 +147,12 @@ class AlgebraElement:
                     term = term.shift(r)
                 cur = out[k]
                 out[k] = term if cur is None else cur + term
-        zero = None
         for k, c in enumerate(out):
             if c is None:
-                if zero is None:
-                    zero = LaurentSeries.zero(alg.tower, alg.jE, prec)
-                out[k] = zero
+                out[k] = alg.zero_series
             elif c.prec > prec:
                 out[k] = c.truncate(prec)
         return AlgebraElement(alg, tuple(out))
-
-    def __pow__(self, e: int) -> AlgebraElement:
-        if e < 0:
-            return self.inverse() ** (-e)
-        result = self.alg.one()
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return result
 
     def __eq__(self, other):
         if not isinstance(other, AlgebraElement):
@@ -176,8 +169,7 @@ class AlgebraElement:
         """
         alg = self.alg
         d, r = alg.d, alg.r
-        zero = LaurentSeries.zero(alg.tower, alg.jE, alg.prec)
-        rep = [[zero] * d for _ in range(d)]
+        rep = [[alg.zero_series] * d for _ in range(d)]
         for col in range(d):
             for s, xs in enumerate(self.comps):
                 if not xs:
@@ -192,15 +184,6 @@ class AlgebraElement:
     def reduced_norm(self) -> LaurentSeries:
         """det of the regular representation; lands in K = F_{p^i}((T))."""
         return self.regular_representation().det().with_subfield(self.alg.i)
-
-    def inverse(self) -> AlgebraElement:
-        """Solve rep(self) * x = e_0; the solution's coordinates are the
-        components of the two-sided inverse."""
-        alg = self.alg
-        e0 = [LaurentSeries.one(alg.tower, alg.jE, alg.prec)] + \
-             [LaurentSeries.zero(alg.tower, alg.jE, alg.prec)] * (alg.d - 1)
-        sol = self.regular_representation().solve(e0)
-        return AlgebraElement(alg, tuple(sol))
 
     def __repr__(self):
         parts = []
@@ -264,7 +247,10 @@ class AlgebraMatrix:
                              [_row_times(row, right) for row in self.entries])
 
     def __pow__(self, e: int) -> AlgebraMatrix:
-        """A power e >= 0 by repeated squaring."""
+        """A power e >= 0 by repeated squaring; nothing here inverts a
+        matrix, so e < 0 is a ValueError."""
+        if e < 0:
+            raise ValueError("negative power of an algebra matrix")
         result = AlgebraMatrix.identity(self.alg, self.n)
         base = self
         while e:
@@ -489,9 +475,9 @@ def _same_images(f1: SemilinearAuto, f2: SemilinearAuto | None,
                 return False
             identity_checked = True
         a, b, x = shape
-        r1 = _rank_one(f1, a, b, x, _image(images, 1, f1, x))
+        r1 = _rank_one(f1, a, b, _image(images, 1, f1, x))
         r2 = {a: {b: x}} if f2 is None else _rank_one(
-            f2, a, b, x, _image(images, 2, f2, x))
+            f2, a, b, _image(images, 2, f2, x))
         zero = G.alg.zero()
         if not all(_rows_equal(r1.get(s, {}), r2.get(s, {}), zero)
                    for s in r1.keys() | r2.keys()):
@@ -500,11 +486,13 @@ def _same_images(f1: SemilinearAuto, f2: SemilinearAuto | None,
 
 
 def _elementary_shape(G: AlgebraMatrix):
-    """(a, b, x) when G = I + x*e_ab with a != b, else None.  The diagonal
-    must be alg.one() itself, precision included."""
+    """(a, b, x) when G = I + x*e_ab with a != b, else None.  Every
+    diagonal entry must be the algebra's stored one, alg.one(), as an
+    object; a diagonal entry merely equal to it sends G through ``apply``."""
+    one = G.alg.one()
     found = None
     for s, row in enumerate(G.entries):
-        if s not in row or not _is_algebra_one(row[s]):
+        if row.get(s) is not one:
             return None
         for t, e in row.items():
             if t != s:
@@ -512,13 +500,6 @@ def _elementary_shape(G: AlgebraMatrix):
                     return None
                 found = (s, t, e)
     return found
-
-
-def _is_algebra_one(e: AlgebraElement) -> bool:
-    prec = e.alg.prec
-    c0 = e.comps[0]
-    return (c0.val == 0 and c0.logs == (0,) and c0.prec == prec
-            and all(not c and c.prec == prec for c in e.comps[1:]))
 
 
 def _image(images: dict, side: int, f: SemilinearAuto,
@@ -532,14 +513,11 @@ def _image(images: dict, side: int, f: SemilinearAuto,
     return img
 
 
-def _rank_one(f: SemilinearAuto, a: int, b: int, x: AlgebraElement,
-              fx: AlgebraElement | None = None
+def _rank_one(f: SemilinearAuto, a: int, b: int, fx: AlgebraElement
               ) -> dict[int, dict[int, AlgebraElement]]:
-    """R = f(I + x*e_ab) - f(I), R_st = g_sa phi(x) (g^-1)_bt, by rows;
-    only the stored nonzero g_sa and (g^-1)_bt take part.  fx, when
-    given, is phi(x) already mapped."""
-    if fx is None:
-        fx = f.apply_element(x)
+    """R = f(I + x*e_ab) - f(I), R_st = g_sa fx (g^-1)_bt, by rows, for
+    fx = phi(x) already mapped; only the stored nonzero g_sa and
+    (g^-1)_bt take part."""
     row_b = [(t, e) for t, e in f.inner_inv.entries[b].items()
              if not e.is_zero()]
     out = {}

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from math import gcd
+from math import gcd, lcm
 from operator import mul
 
 from .autk import (LocalFieldAuto, compose_auto, decompose_auto, extend_auto,
@@ -44,10 +44,6 @@ from .series import (LaurentSeries, NotInvertible, PrecisionExhausted,
 
 class DecompositionFailure(RuntimeError):
     """An automorphism failed to factor along the fixed decomposition."""
-
-
-def _lcm(a: int, b: int) -> int:
-    return a * b // gcd(a, b)
 
 
 class SectionContext:
@@ -122,7 +118,7 @@ class SectionContext:
         e = self.c * self.i + self.b2
         for s in range(b):
             h = gcd(id_ * s + e, M)
-            if _lcm(h, id_) == M:
+            if lcm(h, id_) == M:
                 return h
         return M
 

@@ -17,8 +17,8 @@ terms; ``norm_equation_solve`` lifts a doubling block at a time; the
 Hensel root is one exponentiation, s^(m^-1 mod p^K), with no Newton loop.
 
 ``SeriesMatrix`` is the one square-matrix type over such a field: products,
-determinants, linear solves, inverses and projective comparison.  Reduced
-norms of the cyclic algebra and the PGL_3 descent checks are built on it.
+determinants, inverses and projective comparison.  Reduced norms of the
+cyclic algebra and the PGL_3 descent checks are built on it.
 """
 
 from __future__ import annotations
@@ -74,12 +74,6 @@ def _canonical(tower: FieldTower, j: int, val: int, logs: tuple[int, ...],
     s = object.__new__(LaurentSeries)
     s.tower, s.j, s.val, s.logs, s.prec = tower, j, val, logs, prec
     return s
-
-
-def _frob_log(t: FieldTower, la: int, e: int) -> int:
-    if la == LOG_ZERO or t.q == 2:
-        return la
-    return la * t._frob_exp[e % t.M] % (t.q - 1)
 
 
 def _terms(logs: Sequence[int], start: int = 0) -> list[tuple[int, int]]:
@@ -438,7 +432,7 @@ class LaurentSeries:
 class SeriesMatrix:
     """Square matrix over F_{p^j}((T)) for one tower, subfield and precision.
 
-    The entries commute, so determinants and linear solves are ordinary
+    The entries commute, so determinants and inverses are ordinary
     Gaussian elimination.  Every elimination pivots on an entry of least
     valuation, which keeps the series divisions as exact as the precision
     allows.  ``prec`` is the precision of the zero and identity entries the
@@ -520,18 +514,11 @@ class SeriesMatrix:
             det = -det
         return det
 
-    def solve(self, rhs: Sequence[LaurentSeries]) -> list[LaurentSeries]:
-        """The x with self * x = rhs."""
-        return [row[0] for row in self._reduce([[e] for e in rhs])]
-
     def inverse(self) -> SeriesMatrix:
-        ident = SeriesMatrix.identity(self.tower, self.j, self.n, self.prec)
-        return self._like(self._reduce(ident.rows))
-
-    def _reduce(self, right) -> list[list[LaurentSeries]]:
-        """Gauss-Jordan on [self | right]; returns the reduced right part."""
+        """Gauss-Jordan on [self | I]; the reduced right half."""
         n = self.n
-        mat = [list(r) + list(extra) for r, extra in zip(self.rows, right)]
+        ident = SeriesMatrix.identity(self.tower, self.j, n, self.prec).rows
+        mat = [list(r) + list(extra) for r, extra in zip(self.rows, ident)]
         width = len(mat[0])
         for k in range(n):
             pivot_row = _least_valuation_row(mat, k)
@@ -546,7 +533,7 @@ class SeriesMatrix:
                     continue
                 factor = mat[m][k]
                 mat[m] = [mat[m][c] - factor * mat[k][c] for c in range(width)]
-        return [row[n:] for row in mat]
+        return self._like([row[n:] for row in mat])
 
     def proportional_to(self, other: SeriesMatrix) -> bool:
         """Equality up to a scalar: other = s * self for a series s."""
@@ -675,14 +662,13 @@ def hensel_root(s: LaurentSeries, m: int) -> LaurentSeries:
     x -> x^e with e = m^-1 mod p^K, and x = s^e is the root; it is unique
     because the group has no m-torsion.  The power is taken from the top
     base-p digit of e down as x <- x^p * s^digit, where x^p is free: the
-    coefficient Frobenius with T -> T^p.  For p = 2 that is the square
-    ``LaurentSeries.__mul__`` takes by Frobenius, and the root costs one
-    product per nonzero bit of e below the top one, fewer than
-    K = ceil(log2 n).  For odd p each nonzero digit below the top one
-    costs one product, plus those that build s^digit, at most 2*log2(p)
-    per distinct digit; when p >= n, e is the one digit m^-1 mod p and
-    the root is s^e by binary powering.  The result has val 0 and
-    precision n.
+    coefficient Frobenius with T -> T^p (``_pth_power``, for every p).
+    For p = 2 the root costs one product per nonzero bit of e below the
+    top one, fewer than K = ceil(log2 n).  For odd p each nonzero digit
+    below the top one costs one product, plus those that build s^digit,
+    at most 2*log2(p) per distinct digit; when p >= n, e is the one digit
+    m^-1 mod p and the root is s^e by binary powering.  The result has
+    val 0 and precision n.
     """
     t = s.tower
     p = t.p
@@ -702,7 +688,7 @@ def hensel_root(s: LaurentSeries, m: int) -> LaurentSeries:
     s_pow = {dig: s ** dig for dig in set(digits) if dig}
     x = LaurentSeries.one(t, s.j, n)
     for dig in reversed(digits):
-        x = x * x if p == 2 else _pth_power(x)
+        x = _pth_power(x)
         if dig:
             x = x * s_pow[dig]
     return x
@@ -712,9 +698,11 @@ def _pth_power(x: LaurentSeries) -> LaurentSeries:
     """x^p at x's precision for val(x) = 0: (sum c_k T^k)^p is
     sum c_k^p T^(pk) in characteristic p."""
     t, p = x.tower, x.tower.p
+    Q = t.q - 1
     out = [LOG_ZERO] * x.prec
     head = x.logs[:(x.prec + p - 1) // p]
-    out[:p * len(head):p] = [_frob_log(t, lg, 1) for lg in head]
+    out[:p * len(head):p] = [lg if lg == LOG_ZERO else lg * p % Q
+                             for lg in head]
     return LaurentSeries(t, x.j, 0, out, x.prec, _checked=True)
 
 

@@ -345,20 +345,6 @@ def test_bad_arguments_are_usage_errors(argv, capsys):
     assert "Traceback" not in err
 
 
-def test_bad_precision_environment_is_a_usage_error(monkeypatch, capsys):
-    argv = ["brauer", "inv", "--d", "3", "--r", "1"]
-    for bad in ("abc", "0", "-4"):
-        monkeypatch.setenv("AUTSPLIT_PREC", bad)
-        code, err = run_cli_usage(argv, capsys)
-        assert code == 2
-        assert err.splitlines() == [
-            f"error: AUTSPLIT_PREC must be an integer of at least 1, got {bad!r}"]
-    monkeypatch.setenv("AUTSPLIT_PREC", "12")
-    code, out = run_cli(["nrd", "--p", "2", "--i", "1", "--d", "3", "--r", "1",
-                         "--element", "1+T;T;1"])
-    assert code == 0 and "O(T^12)" in out
-
-
 def test_zero_samples_are_reported_as_vacuous():
     code, doc = validate_json_output(SYNTH + ["--n", "1", "--samples", "0",
                                               "--prec", "8"])

@@ -1,11 +1,12 @@
 import random
+import signal
 
 import pytest
 
 from autsplit.autk import LocalFieldAuto, extend_auto, invert_auto
-from autsplit.cyclic import (AdmissibilityFailure, AlgebraMatrix,
-                             CyclicAlgebra, SemilinearAuto, acts_like,
-                             acts_trivially, compose_semilinear,
+from autsplit.cyclic import (AdmissibilityFailure, AlgebraElement,
+                             AlgebraMatrix, CyclicAlgebra, SemilinearAuto,
+                             acts_like, acts_trivially, compose_semilinear,
                              generator_matrices)
 from autsplit.gftower import build_tower, frobenius, subfield_generator
 from autsplit.series import (LaurentSeries, NotInvertible, SeriesMatrix,
@@ -28,6 +29,24 @@ def dense(alg, rows):
         {t: e for t, e in enumerate(row)
          if not all(not c and c.prec == alg.prec for c in e.comps)}
         for row in rows])
+
+
+def power(a, e):
+    """a^e for e >= 0 by repeated squaring."""
+    result = a.alg.one()
+    while e:
+        if e & 1:
+            result = result * a
+        a = a * a if e > 1 else a
+        e >>= 1
+    return result
+
+
+def inverse(a):
+    """The two-sided inverse of a: column 0 of rep(a)^-1 solves
+    rep(a) x = e_0, and x holds its components."""
+    rows = a.regular_representation().inverse().rows
+    return AlgebraElement(a.alg, tuple(row[0] for row in rows))
 
 
 def matrix_reduced_norm(M):
@@ -130,7 +149,7 @@ def test_u_power_d_is_uniformiser_power():
     for (p, i, d, r) in ((2, 1, 3, 1), (3, 1, 2, 1), (2, 2, 3, 2)):
         alg = make_algebra(p, i, d, r)
         u = alg.u()
-        assert u * u ** (d - 1) == alg.scalar(
+        assert u * power(u, d - 1) == alg.scalar(
             LaurentSeries.T_power(alg.tower, alg.jE, r, alg.prec))
 
 
@@ -140,14 +159,15 @@ def test_exact_u_powers():
     for (p, i, d, r) in ((2, 1, 3, 1), (3, 1, 2, 1), (2, 2, 3, 2),
                          (2, 1, 1, 2)):
         alg = make_algebra(p, i, d, r)
-        u, u_inv = alg.u(), alg.u().inverse()
+        u, u_inv = alg.u(), inverse(alg.u())
         for e in range(-2 * d - 1, 2 * d + 2):
-            assert alg.u_power(e) == (u ** e if e >= 0 else u_inv ** -e), e
+            assert alg.u_power(e) == (power(u, e) if e >= 0
+                                      else power(u_inv, -e)), e
             assert alg.u_power(e) * alg.u_power(-e) == alg.one()
     # r >= prec: u is singular mod T^prec, yet u^-1 = T^-r u^(d-1) is exact
     alg = make_algebra(2, 1, 3, 2, prec=2)
     with pytest.raises(NotInvertible):
-        alg.u().inverse()
+        inverse(alg.u())
     assert alg.u_power(-1) * alg.u() == alg.u() * alg.u_power(-1) == alg.one()
 
 
@@ -167,9 +187,9 @@ def test_side_convention_pinned():
     sx = alg.scalar(LaurentSeries.constant(frobenius(z, 1), 3, alg.prec))
     u = alg.u()
     assert x * u == u * sx
-    assert u.inverse() * x * u == sx
+    assert inverse(u) * x * u == sx
     # realized via u^(d-1) T^(-r) as well
-    ui = (u ** 2) * alg.scalar(
+    ui = power(u, 2) * alg.scalar(
         LaurentSeries.T_power(alg.tower, 3, -1, alg.prec))
     assert ui * x * u == sx
 
@@ -190,8 +210,59 @@ def test_element_inverse():
         a = rand_element(alg, rng)
         if not a.reduced_norm():
             continue
-        assert a * a.inverse() == alg.one()
-        assert a.inverse() * a == alg.one()
+        assert a * inverse(a) == alg.one()
+        assert inverse(a) * a == alg.one()
+
+
+@pytest.mark.parametrize("p,i,d,r", [(2, 1, 3, 1), (3, 1, 2, 1), (2, 1, 1, 2)])
+def test_constants_are_built_once_and_shared(p, i, d, r):
+    alg = make_algebra(p, i, d, r)
+    z = alg.zero_series
+    assert (z.j, z.val, z.logs, z.prec) == (alg.jE, alg.prec, (), alg.prec)
+    assert alg.zero() is alg.zero()
+    assert alg.one() is alg.one()
+    assert alg.u() is alg.u()
+    assert alg.one() == alg.scalar(LaurentSeries.one(alg.tower, alg.jE,
+                                                     alg.prec))
+    assert alg.u() == alg.u_power(1)
+    assert all(c is z for c in alg.zero().comps)
+    assert all(c is z for c in alg.one().comps[1:])
+    for e in range(-d, 2 * d):
+        comps = alg.u_power(e).comps
+        assert all(c is z for k, c in enumerate(comps) if k != e % d)
+    x = alg.scalar(rand_series(alg, random.Random(3)))
+    rep = x.regular_representation().rows
+    assert all(rep[s][t] is z for s in range(d) for t in range(d) if s != t)
+
+
+def test_product_with_a_missing_component_stores_the_zero_series():
+    alg = make_algebra(2, 2, 3, 1)
+    rng = random.Random(4)
+    x, y = (alg.scalar(rand_series(alg, rng, 0)) for _ in range(2))
+    for prod in (x * y, y * x, x * alg.u(), alg.u() * alg.u()):
+        missing = [c for c in prod.comps if not c.logs]
+        assert len(missing) == 2
+        assert all(c is alg.zero_series for c in missing)
+
+
+def test_negative_power_of_an_algebra_matrix_is_refused():
+    # e >>= 1 never reaches 0 from e < 0, so the loop must not be entered
+    alg = make_algebra(2, 1, 3, 1)
+    ident = AlgebraMatrix.identity(alg, 1)
+
+    def expire(signum, frame):
+        raise TimeoutError("negative power still running after 5 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, 5)
+    try:
+        for e in (-1, -2, -7):
+            with pytest.raises(ValueError):
+                ident ** e
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert ident ** 0 == ident and ident ** 3 == ident
 
 
 # -- regular representation and norms ------------------------------------------

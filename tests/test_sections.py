@@ -238,7 +238,7 @@ def test_elementary_image_is_identity_image_plus_rank_one():
         base = f.apply(ident).rows
         for G in ctx.generators()[4:]:
             a, b, x = _elementary_shape(G)
-            R = _rank_one(f, a, b, x)
+            R = _rank_one(f, a, b, f.apply_element(x))
             summed = [[base[s][t] + R.get(s, {}).get(t, zero)
                        for t in range(ctx.n)] for s in range(ctx.n)]
             assert f.apply(G) == AlgebraMatrix(
@@ -482,6 +482,30 @@ def test_comparison_agrees_with_unshared_images():
             generic = all(a == b for a, b in zip(im1, im2))
             assert acts_like(f1, f2, gens) == generic
             seen.add(generic)
+    assert seen == {True, False}
+
+
+def test_a_diagonal_equal_to_one_takes_the_apply_path():
+    # the generators rebuilt with a copy of alg.one(): equal to one but not
+    # the stored object, so none is taken as I + x*e_ab and each goes
+    # through apply, with the same verdicts
+    ctx = CTX_B
+    alg = ctx.algebra
+    copy = alg.scalar(LaurentSeries.one(alg.tower, alg.jE, alg.prec))
+    assert copy == alg.one() and copy is not alg.one()
+    gens = ctx.generators()[4:]
+    rebuilt = [AlgebraMatrix(alg, [{t: copy if e is alg.one() else e
+                                    for t, e in row.items()}
+                                   for row in G.entries]) for G in gens]
+    assert all(_elementary_shape(G) is not None for G in gens)
+    assert all(_elementary_shape(G) is None for G in rebuilt)
+    fs = small_section_family(ctx, random.Random(29))
+    seen = set()
+    for f1 in fs:
+        for f2 in fs:
+            verdict = acts_like(f1, f2, gens)
+            assert acts_like(f1, f2, rebuilt) == verdict
+            seen.add(verdict)
     assert seen == {True, False}
 
 

@@ -340,14 +340,19 @@ def test_windowed_kernels_match_the_precision_sized_ones(tower, j):
 
 @WINDOW_FIELDS
 def test_frobenius_coeffwise_matches_per_coefficient_frobenius(tower, j):
-    from autsplit.series import _frob_log
+    def frob_log(t, la, e):
+        """The log of c^(p^e) for c of log la."""
+        if la == LOG_ZERO or t.q == 2:
+            return la
+        return la * pow(t.p, e, t.q - 1) % (t.q - 1)
+
     rng = random.Random(11 * tower.q)
     for _ in range(10):
         s = LaurentSeries(tower, j, rng.randrange(-3, 3),
                           random_window(tower, j, rng, 9, 0.5), 20)
         for e in range(tower.M + 1):
             assert shape(frobenius_coeffwise(s, e)) == (
-                s.val, tuple(_frob_log(tower, lg, e) for lg in s.logs), s.prec)
+                s.val, tuple(frob_log(tower, lg, e) for lg in s.logs), s.prec)
 
 
 # -- coefficientwise Frobenius ---------------------------------------------
@@ -833,7 +838,7 @@ def test_series_matrix_inverse_times_matrix_is_identity():
                 ident = SeriesMatrix.identity(tower, j, n, M.prec).rows
                 assert (M.inverse() * M).rows == ident
                 assert (M * M.inverse()).rows == ident
-                x = M.solve(ident[0])
+                x = [row[0] for row in M.inverse().rows]
                 assert [sum((M.rows[s][t] * x[t] for t in range(n)),
                             LaurentSeries.zero(tower, j, 24))
                         for s in range(n)] == list(ident[0])

@@ -1,4 +1,5 @@
-"""The runtime imports nothing outside the standard library."""
+"""The runtime imports nothing outside the standard library and reads no
+environment variable: every setting comes from the command line."""
 
 import ast
 import sys
@@ -27,12 +28,40 @@ def outside_imports(tree):
     return found
 
 
-def test_runtime_imports_only_the_standard_library():
+ENVIRONMENT_READERS = {"environ", "environb", "getenv", "getenvb"}
+
+
+def environment_reads(tree):
+    """Line numbers in tree that read os.environ or os.getenv, as an
+    attribute of os or imported from it."""
+    found = set()
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute)
+                and node.attr in ENVIRONMENT_READERS
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "os"):
+            found.add(node.lineno)
+        elif (isinstance(node, ast.ImportFrom) and node.module == "os"
+              and any(a.name in ENVIRONMENT_READERS for a in node.names)):
+            found.add(node.lineno)
+    return found
+
+
+def package_trees():
     modules = sorted(PACKAGE.rglob("*.py"))
     assert len(modules) >= 10
     for path in modules:
-        tree = ast.parse(path.read_text(), filename=str(path))
+        yield path, ast.parse(path.read_text(), filename=str(path))
+
+
+def test_runtime_imports_only_the_standard_library():
+    for path, tree in package_trees():
         assert not outside_imports(tree), path.name
+
+
+def test_runtime_reads_no_environment_variable():
+    for path, tree in package_trees():
+        assert not environment_reads(tree), path.name
 
 
 def test_guard_sees_nested_and_dotted_imports():
@@ -44,3 +73,14 @@ def test_guard_sees_nested_and_dotted_imports():
                      "    from sympy import factorint\n"
                      "    return [__import__('json')]\n")
     assert outside_imports(tree) == {"numpy.linalg", "sympy"}
+
+
+def test_guard_sees_every_environment_read():
+    tree = ast.parse("import os\n"
+                     "from os import getenv\n"
+                     "a = os.environ.get('X')\n"
+                     "def f():\n"
+                     "    return os.getenv('Y'), os.environ['Z']\n"
+                     "b = os.path.join('p', 'q')\n"
+                     "environ = {}\n")
+    assert environment_reads(tree) == {2, 3, 5}
