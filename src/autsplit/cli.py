@@ -9,7 +9,8 @@ The working precision is --prec, default series.DEFAULT_PREC.
 Out-of-range arguments (a precision or a size below 1, a negative sample
 count, a characteristic that is not prime) are usage errors, rejected
 before any arithmetic runs.  ``section synth`` and ``hanke`` need a
-precision of at least 2, since T itself is not known modulo T^1.
+precision of at least 2, since T itself is not known modulo T^1, and
+``hanke`` needs --r below --prec, since T^r is zero modulo T^prec.
 """
 
 from __future__ import annotations
@@ -192,6 +193,9 @@ def _cmd_section_synth(args) -> int:
 
 
 def _cmd_hanke(args) -> int:
+    if args.r >= args.prec:
+        raise ValueError(f"--r {args.r} must be below --prec {args.prec}: "
+                         "T^r is zero modulo T^prec")
     tower = build_tower(args.p, args.i, 3, 1)
     a = LaurentSeries.T_power(tower, args.i, args.r, args.prec)
     image = parse_series(args.alpha, tower, args.i, args.prec)

@@ -19,6 +19,10 @@ F_{p^h} with h = gcd(id*s + ci + b', idb) and lcm(h, id) = idb whenever
 such an s exists: for such a basis the entrywise Frobenius of an embedded
 element is again embedded (twisted by a Galois power and a central
 scalar), which is exactly what the Frobenius commutation relations need.
+The basis is the powers eta^k of a generator eta of that subfield, and the
+coordinates of x over F_{p^(id)} are the traces Tr(x * w_k) down to
+F_{p^(id)} against the trace-dual basis w_k = q_k / f'(eta), where f is
+the minimal polynomial of eta and f(X)/(X - eta) = sum q_k X^k.
 Equality of automorphisms is always decided by action on a generator set,
 never by comparing representations.
 """
@@ -28,7 +32,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from math import gcd, lcm
-from operator import mul
 
 from .autk import (LocalFieldAuto, compose_auto, decompose_auto, extend_auto,
                    invert_auto, restrict_auto)
@@ -37,7 +40,7 @@ from .cyclic import (AdmissibilityFailure, AlgebraMatrix, CyclicAlgebra,
                      SemilinearAuto, acts_like, acts_trivially,
                      compose_semilinear, generator_matrices)
 from .gftower import (FFElement, build_tower, frobenius, hilbert90_solve,
-                      subfield_generator)
+                      relative_trace, subfield_generator)
 from .series import (LaurentSeries, NotInvertible, PrecisionExhausted,
                      hensel_root)
 
@@ -99,16 +102,15 @@ class SectionContext:
             # zeta^{ar} = 1 and y = 1 works
             if (self.zeta ** (a * r)).log != 0:
                 raise DecompositionFailure("b = 1 but zeta^(ar) != 1")
-            self.y = t.one()
-            self.basis = (t.one(),)
+            self.y = eta = t.one()
             self.basis_field_degree = id_
         else:
             self.y = hilbert90_solve(self.zeta ** (a * r), id_, b)
             self.basis_field_degree = self._basis_degree()
             eta = subfield_generator(t, self.basis_field_degree)
-            self.basis = tuple(eta ** k for k in range(b))
+        self.basis = tuple(eta ** k for k in range(b))
+        self.dual_basis = _trace_dual_basis(eta, id_, b)
         self.x_hat = frobenius(self.y, i) / self.y
-        self._init_coordinate_solver()
 
     def _basis_degree(self) -> int:
         # smallest s with h = gcd(id*s + ci + b', idb) satisfying
@@ -122,36 +124,11 @@ class SectionContext:
                 return h
         return M
 
-    def _init_coordinate_solver(self):
-        """Invert the F_p-matrix taking (c_{jt}) to sum_j (sum_t c_jt eta^t) v_j."""
-        t = self.tower
-        p, M, b = self.p, t.M, self.b
-        id_ = self.i * self.d
-        eta_id = subfield_generator(t, id_)
-        cols = []
-        self._id_basis = tuple(eta_id ** k for k in range(id_))
-        for v in self.basis:
-            for w in self._id_basis:
-                cols.append((v * w).coeffs)
-        # rows indexed by ambient coordinates, columns by (j, t)
-        mat = [[cols[cidx][ridx] for cidx in range(M)] for ridx in range(M)]
-        self._coord_inv = _fp_inverse(mat, p)
-
     def coordinates(self, x: FFElement) -> list[FFElement]:
-        """Coordinates of x over F_{p^(id)} with respect to the basis."""
-        t = self.tower
-        vec, p = x.coeffs, self.p
-        sol = [sum(map(mul, row, vec)) % p for row in self._coord_inv]
-        id_ = self.i * self.d
-        out = []
-        for j in range(self.b):
-            acc = t.zero()
-            for k in range(id_):
-                digit = sol[j * id_ + k]
-                if digit:
-                    acc = acc + self._id_basis[k] * t.from_int(digit)
-            out.append(acc)
-        return out
+        """Coordinates of x over F_{p^(id)} with respect to the basis:
+        c_k = Tr(x * w_k) over the trace-dual basis w_k."""
+        return [relative_trace(x * w, self.i * self.d, self.b)
+                for w in self.dual_basis]
 
     def phi(self, x: FFElement) -> list[list[FFElement]]:
         """Regular representation of multiplication by x on the basis."""
@@ -206,23 +183,23 @@ class SectionContext:
                 "embedding_subfield_degree": self.basis_field_degree}
 
 
-def _fp_inverse(mat: list[list[int]], p: int) -> list[list[int]]:
-    n = len(mat)
-    work = [row[:] + [1 if rr == cc else 0 for cc in range(n)]
-            for rr, row in enumerate(mat)]
-    for k in range(n):
-        piv = next((m for m in range(k, n) if work[m][k] % p), None)
-        if piv is None:
-            raise ValueError("basis matrix is singular")
-        work[k], work[piv] = work[piv], work[k]
-        inv = pow(work[k][k], -1, p)
-        work[k] = [v * inv % p for v in work[k]]
-        for m in range(n):
-            if m != k and work[m][k]:
-                f = work[m][k]
-                work[m] = [(work[m][cc] - f * work[k][cc]) % p
-                           for cc in range(2 * n)]
-    return [row[n:] for row in work]
+def _trace_dual_basis(eta: FFElement, j: int, b: int) -> list[FFElement]:
+    """The w_k with Tr(eta^l * w_k) = [l = k], the trace taken from
+    F_{p^(jb)} to F_{p^j} and eta of degree b over F_{p^j}.
+
+    With f the minimal polynomial of eta over F_{p^j} and f(X)/(X - eta)
+    = sum q_k X^k, w_k = q_k / f'(eta) (Euler's lemma).  The quotient is
+    the product of X - eta^(p^(jm)) over the other conjugates, 0 < m < b,
+    and f'(eta) is its value at eta."""
+    t = eta.tower
+    q = [t.one()]                       # coefficients, lowest degree first
+    for m in range(1, b):
+        root = frobenius(eta, j * m)
+        q = [lo - root * hi for lo, hi in zip([t.zero()] + q, q + [t.zero()])]
+    f_prime = t.zero()
+    for c in reversed(q):
+        f_prime = f_prime * eta + c
+    return [c / f_prime for c in q]
 
 
 # ----------------------------------------------------------------------

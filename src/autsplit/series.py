@@ -11,10 +11,13 @@ smaller of the two precisions; the print form is
 ``T^v * (c0 + c1*T + ...) mod T^N`` with coefficients written as powers
 of the tower generator.
 
-Inverses (``LaurentSeries.inverse``) and compositional inverses
-(``reversion``) are Newton iterations, each step doubling the correct
-terms; ``norm_equation_solve`` lifts a doubling block at a time; the
-Hensel root is one exponentiation, s^(m^-1 mod p^K), with no Newton loop.
+``LaurentSeries.inverse`` is the one Newton inverse, each step doubling
+the correct terms.  ``reversion`` is Newton's iteration with no inverse:
+t'(r) * r' = 1 in any characteristic, so 1/t'(r) is the derivative of the
+known terms of r.  ``norm_equation_solve`` takes its residue as one
+generator power, N(zeta^m) = g^(m*s), and lifts a doubling block at a
+time against one inverse of the right-hand side, taken before the loop.
+The Hensel root is one exponentiation, s^(m^-1 mod p^K), with no loop.
 
 ``SeriesMatrix`` is the one square-matrix type over such a field: products,
 determinants, inverses and projective comparison.  Reduced norms of the
@@ -27,7 +30,8 @@ from bisect import bisect_left
 from math import isqrt
 from typing import Iterable, Optional, Sequence
 
-from .gftower import FFElement, FieldTower, LOG_ZERO, in_subfield
+from .gftower import (FFElement, FieldTower, LOG_ZERO, in_subfield,
+                      relative_trace, subfield_generator)
 
 DEFAULT_PREC = 32
 
@@ -184,8 +188,10 @@ class LaurentSeries:
 
     @staticmethod
     def from_pairs(tower: FieldTower, j: int, pairs, prec: int = DEFAULT_PREC):
-        """Series from (exponent, FFElement) pairs."""
-        pairs = sorted(pairs, key=lambda kv: kv[0])
+        """Series from (exponent, FFElement) pairs; pairs at or beyond prec
+        are O(T^prec) and do not widen the window."""
+        pairs = sorted((kv for kv in pairs if kv[0] < prec),
+                       key=lambda kv: kv[0])
         if not pairs:
             return LaurentSeries.zero(tower, j, prec)
         val = pairs[0][0]
@@ -381,19 +387,16 @@ class LaurentSeries:
     def __pow__(self, e: int) -> LaurentSeries:
         if e < 0:
             return self.inverse() ** (-e)
-        result = LaurentSeries.one(self.tower, self.j, self.prec + abs(self.val) * e + 1)
-        base = self
-        first = True
-        while e:
-            if e & 1:
-                result = base if first else result * base
-                first = False
-            e >>= 1
-            if e:
-                base = base * base
-        if first:
+        if e == 0:
             return LaurentSeries.one(self.tower, self.j, self.prec)
-        return result
+        result, base = None, self
+        while True:
+            if e & 1:
+                result = base if result is None else result * base
+            e >>= 1
+            if not e:
+                return result
+            base = base * base
 
     # -- semantics beyond the ring ------------------------------------------
 
@@ -719,57 +722,51 @@ def norm_equation_solve(c: LaurentSeries, i: int, d: int) -> Optional[LaurentSer
     """Solve unramified_norm(x, i, d) = c for x over F_{p^(id)}.
 
     Solvable exactly when d divides val(c); returns None otherwise.  The
-    residue is matched by exhaustion over generator powers of
-    F_{p^(id)}^x, then unit corrections 1 + eps*T^j are found from
-    surjectivity of the relative trace, taking the canonical preimage
+    residue is zeta^m, zeta the generator of F_{p^(id)}^x and m = log(lead)
+    // s for s = (q - 1)/(p^i - 1): N(zeta^m) = g^(m*s), so this is the
+    least m with N(zeta^m) = lead.  Unit corrections 1 + eps*T^j then follow
+    from surjectivity of the relative trace, taking the canonical preimage
     eps = theta * tau_j * Tr(theta)^-1 through a fixed trace-nonzero theta.
 
     The corrections are found a doubling block [k, min(2k, n)) at a time,
-    n the relative precision: with N(x) = c_u mod T^k, one norm and one
-    inverse give tau = (c_u - N(x)) * N(x)^-1 mod T^(2k), and x is
-    multiplied by 1 + eps_j*T^j for each j in the block with tau_j != 0,
-    in increasing j.  Since N(1 + eps*T^j) = 1 + Tr(eps)*T^j + O(T^(2j))
-    and the cross terms of two corrections in one block land at
+    n the relative precision: with N(x) = c_u mod T^k, one norm gives
+    tau = (c_u - N(x)) * c_u^-1 mod T^(2k), and x is multiplied by
+    1 + eps_j*T^j for each j in the block with tau_j != 0, in increasing
+    j.  The one inverse c_u^-1 is taken before the loop: it differs from
+    N(x)^-1 by O(T^k) and multiplies a defect of valuation >= k, so tau is
+    the same mod T^(2k).  Since N(1 + eps*T^j) = 1 + Tr(eps)*T^j +
+    O(T^(2j)) and the cross terms of two corrections in one block land at
     T^(>= 2k), the T^j coefficient of c_u - N(x) after the corrections
     below j is N(x)_0 * tau_j: a triangular system whose solution is the
     per-j defect the one-norm-per-exponent loop computes.  So the same
     corrections are applied in the same order and x is unchanged, at
-    O(log n) norms and inverses instead of n norms.
+    O(log n) norms and one inverse instead of n norms.
     """
     if not c.logs:
         raise ApparentZero("norm equation needs a nonzero right-hand side")
     if c.j != i:
         raise ValueError("right-hand side must live over F_{p^i}")
-    t = c.tower
-    from .gftower import relative_norm, relative_trace, subfield_generator
     if c.val % d != 0:
         return None
+    t = c.tower
     id_ = i * d
     prec_rel = c.prec - c.val
     cu = c.shift(-c.val).with_subfield(id_)   # unit part over the big field
-    # residue solve by exhaustion: find r with N(r) = leading coefficient
-    lead = cu.leading()
     zeta = subfield_generator(t, id_)
-    r = None
-    cand = t.one()
-    for _ in range(t.p ** id_ - 1):
-        if relative_norm(cand, i, d) == lead:
-            r = cand
-            break
-        cand = cand * zeta
-    if r is None:  # pragma: no cover - norm is surjective on finite fields
-        raise RuntimeError("residue norm equation unsolvable")
+    s = (t.q - 1) // (t.p ** i - 1)           # N(zeta^m) = g^(m*s)
+    r = zeta ** (cu.leading().log // s)
     # fixed trace-nonzero element: first generator power with Tr != 0
     theta = t.one()
     while not relative_trace(theta, i, d):
         theta = theta * zeta
     tr_theta_inv = relative_trace(theta, i, d).inverse()
+    cu_inv = cu.inverse()
     x = LaurentSeries.constant(r, id_, prec_rel)
     k = 1
     while k < prec_rel:
         top = min(2 * k, prec_rel)
         nx = unramified_norm(x.truncate(top), i, d).with_subfield(id_)
-        tau = (cu.truncate(top) - nx) * nx.inverse()
+        tau = (cu - nx) * cu_inv
         if tau.val < k:  # pragma: no cover - corrections keep lower terms
             raise RuntimeError("norm lifting lost a settled term")
         for e, lg in enumerate(tau.logs, tau.val):
@@ -786,16 +783,16 @@ def norm_equation_solve(c: LaurentSeries, i: int, d: int) -> Optional[LaurentSer
 def reversion(t_series: LaurentSeries) -> LaurentSeries:
     """The compositional inverse r with r(t_series) = T.
 
-    Newton iteration over the fast composition: from r = c_1^-1 T mod T^2,
-    each step r <- r - (t(r) - T) / t'(r) doubles the number of correct
-    terms, because t(r + e) = t(r) + t'(r) e + O(e^2) holds for the
-    formal derivative t' = sum k c_k T^(k-1) in any characteristic (the
-    terms with p | k drop out) and t'(r) is a unit, its constant term
-    being c_1.  Step K costs two substitutions, t(r) at T^K and t'(r) at
-    the T^(K/2) the quotient needs, so the whole costs a constant times
-    one composition at full precision instead of the n products of a
-    table of powers t^k.  The compositional inverse is unique mod T^prec,
-    so the result (val 1, precision prec = t_series.prec) is the one
+    Newton iteration over the fast composition, with no series inverse:
+    from r = c_1^-1 T mod T^2, each step r <- r - (t(r) - T) * r' takes r
+    known mod T^K to r known mod T^min(2K - 1, prec).  Newton's step with
+    1/t'(r) is right mod T^(2K), since t(r + e) = t(r) + t'(r) e + O(e^2)
+    for the formal derivative in any characteristic.  The chain rule
+    t'(r) * r' = 1 holds in any characteristic too, so the derivative r'
+    of the known terms is 1/t'(r) mod T^(K-1); times t(r) - T, of
+    valuation >= K, it is right mod T^(2K - 1).  A step costs one
+    substitution and one product.  The compositional inverse is unique
+    mod T^prec, so the result (val 1, precision t_series.prec) is the one
     matching coefficients of T^m term by term gives.
     """
     if t_series.val != 1 or not t_series.logs:
@@ -805,22 +802,20 @@ def reversion(t_series: LaurentSeries) -> LaurentSeries:
     prec = t_series.prec
     Q = t.q - 1
     int_logs = [LOG_ZERO] + [t.from_int(k).log for k in range(1, t.p)]
-    deriv = []                                 # k * c_k at T^(k-1)
-    for k, lg in enumerate(t_series.logs, 1):
-        kl = int_logs[k % t.p]
-        deriv.append(LOG_ZERO if lg == LOG_ZERO or kl == LOG_ZERO
-                     else (lg + kl) % Q)
-    dt = LaurentSeries(t, j, 0, deriv, prec - 1, _checked=True)
     r = LaurentSeries(t, j, 1, (t_series.leading().inverse().log,), 2,
                       _checked=True)
     known = 2
     while known < prec:
-        top = min(2 * known, prec)
+        top = min(2 * known - 1, prec)
+        deriv = []                             # k * r_k at T^(k-1)
+        for k, lg in enumerate(r.logs, 1):
+            kl = int_logs[k % t.p]
+            deriv.append(LOG_ZERO if lg == LOG_ZERO or kl == LOG_ZERO
+                         else (lg + kl) % Q)
         rk = LaurentSeries(t, j, 1, r.logs, top, _checked=True)
         err = substitute(t_series.truncate(top), rk) \
             - LaurentSeries.T_power(t, j, 1, top)
-        slope = substitute(dt.truncate(top - known), rk)
-        r = rk - err * slope.inverse()
+        r = rk - err * LaurentSeries(t, j, 0, deriv, known - 1, _checked=True)
         known = top
     return r
 

@@ -1,6 +1,7 @@
 import hashlib
 import io
 import json
+import tracemalloc
 from contextlib import redirect_stdout
 from importlib import resources
 from pathlib import Path
@@ -126,6 +127,29 @@ def test_hanke_cli():
     code, out = run_cli(["hanke", "--p", "2", "--i", "1", "--r", "1",
                          "--alpha", "T+T^2", "--prec", "16"])
     assert code == 0 and "branch" in out
+
+
+def test_hanke_refuses_a_slot_at_or_beyond_precision(capsys):
+    # T^r is zero mod T^prec for r >= prec; the message names both flags
+    for r in ("2", "3"):
+        code, err = run_cli_usage(["hanke", "--p", "2", "--i", "1", "--r", r,
+                                   "--alpha", "T+T^2", "--prec", "2"], capsys)
+        assert code == 2 and "--r" in err and "--prec" in err
+
+
+def test_nrd_with_a_term_far_beyond_precision_stays_small():
+    # T^(10^7) is O(T^8): the parsed series must not allocate a window
+    # reaching it (a list of 10^7 slots is 80 MB)
+    argv = ["nrd", "--p", "2", "--i", "1", "--d", "3", "--r", "1",
+            "--prec", "8", "--element"]
+    tracemalloc.start()
+    try:
+        code, out = run_cli(argv + ["1+T^10000000;0;0"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == run_cli(argv + ["1;0;0"])
+    assert peak < 8_000_000
 
 
 def test_extension_split_cli(tmp_path):
@@ -359,6 +383,8 @@ def test_zero_samples_are_reported_as_vacuous():
      "--n", "1"],
     SYNTH + ["--n", "1", "--prec", "1"],
     ["hanke", "--p", "2", "--i", "1", "--alpha", "T+T^2", "--prec", "1"],
+    ["hanke", "--p", "5", "--i", "1", "--r", "2", "--alpha", "g^1*T",
+     "--frob", "2", "--prec", "2"],
 ], ids=lambda argv: " ".join(argv))
 def test_refused_before_any_arithmetic(argv, capsys, monkeypatch):
     # a characteristic that is not prime, and a precision below 2, at

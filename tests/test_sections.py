@@ -6,7 +6,8 @@ from autsplit.autk import LocalFieldAuto, compose_auto
 from autsplit.cyclic import (AlgebraMatrix, SemilinearAuto, _elementary_shape,
                              _rank_one, acts_like, acts_trivially,
                              compose_semilinear)
-from autsplit.gftower import frobenius, subfield_generator
+from autsplit.gftower import (FFElement, frobenius, in_subfield,
+                              subfield_generator)
 from autsplit.sections import (SectionContext, glue_section, random_j_element,
                                random_k_auto, section_Ca,
                                section_Caprime, section_Cb, section_Cbprime,
@@ -117,6 +118,29 @@ def test_section_Cb_well_defined_and_independent_of_y():
         alt = _with_witness(ctx, y2)
         for j in (1, 2):
             assert acts_like(section_Cb(ctx, j), section_Cb(alt, j), gens)
+
+
+@pytest.mark.parametrize("p,i,d,n", [(2, 2, 3, 3), (3, 1, 2, 2), (3, 1, 4, 2),
+                                     (3, 3, 2, 2), (5, 1, 2, 4), (7, 1, 2, 2)])
+def test_coordinates_recompose_and_phi_is_a_ring_map(p, i, d, n):
+    ctx = SectionContext(p, i, d, 1, n, prec=2)
+    t, b = ctx.tower, ctx.b
+    assert b > 1
+    rng = random.Random(p * i * d)
+    elts = [t.zero(), t.one()] + [FFElement(t, rng.randrange(t.q - 1))
+                                  for _ in range(16)]
+    total = lambda terms: sum(terms, t.zero())
+    for x in elts:
+        coords = ctx.coordinates(x)
+        assert len(coords) == b
+        assert all(in_subfield(c, i * d) for c in coords)
+        assert total(c * v for c, v in zip(coords, ctx.basis)) == x
+    assert ctx.phi(t.one()) == [[t.one() if r == c else t.zero()
+                                 for c in range(b)] for r in range(b)]
+    for x, y in zip(elts, reversed(elts)):
+        A, B = ctx.phi(x), ctx.phi(y)
+        assert ctx.phi(x * y) == [[total(a * e for a, e in zip(row, col))
+                                   for col in zip(*B)] for row in A]
 
 
 def test_section_Caprime_properties():

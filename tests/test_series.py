@@ -734,6 +734,31 @@ def test_norm_equation_matches_per_exponent_lifting_over_f4():
             shape(per_exponent_norm_solve(c, 2, 3))
 
 
+def count_series_inverses(monkeypatch):
+    """A list that gains one entry per LaurentSeries.inverse call."""
+    calls = []
+    inverse = LaurentSeries.inverse
+
+    def counting(self):
+        calls.append(self)
+        return inverse(self)
+    monkeypatch.setattr(LaurentSeries, "inverse", counting)
+    return calls
+
+
+def test_norm_equation_takes_one_series_inverse(monkeypatch):
+    rng = random.Random(41)
+    tower = build_tower(3, 1, 2, 1)
+    calls = count_series_inverses(monkeypatch)
+    for prec in (1, 2, 9, 33):
+        c = LaurentSeries.one(tower, 1, prec) + sample_series(
+            tower, 1, rng, prec=prec, val_range=(0, 1)).shift(1)
+        calls.clear()
+        lam = norm_equation_solve(c, 1, 2)
+        assert len(calls) == 1
+        assert unramified_norm(lam, 1, 2) == c
+
+
 # -- reversion ---------------------------------------------------------------
 
 def test_reversion_round_trip():
@@ -780,6 +805,34 @@ def test_reversion_matches_power_loop(p, d):
             tower, d, [(1, gen)] + [(k, gen ** k) for k in range(p, prec, p)],
             prec)
         assert shape(reversion(sparse)) == shape(power_loop_reversion(sparse))
+
+
+def test_reversion_takes_no_series_inverse(monkeypatch):
+    rng = random.Random(43)
+    tower = build_tower(3, 1, 2, 1)
+    calls = count_series_inverses(monkeypatch)
+    for prec in (2, 5, 17, 40):
+        r = reversion(sample_target(tower, 2, rng, prec, prec))
+        assert r.prec == prec
+    assert calls == []
+
+
+# -- powers -----------------------------------------------------------------
+
+def test_positive_powers_build_no_unit(monkeypatch):
+    rng = random.Random(47)
+    s = sample_series(T3, 2, rng, min_terms=2)
+    expected = [LaurentSeries.one(T3, 2, s.prec)]
+    for _ in range(7):
+        expected.append(expected[-1] * s)
+    built = []
+    one = LaurentSeries.one
+    monkeypatch.setattr(LaurentSeries, "one", staticmethod(
+        lambda *args: built.append(args) or one(*args)))
+    for e in range(1, 8):
+        assert s ** e == expected[e]
+    assert built == []
+    assert shape(s ** 0) == shape(one(T3, 2, s.prec))
 
 
 # -- matrices over the series field -----------------------------------------
