@@ -198,12 +198,17 @@ class AlgebraMatrix:
     """Square matrix over A(d,r), stored as one dict {column: entry} per row.
 
     A position missing from its row holds the algebra's zero, alg.zero().
-    Every operation gives the entries the dense schoolbook formula gives,
-    value and precision alike: an entry of a product is the sum of a_sk *
-    b_kt over the pairs whose factors are both nonzero, or alg.zero() when
-    there is no such pair.  A product of algebra elements is already known
-    to at most alg.prec, so its sum needs no zero accumulator to be capped
-    there.  An entry that cancels to zero keeps the precision its sum
+    An entry of a product is the sum of a_sk * b_kt over the pairs whose
+    factors are both nonzero, or alg.zero() when there is no such pair.
+    That is the dense schoolbook formula, value and precision alike, with
+    one exception: a factor that is a zero known only to T^k, k < alg.prec
+    (no terms, as ``is_zero`` reads it), is skipped like an exact zero.
+    Its pair with a factor of valuation v would put O(T^(k + v)) into the
+    schoolbook sum; skipped, the entry can claim more precision than the
+    schoolbook one.  ``AlgebraElement.__mul__`` skips a component with no
+    terms in the same way.  A product of algebra elements is already
+    known to at most alg.prec, so its sum needs no zero accumulator to be
+    capped there.  An entry that cancels to zero keeps the precision its sum
     reached and stays stored: equality compares at the lower precision of
     the two sides, so dropping it would compare at alg.prec instead.
     ``rows`` is a dense read-only view.

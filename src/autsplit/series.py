@@ -18,6 +18,10 @@ known terms of r.  ``norm_equation_solve`` takes its residue as one
 generator power, N(zeta^m) = g^(m*s), and lifts a doubling block at a
 time against one inverse of the right-hand side, taken before the loop.
 The Hensel root is one exponentiation, s^(m^-1 mod p^K), with no loop.
+``substitute`` composes by splitting the exponents mod p, each part
+composed at 1/p of the precision and raised to the p-th power for free,
+down to Brent-Kung baby-step/giant-step leaves of at most max(16, p^2)
+coefficients.
 
 ``SeriesMatrix`` is the one square-matrix type over such a field: products,
 determinants, inverses and projective comparison.  Reduced norms of the
@@ -584,16 +588,22 @@ def frobenius_coeffwise(s: LaurentSeries, e: int) -> LaurentSeries:
 def substitute(s: LaurentSeries, target: LaurentSeries) -> LaurentSeries:
     """s(T -> target) for a uniformiser image target (valuation exactly 1).
 
-    Brent-Kung baby-step/giant-step composition.  With P = min(s.prec,
-    target.prec) and u = s / T^val = c_0 + c_1 T + ... + c_{n-1} T^(n-1)
-    (only n <= P terms can reach below T^P), take m = ceil(sqrt(n)), the
-    baby powers t^0 ... t^m of t = target truncated at T^P, cut u into
-    blocks of m coefficients, form each block sum_r c_{bm+r} t^r from
-    scaled baby powers, and run Horner in t^m over the blocks, each giant
-    step acc * t^m summed in one pass with its block.  That is about
-    2*sqrt(n) series products, against n for Horner in t, so
-    O(sqrt(n)*M(n)) with M(n) the cost of one product.  Each call builds
-    its own baby powers and keeps nothing.
+    With P = min(s.prec, target.prec) and u = s / T^val = c_0 + c_1 T +
+    ... + c_{n-1} T^(n-1) (only n <= P terms can reach below T^P), u(t)
+    for t = target truncated at T^P is composed in characteristic p by
+    Bernstein's split (``_compose_unit``): for n > max(16, p^2), u is cut
+    by the exponent mod p into p series of about n/p terms, each composed
+    at about P/p and raised to the p-th power for free.  The split itself
+    is one sum of p products, O(P^2) term pairs, and the p parts cost
+    about 1/p of that each, so the recursion is O(P^2) pairs, against
+    O(sqrt(n)*M(n)) for Brent-Kung's baby-step/giant-step alone, M(n) the
+    cost of one product (O(n^2.5) with schoolbook products).  Windows of
+    at most max(16, p^2) terms, so every window for p >= 31 below 961
+    terms, are Brent-Kung: about 2*sqrt(n) products, from baby powers
+    t^0 ... t^m, m = ceil(sqrt(n)), and Horner in t^m over blocks of m
+    coefficients.  The bound is measured: for p = 31, splitting every
+    window above 16 terms ran 1.5-2.3x slower than Brent-Kung at 32-128
+    terms.  Each call builds its own baby powers and keeps nothing.
 
     The output is what Horner's rule in t gives, as a value and in its
     (val, logs, prec).  Horner ends on the constant c_0 != 0 added at
@@ -625,35 +635,81 @@ def substitute(s: LaurentSeries, target: LaurentSeries) -> LaurentSeries:
 
 def _compose_unit(coeffs: Sequence[int], target: LaurentSeries,
                   prec: int) -> LaurentSeries:
-    """sum_k coeffs[k] * target^k mod T^prec (prec >= 1), with precision
-    exactly prec.
+    """sum_k coeffs[k] * t^k mod T^prec for t = target (prec >= 1), with
+    precision exactly prec.
 
-    The baby powers are built by halves, t^k = t^(k//2) * t^(k - k//2):
-    the same values as t^(k-1) * t, but in characteristic 2 every even
-    power is then a square, which ``LaurentSeries.__mul__`` takes by
-    Frobenius.  The giant step acc * t^m is one more group of each block's
-    ``_sum_of_products``, so acc stays a list of logs from block to block
-    and one series is built at the end.
+    A window of more than max(16, p^2) coefficients is split by the
+    exponent mod p (Bernstein 1998): f = sum_{k<p} T^k h_k(T^p) gives
+    f(t) = sum_k t^k * h~_k(t)^p, where h~_k is h_k with the inverse
+    Frobenius applied to each coefficient.  Only h~_k(t) mod
+    T^ceil((n - k)/p) reaches below T^n, so it recurses at that precision,
+    and its p-th power is free: each log times p, at p times its index,
+    known p times as far.  An all-zero h_k is skipped, t^1 ... t^(p-1) are
+    the baby powers at precision n, and the p pieces add up in one
+    ``_sum_of_products``.
+
+    Any other window is a leaf: Brent-Kung's block loop over baby powers
+    t^0 ... t^m, m = ceil(sqrt(len)), built by halves, t^k = t^(k//2) *
+    t^(k - k//2) (in characteristic 2 every even power is then a square,
+    which ``LaurentSeries.__mul__`` takes by Frobenius).  The giant step
+    acc * t^m is one more group of each block's ``_sum_of_products``, so
+    acc stays a list of logs from block to block.  The baby powers at each
+    precision are built once per call, grown as far as the largest m asked
+    for, and shared by every leaf and split there; nothing is kept after
+    the call.  Each piece is the exact value mod its T^n, so the result is
+    the one series Horner's rule gives.
     """
     t, j = target.tower, target.j
-    n = len(coeffs)
-    m = isqrt(n - 1) + 1                      # ceil(sqrt(n))
-    powers = [LaurentSeries.one(t, j, prec), target.truncate(prec)]
-    for k in range(2, m + 1):
-        powers.append((powers[k // 2] * powers[k - k // 2]).truncate(prec))
-    terms = [_terms(pw.logs, pw.val) for pw in powers]
-    giant = terms[m]
-    acc = None
-    for start in range((n - 1) // m * m, -1, -m):
-        # the block sum_r c_r t^r, plus acc * t^m from the second on
-        groups = [(((0, c),), terms[r])
-                  for r, c in enumerate(coeffs[start:start + m]) if c != LOG_ZERO]
-        if acc is not None:
-            prev = _terms(acc)
-            groups.append((prev, giant) if len(prev) <= len(giant)
-                          else (giant, prev))
-        acc = _sum_of_products(t, prec, groups)
-    return LaurentSeries(t, j, 0, acc, prec, _checked=True)
+    p, Q = t.p, t.q - 1
+    unfrob = t._frob_exp[t.M - 1]            # x -> x^(1/p) on logs
+    leaf_max = max(16, p * p)
+    baby = {}                                 # n -> (t^k mod T^n, their terms)
+
+    def baby_terms(n: int, m: int) -> list:
+        """Terms of t^0 ... t^m (at least) mod T^n."""
+        if n not in baby:
+            baby[n] = [LaurentSeries.one(t, j, n), target.truncate(n)], []
+        powers, terms = baby[n]
+        for k in range(len(powers), m + 1):
+            powers.append((powers[k // 2] * powers[k - k // 2]).truncate(n))
+        terms.extend(_terms(pw.logs, pw.val) for pw in powers[len(terms):])
+        return terms
+
+    def compose(cs: Sequence[int], n: int) -> list[int]:
+        """Logs of sum_k cs[k] * t^k mod T^n, for len(cs) <= n."""
+        if len(cs) > leaf_max:
+            tk = baby_terms(n, p - 1)
+            groups = []
+            for k in range(p):
+                h = cs[k::p]
+                while h and h[-1] == LOG_ZERO:
+                    h = h[:-1]
+                if not h:
+                    continue
+                root = compose([lg if lg == LOG_ZERO else lg * unfrob % Q
+                                for lg in h], -(-(n - k) // p))
+                pth = [(p * i, lg * p % Q) for i, lg in enumerate(root)
+                       if lg != LOG_ZERO]
+                groups.append((pth, tk[k]) if len(pth) <= len(tk[k])
+                              else (tk[k], pth))
+            return _sum_of_products(t, n, groups)
+        m = isqrt(len(cs) - 1) + 1            # ceil(sqrt(len(cs)))
+        terms = baby_terms(n, m)
+        giant = terms[m]
+        acc = None
+        for start in range((len(cs) - 1) // m * m, -1, -m):
+            # the block sum_r c_r t^r, plus acc * t^m from the second on
+            groups = [(((0, c),), terms[r])
+                      for r, c in enumerate(cs[start:start + m])
+                      if c != LOG_ZERO]
+            if acc is not None:
+                prev = _terms(acc)
+                groups.append((prev, giant) if len(prev) <= len(giant)
+                              else (giant, prev))
+            acc = _sum_of_products(t, n, groups)
+        return acc
+
+    return LaurentSeries(t, j, 0, compose(coeffs, prec), prec, _checked=True)
 
 
 def hensel_root(s: LaurentSeries, m: int) -> LaurentSeries:

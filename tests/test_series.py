@@ -509,6 +509,108 @@ def test_substitute_below_precision_zero():
     assert shape(substitute(s, target)) == shape(expected)
 
 
+# -- composition split by the exponent mod p ---------------------------------
+
+def dense_unit(tower, j, rng, terms, prec):
+    """c_0 + c_1 T + ... + c_(terms-1) T^(terms-1) + O(T^prec), every c_k
+    nonzero."""
+    return LaurentSeries(tower, j, 0, random_window(tower, j, rng, terms, 1.0),
+                         prec)
+
+
+@pytest.mark.parametrize("tower,j,s_precs", [
+    (T4, 2, (64, 129)), (build_tower(2, 1, 1, 1), 1, (64, 129)),
+    (T3, 2, (64, 129)), (build_tower(5, 1, 2, 1), 2, (64,))],
+    ids=["F4", "F2", "F9", "F25"])
+def test_substitute_matches_horner_where_the_split_applies(tower, j, s_precs):
+    # windows longer than max(16, p^2) coefficients are split by the
+    # exponent mod p, down to leaves at or below it
+    rng = random.Random(60 + tower.p)
+    gen = subfield_generator(tower, j)
+    for s_prec in s_precs:
+        dense = sample_series(tower, j, rng, prec=s_prec, val_range=(0, 1),
+                              min_terms=1)
+        # every coefficient at an exponent = 1 mod p is zero, so h_1 is
+        # skipped at the top split
+        gap = LaurentSeries(tower, j, 0,
+                            [LOG_ZERO if k % tower.p == 1 else lg
+                             for k, lg in enumerate(dense_unit(
+                                 tower, j, rng, s_prec, s_prec).logs)],
+                            s_prec)
+        target = sample_target(tower, j, rng, s_prec + 3, s_prec + 3)
+        short = sample_target(tower, j, rng, s_prec - 7, s_prec - 7)
+        monomial = LaurentSeries.from_pairs(tower, j, [(1, gen)], 2 * s_prec)
+        for s, t in ((dense, target), (gap, target), (dense, monomial),
+                     (gap, short), (dense.shift(-2), target)):
+            assert shape(substitute(s, t)) == shape(horner_substitute(s, t)), \
+                (s, t)
+
+
+def record_composition(monkeypatch):
+    """Two lists: the truncation n of each _sum_of_products call that
+    LaurentSeries.__mul__ does not make, and the precisions of the factors
+    of each __mul__ call."""
+    import autsplit.series as series
+    blocks, products, inside = [], [], []
+    kernel, mul = series._sum_of_products, LaurentSeries.__mul__
+
+    def recording(t, n, groups):
+        if not inside:
+            blocks.append(n)
+        return kernel(t, n, groups)
+
+    def counting(self, other):
+        products.append((self.prec, other.prec))
+        inside.append(True)
+        try:
+            return mul(self, other)
+        finally:
+            inside.pop()
+    monkeypatch.setattr(series, "_sum_of_products", recording)
+    monkeypatch.setattr(LaurentSeries, "__mul__", counting)
+    return blocks, products
+
+
+def test_composition_splits_only_above_max_16_p_squared(monkeypatch):
+    # a window that is not split is one Brent-Kung loop, each block of it
+    # summed at the full precision; a split recurses at lower precisions
+    rng = random.Random(67)
+    f31 = build_tower(31, 1, 1, 1)
+    s = dense_unit(f31, 1, rng, 64, 64)
+    target = sample_target(f31, 1, rng, 64, 64)
+    expected = horner_substitute(s, target)
+    blocks, _ = record_composition(monkeypatch)
+    assert shape(substitute(s, target)) == shape(expected)
+    assert set(blocks) == {64}
+    for tower, j in ((build_tower(2, 1, 1, 1), 1), (T4, 2), (T3, 2),
+                     (build_tower(5, 1, 2, 1), 2), (f31, 1)):
+        target = sample_target(tower, j, rng, 64, 64)
+        for terms in (1, 2, 15, 16):
+            blocks.clear()
+            substitute(dense_unit(tower, j, rng, terms, 64), target)
+            assert set(blocks) <= {64}
+        blocks.clear()
+        substitute(dense_unit(tower, j, rng, 17, 64), target)
+        assert min(blocks) < 64 if tower.p ** 2 < 17 else set(blocks) == {64}
+
+
+def test_composition_leaves_share_one_set_of_baby_powers(monkeypatch):
+    # 63 terms at prec 64 over F_{2^7}: split to 32 + 31 terms at prec 32,
+    # then to four leaves of 16, 16, 16 and 15 terms at prec 16, each a
+    # Brent-Kung loop of four blocks with m = 4.  t^1 is the target
+    # truncated, and the leaves share t^2, t^3, t^4 mod T^16: three
+    # products in all, where baby powers per leaf would take twelve.
+    tower = build_tower(2, 7, 3, 1)
+    rng = random.Random(71)
+    s = dense_unit(tower, 7, rng, 63, 64)
+    target = sample_target(tower, 7, rng, 64, 64)
+    expected = horner_substitute(s, target)
+    blocks, products = record_composition(monkeypatch)
+    assert shape(substitute(s, target)) == shape(expected)
+    assert len(products) <= 3
+    assert sorted(blocks) == [16] * 16 + [32, 32, 64]
+
+
 # -- Hensel ------------------------------------------------------------------
 
 def hensel_oracle(s, m):
