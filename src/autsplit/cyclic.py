@@ -26,14 +26,18 @@ Every matrix the sections build is diagonal, block diagonal or monomial,
 so an algebra matrix has one constructor, AlgebraMatrix(alg, entries),
 taking one {column: entry} dict per row: it stores only the entries
 given, and a product multiplies only the stored nonzero pairs.  The
-comparison on generators uses additivity: f(I + x*e_ab) = f(I) + (column
-a of g) phi(x) (row b of g^-1), and the two parts are compared
-separately.
+generators a comparison runs on form an additive spanning set: scalar
+matrices, I and the parts x*e_ab of the elementary matrices I + x*e_ab.
+f is additive, so comparing f(I) and f(x*e_ab) compares f(I + x*e_ab).
+Each generator is diagonal or stores one entry, and for such an M the
+single pass of ``SemilinearAuto.apply`` takes the same products and sums
+as (g * phi~(M)) * g^-1.
 
 The builders store one element object at many positions (a scalar
-matrix holds one object n times), so phi~(M) maps each distinct stored
-object once per call, and a comparison maps each generator's x once per
-side.  These memos are local to the call and keep nothing.  Series and
+matrix holds one object n times, and the generators share alg.one() and
+alg.u()), so phi~ maps each distinct stored object once: once per call,
+or once per side of a whole comparison, which keeps the generators alive
+while it runs.  These memos are local and keep nothing.  Series and
 elements are never mutated, so an algebra builds its zero series and its
 zero(), one() and u() once and every builder and product shares them.
 """
@@ -42,7 +46,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .autk import LocalFieldAuto
+from .autk import LocalFieldAuto, compose_auto
 from .gftower import FieldTower, subfield_generator
 from .series import (LaurentSeries, SeriesMatrix, frobenius_coeffwise,
                      series_in_subfield, unramified_norm)
@@ -272,8 +276,9 @@ class AlgebraMatrix:
         if self.n != other.n:
             return False
         zero = self.alg.zero()
-        return all(_rows_equal(r1, r2, zero)
-                   for r1, r2 in zip(self.entries, other.entries))
+        return all(r1.get(t, zero) == r2.get(t, zero)
+                   for r1, r2 in zip(self.entries, other.entries)
+                   for t in r1.keys() | r2.keys())
 
     __hash__ = None
 
@@ -299,10 +304,6 @@ def _row_times(row: dict[int, AlgebraElement],
             cur = out.get(t)
             out[t] = prod if cur is None else cur + prod
     return out
-
-
-def _rows_equal(r1: dict, r2: dict, zero: AlgebraElement) -> bool:
-    return all(r1.get(t, zero) == r2.get(t, zero) for t in r1.keys() | r2.keys())
 
 
 # ----------------------------------------------------------------------
@@ -374,11 +375,53 @@ class SemilinearAuto:
                              else tw[j] * img)
         return AlgebraElement(alg, tuple(comps))
 
-    def apply(self, M: AlgebraMatrix) -> AlgebraMatrix:
-        """g * phi~(M) * g^(-1)."""
+    def apply(self, M: AlgebraMatrix, images: dict | None = None
+              ) -> AlgebraMatrix:
+        """f(M) = g * phi~(M) * g^(-1) in one pass, without forming
+        g * phi~(M): row s sums left * (g^-1)_lt over the stored nonzero
+        g_sk, phi(M_kl) and (g^-1)_lt, with left = g_sk * phi(M_kl)
+        skipped when zero, in the order of row s of g.  For a diagonal M,
+        or one with a single stored entry, these are the products and sums
+        of the two matrix products.
+
+        phi maps each distinct stored element object once, as in
+        ``apply_matrix_entrywise``.  ``images``, keyed by id(entry), is
+        that memo; a caller may pass one to share across calls, and then
+        keeps the matrices alive so that no id is reused while it lasts."""
         if M.n != self.n:
             raise ValueError("matrix size mismatch")
-        return self.inner * self.apply_matrix_entrywise(M) * self.inner_inv
+        images = {} if images is None else images
+        mapped = []                 # row k: the nonzero (l, phi(M_kl))
+        for row in M.entries:
+            pairs = []
+            for l, e in row.items():
+                img = images.get(id(e))
+                if img is None:
+                    img = images[id(e)] = self.apply_element(e)
+                if not img.is_zero():
+                    pairs.append((l, img))
+            mapped.append(pairs)
+        inv, right = self.inner_inv.entries, {}
+        out = []
+        for row in self.inner.entries:
+            out_row = {}
+            for k, a in row.items():
+                bs = mapped[k]
+                if not bs or a.is_zero():
+                    continue
+                for l, b in bs:
+                    left = a * b
+                    if left.is_zero():
+                        continue
+                    if l not in right:      # row l of g^-1, nonzero entries
+                        right[l] = [(t, c) for t, c in inv[l].items()
+                                    if not c.is_zero()]
+                    for t, c in right[l]:
+                        prod = left * c
+                        cur = out_row.get(t)
+                        out_row[t] = prod if cur is None else cur + prod
+            out.append(out_row)
+        return AlgebraMatrix(self.alg, out)
 
     def apply_matrix_entrywise(self, M: AlgebraMatrix) -> AlgebraMatrix:
         """phi~(M), entry by entry.  phi maps alg.zero() to itself, so
@@ -403,7 +446,6 @@ def compose_semilinear(f1: SemilinearAuto, f2: SemilinearAuto) -> SemilinearAuto
     """f1 o f2: twists compose as x1 * alpha1(x2) over alpha1 o alpha2."""
     if f1.alg is not f2.alg or f1.n != f2.n:
         raise ValueError("automorphisms act on different groups")
-    from .autk import compose_auto
     alg = f1.alg
     inner = f1.inner * f1.apply_matrix_entrywise(f2.inner)
     inner_inv = f1.apply_matrix_entrywise(f2.inner_inv) * f1.inner_inv
@@ -414,12 +456,15 @@ def compose_semilinear(f1: SemilinearAuto, f2: SemilinearAuto) -> SemilinearAuto
 
 
 def generator_matrices(alg: CyclicAlgebra, n: int) -> list[AlgebraMatrix]:
-    """Matrices whose images pin down a semilinear automorphism.
+    """An additive spanning set whose images pin down a semilinear
+    automorphism, each matrix diagonal or with one stored entry.
 
     The residue generator of E and T*Id see the field action on all of E
     (the K-level scalar alone would miss the inner conjugation by a power
-    of u, which fixes K pointwise), u*Id sees the twist, and the
-    elementary matrices (for n >= 2) see the inner part beyond scalars.
+    of u, which fixes K pointwise), u*Id sees the twist, and for n >= 2, I
+    and the parts x*e_ab, x in {1, u} and a, b adjacent, of the elementary
+    matrices I + x*e_ab see the inner part beyond scalars: 4 + 1 + 4(n - 1)
+    matrices.  f is additive, so f(I + x*e_ab) = f(I) + f(x*e_ab).
     """
     t = alg.tower
     zeta = subfield_generator(t, alg.i)
@@ -432,103 +477,32 @@ def generator_matrices(alg: CyclicAlgebra, n: int) -> list[AlgebraMatrix]:
                 alg.scalar(LaurentSeries.T_power(t, alg.jE, 1, alg.prec)), n),
             AlgebraMatrix.scalar_matrix(alg.u(), n)]
     if n >= 2:
-        one, uu = alg.one(), alg.u()
+        gens.append(AlgebraMatrix.identity(alg, n))
         for s in range(n - 1):
-            for elt in (one, uu):
+            for elt in (alg.one(), alg.u()):
                 for (a, b) in ((s, s + 1), (s + 1, s)):
-                    entries = [{k: one} for k in range(n)]
-                    entries[a] = {a: one, b: elt}
+                    entries = [{} for _ in range(n)]
+                    entries[a] = {b: elt}
                     gens.append(AlgebraMatrix(alg, entries))
     return gens
 
 
 def acts_like(f1: SemilinearAuto, f2: SemilinearAuto,
               gens: Iterable[AlgebraMatrix]) -> bool:
-    """Equality as automorphisms: f1(G) == f2(G) for every generator G.
+    """Equality as automorphisms: f1(G) == f2(G) for every generator G,
+    which for an additive spanning set such as ``generator_matrices`` is
+    equality on every matrix it spans.
 
-    f(M) = g phi~(M) g^-1 is additive in M, so an elementary generator
-    G = I + x*e_ab has the image f(I) + R with R_st = g_sa phi(x) (g^-1)_bt.
-    f1(I) and f2(I) are compared once, then R1 and R2 for each elementary
-    generator.  Each part is known to at least the precision of the sum
-    f(I) + R, so whenever f1(I) + R1 != f2(I) + R2 at that precision, one
-    of the two comparisons fails.  Scalar generators, and any other matrix
-    passed in ``gens``, are pushed through ``apply``.
-    """
-    return _same_images(f1, f2, gens)
+    Each side keeps one phi-memo, keyed by entry ids, for the whole
+    comparison, so the generators are held in a list while it runs: a
+    generator freed early could lend its id to a later one."""
+    gens = list(gens)
+    images1, images2 = {}, {}
+    return all(f1.apply(G, images1) == f2.apply(G, images2) for G in gens)
 
 
 def acts_trivially(f: SemilinearAuto, gens: Iterable[AlgebraMatrix]) -> bool:
     """f(G) == G for every generator G, compared as in ``acts_like``."""
-    return _same_images(f, None, gens)
-
-
-def _same_images(f1: SemilinearAuto, f2: SemilinearAuto | None,
-                 gens: Iterable[AlgebraMatrix]) -> bool:
-    """Whether f1(G) == f2(G) for all G in gens; f2 None stands for the
-    identity, whose image of G is G itself."""
-    identity_checked = False
-    images = {}             # (side, id(x)) -> phi(x) for the elementary x
-    for G in gens:
-        shape = _elementary_shape(G)
-        if shape is None:
-            if f1.apply(G) != (G if f2 is None else f2.apply(G)):
-                return False
-            continue
-        if not identity_checked:
-            ident = AlgebraMatrix.identity(G.alg, G.n)
-            if f1.apply(ident) != (ident if f2 is None else f2.apply(ident)):
-                return False
-            identity_checked = True
-        a, b, x = shape
-        r1 = _rank_one(f1, a, b, _image(images, 1, f1, x))
-        r2 = {a: {b: x}} if f2 is None else _rank_one(
-            f2, a, b, _image(images, 2, f2, x))
-        zero = G.alg.zero()
-        if not all(_rows_equal(r1.get(s, {}), r2.get(s, {}), zero)
-                   for s in r1.keys() | r2.keys()):
-            return False
-    return True
-
-
-def _elementary_shape(G: AlgebraMatrix):
-    """(a, b, x) when G = I + x*e_ab with a != b, else None.  Every
-    diagonal entry must be the algebra's stored one, alg.one(), as an
-    object; a diagonal entry merely equal to it sends G through ``apply``."""
-    one = G.alg.one()
-    found = None
-    for s, row in enumerate(G.entries):
-        if row.get(s) is not one:
-            return None
-        for t, e in row.items():
-            if t != s:
-                if found is not None:
-                    return None
-                found = (s, t, e)
-    return found
-
-
-def _image(images: dict, side: int, f: SemilinearAuto,
-           x: AlgebraElement) -> AlgebraElement:
-    """phi(x) under f, mapped once per (side, x) in one comparison: the
-    elementary generators share their x."""
-    key = (side, id(x))
-    img = images.get(key)
-    if img is None:
-        img = images[key] = f.apply_element(x)
-    return img
-
-
-def _rank_one(f: SemilinearAuto, a: int, b: int, fx: AlgebraElement
-              ) -> dict[int, dict[int, AlgebraElement]]:
-    """R = f(I + x*e_ab) - f(I), R_st = g_sa fx (g^-1)_bt, by rows, for
-    fx = phi(x) already mapped; only the stored nonzero g_sa and
-    (g^-1)_bt take part."""
-    row_b = [(t, e) for t, e in f.inner_inv.entries[b].items()
-             if not e.is_zero()]
-    out = {}
-    for s, row in enumerate(f.inner.entries):
-        ga = row.get(a)
-        if ga is not None and not ga.is_zero():
-            left = ga * fx
-            out[s] = {t: left * e for t, e in row_b}
-    return out
+    gens = list(gens)
+    images = {}
+    return all(f.apply(G, images) == G for G in gens)

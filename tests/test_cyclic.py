@@ -586,9 +586,9 @@ def test_sparse_product_keeps_cancelled_entries():
     assert prod == dense(alg, [[bump, ref[0][1]], list(ref[1])])
 
 
-def test_rank_one_row_stored_on_one_side_reads_as_zero():
-    # g1 = diag(T^5, T^-5) and the antidiagonal g2 = g2^-1 both send
-    # I + x*e_01 to f(I) plus a rank-one term T^5 phi(x) T^5 = O(T^10),
+def test_image_row_stored_on_one_side_reads_as_zero():
+    # g1 = diag(T^5, T^-5) and the antidiagonal g2 = g2^-1 both send the
+    # generator x*e_01 to the single entry T^5 phi(x) T^5 = O(T^10),
     # stored in row 0 for g1 and in row 1 for g2: equal, though a plain
     # comparison of the stored rows would say otherwise
     alg = make_algebra(2, 1, 3, 1, prec=10)
@@ -601,7 +601,7 @@ def test_rank_one_row_stored_on_one_side_reads_as_zero():
     g1_inv = AlgebraMatrix(alg, [{0: t_pow(-5)}, {1: t_pow(5)}])
     g2 = AlgebraMatrix(alg, [{1: t_pow(-5)}, {0: t_pow(5)}])
     f1, f2 = intaut(g1, g1_inv), intaut(g2, g2)
-    # the generators I + e_01 and I + u*e_01
+    # the generators e_01 and u*e_01
     gens = [G for G in generator_matrices(alg, 2)[4:] if 1 in G.entries[0]]
     assert len(gens) == 2
     for G in gens:

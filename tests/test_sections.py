@@ -3,9 +3,8 @@ import random
 import pytest
 
 from autsplit.autk import LocalFieldAuto, compose_auto
-from autsplit.cyclic import (AlgebraMatrix, SemilinearAuto, _elementary_shape,
-                             _rank_one, acts_like, acts_trivially,
-                             compose_semilinear)
+from autsplit.cyclic import (AlgebraMatrix, SemilinearAuto, acts_like,
+                             acts_trivially, compose_semilinear)
 from autsplit.gftower import (FFElement, frobenius, in_subfield,
                               subfield_generator)
 from autsplit.sections import (SectionContext, glue_section, random_j_element,
@@ -232,15 +231,20 @@ def small_section_family(ctx, rng):
     return fs
 
 
+def generic_image(f, G):
+    """g phi~(G) g^-1 by two generic matrix products."""
+    return f.inner * f.apply_matrix_entrywise(G) * f.inner_inv
+
+
 @pytest.mark.parametrize("ctx", [SectionContext(2, 2, 3, 1, 3, prec=10),
                                  SectionContext(2, 3, 3, 1, 3, prec=8)],
                          ids=["b=3", "b'=3"])
 def test_structured_comparison_matches_generic(ctx):
     fs = small_section_family(ctx, random.Random(17))
-    # all generators, and the elementary ones alone (the scalar ones come
-    # first and would otherwise decide most pairs)
+    # all generators, and I with the elementary parts alone (the scalar
+    # ones come first and would otherwise decide most pairs)
     for gens in (ctx.generators(), ctx.generators()[4:]):
-        images = [[f.apply(G) for G in gens] for f in fs]
+        images = [[generic_image(f, G) for G in gens] for f in fs]
         seen = set()
         for f1, im1 in zip(fs, images):
             assert acts_trivially(f1, gens) == all(
@@ -252,21 +256,65 @@ def test_structured_comparison_matches_generic(ctx):
         assert seen == {True, False}
 
 
-def test_elementary_image_is_identity_image_plus_rank_one():
-    # f(I + x*e_ab) = f(I) + R, R_st = g_sa phi(x) (g^-1)_bt: the split
-    # the comparison on elementary generators rests on
+def test_elementary_image_is_identity_image_plus_part_image():
+    # f(I + x*e_ab) = f(I) + f(x*e_ab): the additivity that lets the
+    # generators hold I and the parts x*e_ab in place of I + x*e_ab
     ctx = SectionContext(2, 2, 3, 1, 3, prec=10)
-    alg, zero = ctx.algebra, ctx.algebra.zero()
-    ident = AlgebraMatrix.identity(alg, ctx.n)
+    alg = ctx.algebra
+    ident, *parts = ctx.generators()[4:]
+    assert ident == AlgebraMatrix.identity(alg, ctx.n)
     for f in small_section_family(ctx, random.Random(19)):
         base = f.apply(ident).rows
-        for G in ctx.generators()[4:]:
-            a, b, x = _elementary_shape(G)
-            R = _rank_one(f, a, b, f.apply_element(x))
-            summed = [[base[s][t] + R.get(s, {}).get(t, zero)
-                       for t in range(ctx.n)] for s in range(ctx.n)]
-            assert f.apply(G) == AlgebraMatrix(
+        for G in parts:
+            elementary = AlgebraMatrix(alg, [{**row, s: alg.one()} for s, row
+                                             in enumerate(G.entries)])
+            part = f.apply(G).rows
+            summed = [[base[s][t] + part[s][t] for t in range(ctx.n)]
+                      for s in range(ctx.n)]
+            assert generic_image(f, elementary) == AlgebraMatrix(
                 alg, [dict(enumerate(row)) for row in summed])
+
+
+@pytest.mark.parametrize("params, prec", [((2, 2, 3, 1, 3), 10),
+                                          ((2, 3, 3, 1, 3), 8),
+                                          ((3, 1, 2, 3, 2), 2)],
+                         ids=["b=3", "b'=3", "r>=prec"])
+def test_fused_apply_takes_the_products_of_the_generic_one(params, prec):
+    # every generator is diagonal or stores one entry, and for such an M
+    # the one-pass apply takes the products and sums of (g phi~(M)) g^-1:
+    # the same stored keys and the same (val, logs, prec) in every entry
+    ctx = SectionContext(*params, prec=prec)
+    gens = ctx.generators()
+    assert len(gens) == 4 + (ctx.n >= 2) * (1 + 4 * (ctx.n - 1))
+    for G in gens:
+        stored = [(s, t) for s, row in enumerate(G.entries) for t in row]
+        assert len(stored) == 1 or all(s == t for s, t in stored)
+    for f in small_section_family(ctx, random.Random(37)):
+        for G in gens:
+            fused, generic = f.apply(G), generic_image(f, G)
+            for row1, row2 in zip(fused.entries, generic.entries):
+                assert row1.keys() == row2.keys()
+                for t, e in row1.items():
+                    assert entry_form(e) == entry_form(row2[t])
+
+
+def test_comparison_holds_a_one_shot_iterator_of_generators():
+    # a generator built on the fly and freed mid-comparison must not lend
+    # its id, and with it a stale phi-image, to a later one
+    ctx = SectionContext(2, 2, 3, 1, 3, prec=8)
+    f = section_Ca(ctx, 1)                  # a = 1: f_Ca(1) is trivial
+    alg = ctx.algebra
+    zeta_e = subfield_generator(ctx.tower, alg.jE)
+
+    def elementary(k):
+        x = alg.scalar(LaurentSeries.constant(zeta_e ** k, alg.jE, alg.prec))
+        entries = [{s: alg.one()} for s in range(ctx.n)]
+        entries[0] = {0: alg.one(), 1: x}
+        return AlgebraMatrix(alg, entries)
+    assert ctx.a == 1
+    assert all(acts_trivially(f, [elementary(k)]) for k in range(1, 40))
+    assert acts_trivially(f, (elementary(k) for k in range(1, 40)))
+    assert acts_like(f, f, (elementary(k) for k in range(1, 40)))
 
 
 # -- mutation controls: a T^k change to one ingredient is flagged ------------
@@ -348,14 +396,17 @@ def test_mutated_w_is_flagged_below_its_precision():
 
 
 def test_identity_image_is_compared_for_each_elementary_generator():
-    # a T^1 change to row 0 of g^-1 shows in f(I); for a generator
-    # I + x*e_ab with b != 0 it is not in the rank-one term
+    # a T^1 change to row 0 of g^-1 shows in f(I); for a part x*e_ab with
+    # b != 0 it is not in f(x*e_ab), so I is the generator that flags it
     ctx = CTX_B
     f = glue_section(ctx, random_k_auto(ctx, random.Random(18)))
     g = mutated(f, "inner_inv", 1, (0, 0))
-    for G in ctx.generators()[4:]:
-        assert f.apply(G) != g.apply(G)
-        assert not acts_like(f, g, [G]) and not acts_like(g, f, [G])
+    ident, *parts = ctx.generators()[4:]
+    assert ident == AlgebraMatrix.identity(ctx.algebra, ctx.n)
+    for gens in (ctx.generators()[4:], [ident]):
+        assert not acts_like(f, g, gens) and not acts_like(g, f, gens)
+    blind = [G for G in parts if all(0 not in row for row in G.entries)]
+    assert blind and acts_like(f, g, blind) and acts_like(g, f, blind)
 
 
 def test_noncommuting_factor_flags_commutation(monkeypatch):
@@ -487,7 +538,8 @@ def test_entrywise_image_maps_each_stored_object_once(monkeypatch):
 
 def test_comparison_agrees_with_unshared_images():
     # acts_like against pushing every generator through g phi~(G) g^-1
-    # with each entry mapped on its own
+    # with each entry mapped on its own; also on the generators rebuilt
+    # with a copy of alg.one(), equal to it but not the shared object
     ctx = CTX_B
     alg = ctx.algebra
 
@@ -497,39 +549,21 @@ def test_comparison_agrees_with_unshared_images():
                                      for row in G.entries])
         return f.inner * mapped * f.inner_inv
 
-    fs = small_section_family(ctx, random.Random(23))
-    gens = ctx.generators()[4:]
-    images = [[unshared_image(f, G) for G in gens] for f in fs]
-    seen = set()
-    for f1, im1 in zip(fs, images):
-        for f2, im2 in zip(fs, images):
-            generic = all(a == b for a, b in zip(im1, im2))
-            assert acts_like(f1, f2, gens) == generic
-            seen.add(generic)
-    assert seen == {True, False}
-
-
-def test_a_diagonal_equal_to_one_takes_the_apply_path():
-    # the generators rebuilt with a copy of alg.one(): equal to one but not
-    # the stored object, so none is taken as I + x*e_ab and each goes
-    # through apply, with the same verdicts
-    ctx = CTX_B
-    alg = ctx.algebra
     copy = alg.scalar(LaurentSeries.one(alg.tower, alg.jE, alg.prec))
     assert copy == alg.one() and copy is not alg.one()
     gens = ctx.generators()[4:]
     rebuilt = [AlgebraMatrix(alg, [{t: copy if e is alg.one() else e
                                     for t, e in row.items()}
                                    for row in G.entries]) for G in gens]
-    assert all(_elementary_shape(G) is not None for G in gens)
-    assert all(_elementary_shape(G) is None for G in rebuilt)
-    fs = small_section_family(ctx, random.Random(29))
+    fs = small_section_family(ctx, random.Random(23))
+    images = [[unshared_image(f, G) for G in gens] for f in fs]
     seen = set()
-    for f1 in fs:
-        for f2 in fs:
-            verdict = acts_like(f1, f2, gens)
-            assert acts_like(f1, f2, rebuilt) == verdict
-            seen.add(verdict)
+    for f1, im1 in zip(fs, images):
+        for f2, im2 in zip(fs, images):
+            generic = all(a == b for a, b in zip(im1, im2))
+            assert acts_like(f1, f2, gens) == generic
+            assert acts_like(f1, f2, rebuilt) == generic
+            seen.add(generic)
     assert seen == {True, False}
 
 
