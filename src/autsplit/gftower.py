@@ -20,14 +20,20 @@ code order of multiplicative order p^M - 1.  Tables are built once per
 
 Storage and cost.  ``_exp`` (log -> code), ``_log`` (code -> log) and,
 for odd p only, ``_zech`` are ``array('i')``, 4 bytes an entry: 8 bytes
-an element in characteristic 2, 12 for odd p.  Building the tables takes
-a constant number of table lookups per element (see ``_build_tables``):
-about 0.03 s for F_{3^10}, 0.2 s for F_{3^12} and for F_{1000003}, and
-0.3 s for F_{2^21} in CPython 3.11 on one core of a 2-vCPU VM.
+an element in characteristic 2, 12 for odd p.  For odd p, building the
+tables takes a constant number of table lookups per element (see
+``_build_tables``): about 0.03 s for F_{3^10}, 0.2 s for F_{3^12} and for
+F_{1000003} in CPython 3.11 on one core of a 2-vCPU VM.  In
+characteristic 2 the exp table is filled by a few C-level byte
+translations per 2^14 elements (``_char2_exp``) and only the log scatter
+takes a step per element: F_{2^21} took 0.50-0.64 s on that VM (exp
+0.07-0.10 s, log 0.42-0.54 s, eight fresh processes), where one pair of
+lookups per exp entry took 0.83-1.07 s (exp 0.31-0.44 s).
 """
 
 from __future__ import annotations
 
+import sys
 from array import array
 from functools import lru_cache
 from typing import Sequence
@@ -39,9 +45,13 @@ LOG_ZERO = -1
 # bounds that memory; the build time is linear in p^M.
 MAX_FIELD_SIZE = 1 << 21
 
-# Stride, in elements, of the blocks that fill the exp table once it holds
-# that many.
+# Stride, in elements, of the blocks that fill the exp table (odd p) once it
+# holds that many.
 _BLOCK = 1 << 10
+
+# Codes multiplied at a time when the characteristic-2 exp table doubles
+# (see _char2_exp for why the piece is this small).
+_PIECE = 1 << 14
 
 # Zech entries (odd p only) are computed this many at a time, so that no
 # list of all q boxed ints exists while the table is built.
@@ -218,6 +228,69 @@ def _reduce_table(p: int, S: int, slots: range) -> list[int]:
     return tbl
 
 
+def _char2_exp(g: int, f: int, M: int) -> array:
+    """exp table of F_{2^M}: the code of g^k at k, for k < 2^M - 1.
+
+    g and f are the codes of the generator and of the modulus (bit M set).
+    The table doubles: once the first n entries are filled, the next
+    m = min(n, Q - n) are g^n times the first m.  Multiplying by the fixed
+    h = g^n is F_2-linear on codes, so byte o of h*c is the XOR, over the
+    byte planes i of c, of a 256-byte table T_io at byte i of c.  T_io is
+    read off the M images h*x^k, each x*c being c << 1, XORed with f when
+    bit M is set.  A plane is a strided slice of a copy of the codes, so a
+    step is a few ``bytes.translate`` calls and one int XOR per output
+    plane, all in C.  The next h, h*h, is read off the same images.
+
+    The table is allocated once at its final length (``series`` indexes
+    it at la + lb - Q, so it must hold exactly Q codes) and written in
+    place, _PIECE codes at a time.  A piece's copies, planes, translations
+    and ints take about 16 * _PIECE bytes, a quarter of a megabyte: no
+    more than the log table of F_{2^16}, the smallest field cut into more
+    than one piece.  So from there up the build's peak memory is its
+    finished tables, where one piece per doubling would add 16 MB to
+    F_{2^21}.
+    """
+    Q = (1 << M) - 1
+    exp = array("i", [0]) * Q
+    exp[0] = 1
+    size = exp.itemsize
+    planes = range(-(-M // 8))
+    offs = [i if sys.byteorder == "little" else size - 1 - i for i in planes]
+    view = memoryview(exp).cast("B")
+    h, n = g, 1
+    while n < Q:
+        img = [h]
+        for _ in range(M - 1):
+            c = img[-1] << 1
+            img.append(c ^ f if c >> M else c)
+        tables = []
+        for i in planes:
+            lin = [0]
+            for c in img[8 * i:8 * i + 8]:
+                lin += [t ^ c for t in lin]
+            lin += [0] * (256 - len(lin))
+            tables.append([bytes([v >> 8 * o & 255 for v in lin])
+                           for o in planes])
+        m = min(n, Q - n)
+        for a in range(0, m, _PIECE):
+            b = min(a + _PIECE, m)
+            chunk = view[size * a:size * b].tobytes()
+            src = [chunk[s::size] for s in offs]
+            out = bytearray(len(chunk))
+            for o, s in enumerate(offs):
+                acc = 0
+                for plane, tbl in zip(src, tables):
+                    acc ^= int.from_bytes(plane.translate(tbl[o]), "little")
+                out[s::size] = acc.to_bytes(b - a, "little")
+            view[size * (n + a):size * (n + b)] = out
+        square = 0
+        for k, c in enumerate(img):
+            if h >> k & 1:
+                square ^= c
+        h, n = square, n + m
+    return exp
+
+
 class FieldTower:
     """The ambient field F_{p^M}, M = i*d*b, with exp/log tables.
 
@@ -251,25 +324,10 @@ class FieldTower:
         raise RuntimeError("no irreducible polynomial found")  # pragma: no cover
 
     def _build_tables(self):
-        """Fill ``_exp``, ``_log`` and (odd p) ``_zech`` in O(q) lookups.
+        """Fill ``_exp``, ``_log`` and (odd p) ``_zech`` in O(q) steps.
 
-        ``_exp`` grows in blocks: the next block is g^s times the s codes
-        before it, one code at a time (s = 1) up to _BLOCK codes, then
-        _BLOCK at a time (s = _BLOCK).  Multiplying by the fixed g^s is
-        linear over F_p, so it is two lookups in the chunk tables of
-        ``_chunk_tables``, one for the low w digits of a code and one for
-        the rest, inlined in the block's comprehension.  In characteristic
-        2 a code is its own bit vector and the two halves combine by XOR.
-        For odd p the halves are packed vectors, one digit per S-bit slot,
-        whose sum carries nothing from slot to slot; three reduction
-        tables, each over a third of the slots, turn the sum back into a
-        code.  p = 2 keeps its XOR step because the packed route is slower
-        there: with S = 3 its reduction tables for F_{2^21} have 2^21
-        entries each, and the build took 3.1-3.5 s against 1.4-1.6 s for
-        XOR, run side by side.
-
-        In a prime field (M = 1) a code is the element itself, so a block
-        step is c * g^s mod p and needs no tables.
+        ``_exp`` comes from ``_char2_exp`` in characteristic 2 and from
+        ``_odd_exp`` otherwise; ``_log`` is its inverse, one store a code.
 
         Characteristic 2 adds as log[exp[a] ^ exp[b]] and has no Zech
         table.  For odd p, Zech needs only log(1 + g^k), and adding 1 to a
@@ -281,10 +339,50 @@ class FieldTower:
         self.g_code = self._find_generator_code()
         g = _code_to_vec(self.g_code, p, M)
         Q = q - 1
+        if p == 2:
+            f_code = sum(c << j for j, c in enumerate(f))
+            exp = _char2_exp(self.g_code, f_code, M)
+        else:
+            exp = self._odd_exp(g)
+        if _poly_mulmod(_code_to_vec(exp[-1], p, M), g, f, p) != (1,):
+            raise RuntimeError("generator order mismatch")  # pragma: no cover
+        log = array("i", [LOG_ZERO]) * q
+        # a memoryview stores an int a few per cent faster than the array
+        view = memoryview(log)
+        for k, c in enumerate(exp):
+            view[c] = k
+        self._exp, self._log = exp, log
+        # log of -1, used for subtraction; in characteristic 2 it is 0.
+        self._neg_log = 0 if p == 2 else Q // 2
+        if p == 2:
+            return
+        zech = array("i")
+        top = p - 1
+        for n in range(0, Q, _ZECH_CHUNK):
+            zech.fromlist([log[c + 1 if c % p != top else c - top]
+                           for c in exp[n:n + _ZECH_CHUNK]])
+        self._zech = zech
+
+    def _odd_exp(self, g) -> array:
+        """The exp table for odd p, grown in blocks.
+
+        The next block is g^s times the s codes before it, one code at a
+        time (s = 1) up to _BLOCK codes, then _BLOCK at a time
+        (s = _BLOCK).  Multiplying by the fixed g^s is linear over F_p, so
+        it is two lookups in the chunk tables of ``_chunk_tables``, one for
+        the low w digits of a code and one for the rest, inlined in the
+        block's comprehension.  The two halves are packed vectors, one digit
+        per S-bit slot, whose sum carries nothing from slot to slot; three
+        reduction tables, each over a third of the slots, turn the sum back
+        into a code.  In a prime field (M = 1) a code is the element itself,
+        so a block step is c * g^s mod p and needs no tables.
+        """
+        p, M, f = self.p, self.M, self.modulus
+        Q = self.q - 1
         w = (M + 1) // 2
-        P, mask = p ** w, (1 << w) - 1
-        S = 1 if p == 2 else p.bit_length() + 1
-        if p > 2 and M > 1:
+        P = p ** w
+        S = p.bit_length() + 1
+        if M > 1:
             third = -(-M // 3)
             r0, r1, r2 = (_reduce_table(p, S, range(t, min(t + third, M)))
                           for t in (0, third, 2 * third))
@@ -300,38 +398,20 @@ class FieldTower:
                 block = exp[n - stride:min(n, stop - stride)]
                 if M == 1:
                     exp.fromlist([c * h[0] % p for c in block])
-                elif p == 2:
-                    exp.fromlist([lo[c & mask] ^ hi[c >> w] for c in block])
                 else:
                     exp.fromlist([r0[(v := lo[c % P] + hi[c // P]) & m]
                                   + r1[v >> k1 & m] + r2[v >> k2]
                                   for c in block])
-        if _poly_mulmod(_code_to_vec(exp[-1], p, M), g, f, p) != (1,):
-            raise RuntimeError("generator order mismatch")  # pragma: no cover
-        log = array("i", [LOG_ZERO]) * q
-        for k, c in enumerate(exp):
-            log[c] = k
-        self._exp, self._log = exp, log
-        # log of -1, used for subtraction; in characteristic 2 it is 0.
-        self._neg_log = 0 if p == 2 else Q // 2
-        if p == 2:
-            return
-        zech = array("i")
-        top = p - 1
-        for n in range(0, Q, _ZECH_CHUNK):
-            zech.fromlist([log[c + 1 if c % p != top else c - top]
-                           for c in exp[n:n + _ZECH_CHUNK]])
-        self._zech = zech
+        return exp
 
     def _chunk_tables(self, h, w: int, S: int):
-        """Tables lo, hi for multiplication by the polynomial h.
+        """Tables lo, hi for multiplication by the polynomial h, odd p.
 
-        With P = p^w, h times the element of code c is lo[c % P] combined
-        with hi[c // P].  For p = 2 (S = 1) the entries are codes and
-        combine by XOR.  For odd p (S = p.bit_length() + 1) they are packed
-        vectors with digit t in bits [S*t, S*(t+1)), every digit reduced,
-        so the sum of two has slots below 2p.  Each table grows one digit at a
-        time: its p copies add 0, 1, ..., p - 1 times that digit's image.
+        With P = p^w, h times the element of code c is lo[c % P] + hi[c // P]
+        reduced slot by slot.  The entries are packed vectors with digit t in
+        bits [S*t, S*(t+1)), every digit reduced, so the sum of two has
+        slots below 2p.  Each table grows one digit at a time: its p copies
+        add 0, 1, ..., p - 1 times that digit's image.
         """
         p, M, f = self.p, self.M, self.modulus
         half = sum(1 << (S * t + S - 1) for t in range(M))
@@ -341,17 +421,14 @@ class FieldTower:
         for j in range(M):
             tbl = tables[j >= w]
             base = sum(a << (S * t) for t, a in enumerate(col))
-            if p == 2:
-                tbl += [t ^ base for t in tbl]
-            else:
-                # a reduced slot plus a reduced slot stays below 2p; adding
-                # 2^(S-1) - p sets the slot's top bit exactly when it is >= p
-                mults = [0]
-                for _ in range(p - 1):
-                    s = mults[-1] + base
-                    mults.append(s - (((s + fix) & half) >> (S - 1)) * p)
-                tbl[:] = [(s := t + a) - (((s + fix) & half) >> (S - 1)) * p
-                          for a in mults for t in tbl]
+            # a reduced slot plus a reduced slot stays below 2p; adding
+            # 2^(S-1) - p sets the slot's top bit exactly when it is >= p
+            mults = [0]
+            for _ in range(p - 1):
+                s = mults[-1] + base
+                mults.append(s - (((s + fix) & half) >> (S - 1)) * p)
+            tbl[:] = [(s := t + a) - (((s + fix) & half) >> (S - 1)) * p
+                      for a in mults for t in tbl]
             col = _poly_mulmod(col, (0, 1), f, p)
         return tables
 

@@ -1,6 +1,7 @@
 import hashlib
 import random
 import sys
+import tracemalloc
 from array import array
 from functools import lru_cache
 from math import isqrt
@@ -10,8 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from autsplit.gftower import (LOG_ZERO, PRIME_TEST_BOUND, FFElement,
-                              NormNotOne, NotDivisor, NotInSubfield, NotPrime,
-                              Overflow, _is_prime, build_tower, frobenius,
+                              FieldTower, NormNotOne, NotDivisor,
+                              NotInSubfield, NotPrime, Overflow, _is_prime,
+                              build_tower, frobenius,
                               hilbert90_solve, in_subfield, relative_norm,
                               relative_trace, subfield_generator)
 from autsplit.series import LaurentSeries
@@ -179,8 +181,9 @@ def test_modulus_is_irreducible_brute():
 
 
 @pytest.mark.parametrize("p,M", [(2, 1), (3, 1), (2, 2), (2, 3), (3, 2), (5, 2),
-                                 (3, 3), (7, 2), (2, 10), (2, 11), (3, 5),
-                                 (3, 7), (5, 4), (7, 3), (1031, 1), (4099, 1)])
+                                 (3, 3), (7, 2), (2, 8), (2, 9), (2, 10),
+                                 (2, 11), (3, 5), (3, 7), (5, 4), (7, 3),
+                                 (1031, 1), (4099, 1)])
 def test_tables_match_polynomial_powers(p, M):
     # step g^k by raw polynomial multiplication; 1 + g^k by adding 1 to
     # the constant coefficient
@@ -228,6 +231,16 @@ def table_digest(tower):
      "b7291ca803a475e8ff589583a99b05dd968176d8dfc7a9ca9292345a652d1d2a"),
     ((1000003, 1, 1, 1), (0, 1), 2,
      "97b4348e2c2fb684a4484e03df431e95427716ecdf2813a58dc9f6d41bb10ef8"),
+    # characteristic 2 doubles its exp table over byte planes: three planes,
+    # a partial last doubling, M a multiple of 8 and a one-bit top plane
+    ((2, 7, 3, 1), (1, 0, 1) + (0,) * 18 + (1,), 2,
+     "793b152d84eba4e26d054c78044e2253f496bd2fb7591cc93a78dfab23fc1aef"),
+    ((2, 17, 1, 1), (1, 0, 0, 1) + (0,) * 13 + (1,), 2,
+     "0997abaaa8ebaaa179bae029153c25f993d2282a410bd23e5a4415f810f3364c"),
+    ((2, 16, 1, 1), (1, 1, 0, 1, 0, 1) + (0,) * 10 + (1,), 3,
+     "3df87e6e178c042f279a72fdb56bd76e5254c9fc807dd0a72522949d003b930d"),
+    ((2, 9, 1, 1), (1, 1) + (0,) * 7 + (1,), 7,
+     "a573ed7c242ebcf51e599ff374c9a2c3afdf83317a24efdf2b3e441b964cdabf"),
 ])
 def test_tables_pinned(key, modulus, g_code, digest):
     # modulus, generator and the SHA-256 of the little-endian int32 exp,
@@ -235,6 +248,20 @@ def test_tables_pinned(key, modulus, g_code, digest):
     t = build_tower(*key)
     assert t.modulus == modulus and t.g_code == g_code
     assert table_digest(t) == digest
+
+
+def test_char2_build_memory_is_its_tables():
+    # the exp table doubles in bounded pieces, so the build's traced peak is
+    # the finished exp and log plus a little; building a whole byte plane or
+    # a whole doubling at once would add half the tables again
+    tracemalloc.start()
+    try:
+        t = FieldTower(2, 17, 1, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    tables = sum(a.itemsize * len(a) for a in (t._exp, t._log))
+    assert peak <= 1.10 * tables
 
 
 @pytest.mark.parametrize("key,j", [((2, 1, 1, 1), 1), ((2, 2, 1, 1), 2),
