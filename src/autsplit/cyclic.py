@@ -239,15 +239,6 @@ class AlgebraMatrix:
     def scalar_matrix(a: AlgebraElement, n: int) -> AlgebraMatrix:
         return AlgebraMatrix(a.alg, [{s: a} for s in range(n)])
 
-    @staticmethod
-    def block_diagonal(blocks: Sequence[AlgebraMatrix]) -> AlgebraMatrix:
-        entries, off = [], 0
-        for blk in blocks:
-            entries.extend({off + t: e for t, e in row.items()}
-                           for row in blk.entries)
-            off += blk.n
-        return AlgebraMatrix(blocks[0].alg, entries)
-
     def __mul__(self, other: AlgebraMatrix) -> AlgebraMatrix:
         if self.n != other.n:
             raise ValueError("size mismatch")

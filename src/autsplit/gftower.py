@@ -20,15 +20,15 @@ code order of multiplicative order p^M - 1.  Tables are built once per
 
 Storage and cost.  ``_exp`` (log -> code), ``_log`` (code -> log) and,
 for odd p only, ``_zech`` are ``array('i')``, 4 bytes an entry: 8 bytes
-an element in characteristic 2, 12 for odd p.  For odd p, building the
-tables takes a constant number of table lookups per element (see
-``_build_tables``): about 0.03 s for F_{3^10}, 0.2 s for F_{3^12} and for
-F_{1000003} in CPython 3.11 on one core of a 2-vCPU VM.  In
-characteristic 2 the exp table is filled by a few C-level byte
-translations per 2^14 elements (``_char2_exp``) and only the log scatter
-takes a step per element: F_{2^21} took 0.50-0.64 s on that VM (exp
-0.07-0.10 s, log 0.42-0.54 s, eight fresh processes), where one pair of
-lookups per exp entry took 0.83-1.07 s (exp 0.31-0.44 s).
+an element in characteristic 2, 12 for odd p.  The exp table doubles (see
+``_build_tables``): once n codes are known, the next ones are g^n times
+the first ones, by a few C-level byte translations per _PIECE codes in
+characteristic 2 and by two table lookups per code for odd p.  The log scatter and the Zech fill
+take one interpreted step per element.  In CPython 3.11 on one core of a
+2-vCPU VM, twelve fresh processes each, a build took 0.05-0.08 s for
+F_{3^10}, 0.40-0.67 s for F_{3^12}, 0.65-0.84 s for F_{1000003} and
+0.47-0.74 s for F_{2^21}; of the last, six instrumented builds spent
+0.06-0.12 s on the exp fill and 0.40-0.58 s on the log scatter.
 """
 
 from __future__ import annotations
@@ -45,17 +45,12 @@ LOG_ZERO = -1
 # bounds that memory; the build time is linear in p^M.
 MAX_FIELD_SIZE = 1 << 21
 
-# Stride, in elements, of the blocks that fill the exp table (odd p) once it
-# holds that many.
-_BLOCK = 1 << 10
-
-# Codes multiplied at a time when the characteristic-2 exp table doubles
-# (see _char2_exp for why the piece is this small).
+# Codes multiplied, and Zech entries filled, at a time.  A piece's
+# temporaries take about 24 bytes a code in characteristic 2 (copies, byte
+# planes, translations) and about 40 for odd p (a list of boxed ints), so a
+# build's peak memory stays near its finished tables, where one piece per
+# doubling would add half of them again.
 _PIECE = 1 << 14
-
-# Zech entries (odd p only) are computed this many at a time, so that no
-# list of all q boxed ints exists while the table is built.
-_ZECH_CHUNK = 1 << 16
 
 
 class NotPrime(ValueError):
@@ -228,69 +223,6 @@ def _reduce_table(p: int, S: int, slots: range) -> list[int]:
     return tbl
 
 
-def _char2_exp(g: int, f: int, M: int) -> array:
-    """exp table of F_{2^M}: the code of g^k at k, for k < 2^M - 1.
-
-    g and f are the codes of the generator and of the modulus (bit M set).
-    The table doubles: once the first n entries are filled, the next
-    m = min(n, Q - n) are g^n times the first m.  Multiplying by the fixed
-    h = g^n is F_2-linear on codes, so byte o of h*c is the XOR, over the
-    byte planes i of c, of a 256-byte table T_io at byte i of c.  T_io is
-    read off the M images h*x^k, each x*c being c << 1, XORed with f when
-    bit M is set.  A plane is a strided slice of a copy of the codes, so a
-    step is a few ``bytes.translate`` calls and one int XOR per output
-    plane, all in C.  The next h, h*h, is read off the same images.
-
-    The table is allocated once at its final length (``series`` indexes
-    it at la + lb - Q, so it must hold exactly Q codes) and written in
-    place, _PIECE codes at a time.  A piece's copies, planes, translations
-    and ints take about 16 * _PIECE bytes, a quarter of a megabyte: no
-    more than the log table of F_{2^16}, the smallest field cut into more
-    than one piece.  So from there up the build's peak memory is its
-    finished tables, where one piece per doubling would add 16 MB to
-    F_{2^21}.
-    """
-    Q = (1 << M) - 1
-    exp = array("i", [0]) * Q
-    exp[0] = 1
-    size = exp.itemsize
-    planes = range(-(-M // 8))
-    offs = [i if sys.byteorder == "little" else size - 1 - i for i in planes]
-    view = memoryview(exp).cast("B")
-    h, n = g, 1
-    while n < Q:
-        img = [h]
-        for _ in range(M - 1):
-            c = img[-1] << 1
-            img.append(c ^ f if c >> M else c)
-        tables = []
-        for i in planes:
-            lin = [0]
-            for c in img[8 * i:8 * i + 8]:
-                lin += [t ^ c for t in lin]
-            lin += [0] * (256 - len(lin))
-            tables.append([bytes([v >> 8 * o & 255 for v in lin])
-                           for o in planes])
-        m = min(n, Q - n)
-        for a in range(0, m, _PIECE):
-            b = min(a + _PIECE, m)
-            chunk = view[size * a:size * b].tobytes()
-            src = [chunk[s::size] for s in offs]
-            out = bytearray(len(chunk))
-            for o, s in enumerate(offs):
-                acc = 0
-                for plane, tbl in zip(src, tables):
-                    acc ^= int.from_bytes(plane.translate(tbl[o]), "little")
-                out[s::size] = acc.to_bytes(b - a, "little")
-            view[size * (n + a):size * (n + b)] = out
-        square = 0
-        for k, c in enumerate(img):
-            if h >> k & 1:
-                square ^= c
-        h, n = square, n + m
-    return exp
-
-
 class FieldTower:
     """The ambient field F_{p^M}, M = i*d*b, with exp/log tables.
 
@@ -326,24 +258,34 @@ class FieldTower:
     def _build_tables(self):
         """Fill ``_exp``, ``_log`` and (odd p) ``_zech`` in O(q) steps.
 
-        ``_exp`` comes from ``_char2_exp`` in characteristic 2 and from
-        ``_odd_exp`` otherwise; ``_log`` is its inverse, one store a code.
+        ``_exp`` doubles: once its first n codes are known, the next
+        m = min(n, Q - n) are h = g^n times the first m, and then h becomes
+        h*h.  ``_char2_times`` or ``_odd_times`` gives, for each h, the
+        multiplication by h.  The table is allocated once at its final
+        length (``series`` indexes it at la + lb - Q, so it must hold
+        exactly Q codes) and written in place, _PIECE codes at a time.
+        ``_log`` is the inverse of ``_exp``, one store a code.
 
         Characteristic 2 adds as log[exp[a] ^ exp[b]] and has no Zech
         table.  For odd p, Zech needs only log(1 + g^k), and adding 1 to a
         code changes its lowest digit alone: c + 1, or c - (p - 1) when that
-        digit is p - 1.  It is filled _ZECH_CHUNK entries at a time, so no
-        list of all its boxed ints is ever held.
+        digit is p - 1.  It is filled _PIECE entries at a time too.
         """
         p, M, q, f = self.p, self.M, self.q, self.modulus
         self.g_code = self._find_generator_code()
-        g = _code_to_vec(self.g_code, p, M)
         Q = q - 1
-        if p == 2:
-            f_code = sum(c << j for j, c in enumerate(f))
-            exp = _char2_exp(self.g_code, f_code, M)
-        else:
-            exp = self._odd_exp(g)
+        by = self._char2_times() if p == 2 else self._odd_times()
+        exp = array("i", [0]) * Q
+        exp[0] = 1
+        h, n = self.g_code, 1
+        while n < Q:
+            times = by(h)
+            m = min(n, Q - n)
+            for a in range(0, m, _PIECE):
+                b = min(a + _PIECE, m)
+                exp[n + a:n + b] = times(exp[a:b])
+            h, n = times(array("i", [h]))[0], n + m
+        g = _code_to_vec(self.g_code, p, M)
         if _poly_mulmod(_code_to_vec(exp[-1], p, M), g, f, p) != (1,):
             raise RuntimeError("generator order mismatch")  # pragma: no cover
         log = array("i", [LOG_ZERO]) * q
@@ -358,79 +300,104 @@ class FieldTower:
             return
         zech = array("i")
         top = p - 1
-        for n in range(0, Q, _ZECH_CHUNK):
+        for n in range(0, Q, _PIECE):
             zech.fromlist([log[c + 1 if c % p != top else c - top]
-                           for c in exp[n:n + _ZECH_CHUNK]])
+                           for c in exp[n:n + _PIECE]])
         self._zech = zech
 
-    def _odd_exp(self, g) -> array:
-        """The exp table for odd p, grown in blocks.
+    def _char2_times(self):
+        """Multiplication by h in F_{2^M}, for the doubling of the exp table.
 
-        The next block is g^s times the s codes before it, one code at a
-        time (s = 1) up to _BLOCK codes, then _BLOCK at a time
-        (s = _BLOCK).  Multiplying by the fixed g^s is linear over F_p, so
-        it is two lookups in the chunk tables of ``_chunk_tables``, one for
-        the low w digits of a code and one for the rest, inlined in the
-        block's comprehension.  The two halves are packed vectors, one digit
-        per S-bit slot, whose sum carries nothing from slot to slot; three
-        reduction tables, each over a third of the slots, turn the sum back
-        into a code.  In a prime field (M = 1) a code is the element itself,
-        so a block step is c * g^s mod p and needs no tables.
+        The returned function takes a code h and gives ``times``, which
+        maps an array of codes c to the codes of h*c.  Multiplying by h is
+        F_2-linear on codes, so byte o of h*c is the XOR, over the byte
+        planes i of c, of a 256-byte table T_io at byte i of c.  T_io is
+        read off the M images h*x^k, each x*c being c << 1, XORed with the
+        modulus when bit M is set.  A plane is a strided slice of the
+        piece's bytes, so ``times`` is a few ``bytes.translate`` calls and
+        one int XOR per output plane, all in C.
+        """
+        M, f = self.M, sum(c << j for j, c in enumerate(self.modulus))
+        size = array("i").itemsize
+        planes = range(-(-M // 8))
+        offs = [i if sys.byteorder == "little" else size - 1 - i for i in planes]
+
+        def by(h: int):
+            img = [h]
+            for _ in range(M - 1):
+                c = img[-1] << 1
+                img.append(c ^ f if c >> M else c)
+            tables = []
+            for i in planes:
+                lin = [0]
+                for c in img[8 * i:8 * i + 8]:
+                    lin += [t ^ c for t in lin]
+                lin += [0] * (256 - len(lin))
+                tables.append([bytes([v >> 8 * o & 255 for v in lin])
+                               for o in planes])
+
+            def times(piece: array) -> array:
+                chunk = piece.tobytes()
+                src = [chunk[s::size] for s in offs]
+                out = bytearray(len(chunk))
+                for o, s in enumerate(offs):
+                    acc = 0
+                    for plane, tbl in zip(src, tables):
+                        acc ^= int.from_bytes(plane.translate(tbl[o]), "little")
+                    out[s::size] = acc.to_bytes(len(piece), "little")
+                return array("i", out)
+            return times
+        return by
+
+    def _odd_times(self):
+        """Multiplication by h in F_{p^M} for odd p, as ``_char2_times``.
+
+        In a prime field (M = 1) a code is the element itself, so h*c is
+        c*h mod p.  Otherwise multiplying by h is linear over F_p, so with
+        P = p^w it is lo[c % P] + hi[c // P], two lookups in chunk tables
+        for the low w digits of the code c and for the rest, reduced slot by
+        slot.  The entries are packed vectors with digit t in bits
+        [S*t, S*(t+1)), every digit reduced, so the sum of two has slots
+        below 2p and carries nothing from slot to slot; three reduction
+        tables, each over a third of the slots, turn the sum back into a
+        code.  The reduction tables depend on p and M alone and are built
+        once, the chunk tables once per h.  Each chunk table grows one digit
+        at a time: its p copies add 0, 1, ..., p - 1 times that digit's
+        image h*x^j.
         """
         p, M, f = self.p, self.M, self.modulus
-        Q = self.q - 1
+        if M == 1:
+            return lambda h: lambda piece: array("i", [c * h % p for c in piece])
         w = (M + 1) // 2
         P = p ** w
         S = p.bit_length() + 1
-        if M > 1:
-            third = -(-M // 3)
-            r0, r1, r2 = (_reduce_table(p, S, range(t, min(t + third, M)))
-                          for t in (0, third, 2 * third))
-            k1, k2 = third * S, 2 * third * S
-            m = (1 << k1) - 1
-        exp = array("i", [1])
-        for stride, stop in ((1, min(_BLOCK, Q)), (_BLOCK, Q)):
-            h = _poly_powmod(g, stride, f, p)
-            if M > 1:
-                lo, hi = self._chunk_tables(h, w, S)
-            while len(exp) < stop:
-                n = len(exp)
-                block = exp[n - stride:min(n, stop - stride)]
-                if M == 1:
-                    exp.fromlist([c * h[0] % p for c in block])
-                else:
-                    exp.fromlist([r0[(v := lo[c % P] + hi[c // P]) & m]
-                                  + r1[v >> k1 & m] + r2[v >> k2]
-                                  for c in block])
-        return exp
-
-    def _chunk_tables(self, h, w: int, S: int):
-        """Tables lo, hi for multiplication by the polynomial h, odd p.
-
-        With P = p^w, h times the element of code c is lo[c % P] + hi[c // P]
-        reduced slot by slot.  The entries are packed vectors with digit t in
-        bits [S*t, S*(t+1)), every digit reduced, so the sum of two has
-        slots below 2p.  Each table grows one digit at a time: its p copies
-        add 0, 1, ..., p - 1 times that digit's image.
-        """
-        p, M, f = self.p, self.M, self.modulus
+        third = -(-M // 3)
+        r0, r1, r2 = (_reduce_table(p, S, range(t, min(t + third, M)))
+                      for t in (0, third, 2 * third))
+        k1, k2 = third * S, 2 * third * S
+        m = (1 << k1) - 1
+        # a reduced slot plus a reduced slot stays below 2p; adding
+        # 2^(S-1) - p sets the slot's top bit exactly when it is >= p
         half = sum(1 << (S * t + S - 1) for t in range(M))
         fix = sum(((1 << (S - 1)) - p) << (S * t) for t in range(M))
-        tables = ([0], [0])
-        col = h
-        for j in range(M):
-            tbl = tables[j >= w]
-            base = sum(a << (S * t) for t, a in enumerate(col))
-            # a reduced slot plus a reduced slot stays below 2p; adding
-            # 2^(S-1) - p sets the slot's top bit exactly when it is >= p
-            mults = [0]
-            for _ in range(p - 1):
-                s = mults[-1] + base
-                mults.append(s - (((s + fix) & half) >> (S - 1)) * p)
-            tbl[:] = [(s := t + a) - (((s + fix) & half) >> (S - 1)) * p
-                      for a in mults for t in tbl]
-            col = _poly_mulmod(col, (0, 1), f, p)
-        return tables
+
+        def by(h: int):
+            lo, hi = tables = ([0], [0])
+            col = _code_to_vec(h, p, M)
+            for j in range(M):
+                tbl = tables[j >= w]
+                base = sum(a << (S * t) for t, a in enumerate(col))
+                mults = [0]
+                for _ in range(p - 1):
+                    s = mults[-1] + base
+                    mults.append(s - (((s + fix) & half) >> (S - 1)) * p)
+                tbl[:] = [(s := t + a) - (((s + fix) & half) >> (S - 1)) * p
+                          for a in mults for t in tbl]
+                col = _poly_mulmod(col, (0, 1), f, p)
+            return lambda piece: array("i", [
+                r0[(v := lo[c % P] + hi[c // P]) & m] + r1[v >> k1 & m]
+                + r2[v >> k2] for c in piece])
+        return by
 
     def _find_generator_code(self) -> int:
         p, M, q = self.p, self.M, self.q

@@ -137,39 +137,36 @@ class SectionContext:
 
     # -- matrix builders --------------------------------------------------
 
+    def _repeat(self, rows: list[dict], copies: int) -> AlgebraMatrix:
+        """diag(B, ..., B), copies times the block B with these row dicts;
+        the entries are shared, not copied."""
+        size = len(rows)
+        return AlgebraMatrix(self.algebra, [
+            {cp * size + t_: e for t_, e in row.items()}
+            for cp in range(copies) for row in rows])
+
     def const_matrix(self, blocks: list[list[FFElement]], copies: int) -> AlgebraMatrix:
         """diag(B, ..., B) as an algebra matrix of constant scalars."""
         alg = self.algebra
         scalars = {c.log: alg.scalar(LaurentSeries.constant(c, self.jE, self.prec))
                    for row in blocks for c in row if c}
-        block_rows = [{t_: scalars[c.log] for t_, c in enumerate(row) if c}
-                      for row in blocks]
-        bsz = len(blocks)
-        return AlgebraMatrix(alg, [
-            {cp * bsz + t_: e for t_, e in row.items()}
-            for cp in range(copies) for row in block_rows])
+        return self._repeat([{t_: scalars[c.log] for t_, c in enumerate(row) if c}
+                             for row in blocks], copies)
 
     def staircase_matrix(self, values: list) -> AlgebraMatrix:
         """diag over n/(b*b') copies of diag(v_0 Id_b, ..., v_{b'-1} Id_b)."""
-        entries = []
-        for v in values:
-            entries.extend([v] * self.b)
-        entries = entries * (self.n // (self.b * self.b2))
-        return AlgebraMatrix(self.algebra,
-                             [{k: v} for k, v in enumerate(entries)])
+        rows = [{k: v} for k, v in
+                enumerate(x for x in values for _ in range(self.b))]
+        return self._repeat(rows, self.n // (self.b * self.b2))
 
     def matrix_w(self) -> AlgebraMatrix:
         """Block-cyclic matrix with sub-diagonal Id_b and top-right u*Id_b."""
         alg = self.algebra
         b, b2 = self.b, self.b2
-        one, uu = alg.one(), alg.u()
         m = b * b2
-        rows = [{(b2 - 1) * b + t_: uu} for t_ in range(b)]
-        rows += [{k - b: one} for k in range(b, m)]
-        w = AlgebraMatrix(alg, rows)
-        if self.n == m:
-            return w
-        return AlgebraMatrix.block_diagonal([w] * (self.n // m))
+        rows = [{(b2 - 1) * b + t_: alg.u()} for t_ in range(b)]
+        rows += [{k - b: alg.one()} for k in range(b, m)]
+        return self._repeat(rows, self.n // m)
 
     def generators(self):
         if self._gens is None:
@@ -342,11 +339,6 @@ def _split_frobenius(ctx: SectionContext, e: int) -> tuple[int, int]:
     if (b2 * j4 + a2 * j5 - e) % i != 0:
         raise DecompositionFailure("Frobenius CRT split failed")
     return j4, j5
-
-
-def underlying_k_auto(f: SemilinearAuto, ctx: SectionContext) -> LocalFieldAuto:
-    """Restriction of the underlying field automorphism to K."""
-    return restrict_auto(f.alphaE, ctx.i)
 
 
 # ----------------------------------------------------------------------
@@ -560,7 +552,7 @@ def verify_section(ctx: SectionContext, samples: int = 20,
             hom.fails(exc)
             sec.fails(exc)
             continue
-        sec.holds(lambda: underlying_k_auto(g_al, ctx) == al)
+        sec.holds(lambda: restrict_auto(g_al.alphaE, ctx.i) == al)
         hom.holds(lambda: eq(compose_semilinear(g_al, glue_section(ctx, be)),
                              glue_section(ctx, compose_auto(al, be))))
     note = "" if samples else "vacuous (no samples)"

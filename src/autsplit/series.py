@@ -174,24 +174,23 @@ class LaurentSeries:
     # -- constructors -----------------------------------------------------
 
     @staticmethod
-    def zero(tower: FieldTower, j: int, prec: int = DEFAULT_PREC) -> LaurentSeries:
+    def zero(tower: FieldTower, j: int, prec: int) -> LaurentSeries:
         return _canonical(tower, j, prec, (), prec)
 
     @staticmethod
-    def one(tower: FieldTower, j: int, prec: int = DEFAULT_PREC) -> LaurentSeries:
+    def one(tower: FieldTower, j: int, prec: int) -> LaurentSeries:
         return LaurentSeries(tower, j, 0, (0,), prec, _checked=True)
 
     @staticmethod
-    def constant(c: FFElement, j: int, prec: int = DEFAULT_PREC) -> LaurentSeries:
+    def constant(c: FFElement, j: int, prec: int) -> LaurentSeries:
         return LaurentSeries(c.tower, j, 0, (c.log,), prec)
 
     @staticmethod
-    def T_power(tower: FieldTower, j: int, k: int = 1,
-               prec: int = DEFAULT_PREC) -> LaurentSeries:
+    def T_power(tower: FieldTower, j: int, k: int, prec: int) -> LaurentSeries:
         return LaurentSeries(tower, j, k, (0,), prec, _checked=True)
 
     @staticmethod
-    def from_pairs(tower: FieldTower, j: int, pairs, prec: int = DEFAULT_PREC):
+    def from_pairs(tower: FieldTower, j: int, pairs, prec: int):
         """Series from (exponent, FFElement) pairs; pairs at or beyond prec
         are O(T^prec) and do not widen the window."""
         pairs = sorted((kv for kv in pairs if kv[0] < prec),

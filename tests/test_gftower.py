@@ -226,7 +226,7 @@ def table_digest(tower):
      "e2a913845e4a4afcbf923c83481b99b4c1b6a07821e72c52a1be2890121547d5"),
     ((7, 3, 1, 1), (2, 0, 0, 1), 22,
      "73d5578c3b0d9466c56152f0af665cc1380fdee0ff57ab7f6ca6bc4803effa1d"),
-    # prime fields, whose exp table is stepped by c * g^s mod p
+    # prime fields, whose exp table doubles by c * g^n mod p
     ((65521, 1, 1, 1), (0, 1), 17,
      "b7291ca803a475e8ff589583a99b05dd968176d8dfc7a9ca9292345a652d1d2a"),
     ((1000003, 1, 1, 1), (0, 1), 2,
@@ -262,6 +262,21 @@ def test_char2_build_memory_is_its_tables():
         tracemalloc.stop()
     tables = sum(a.itemsize * len(a) for a in (t._exp, t._log))
     assert peak <= 1.10 * tables
+
+
+def test_odd_build_memory_stays_near_its_tables():
+    # exp and Zech are filled in bounded pieces and the reduction tables are
+    # built once, so the traced peak is the finished exp, log and Zech plus
+    # one piece and the multiplication tables; a list of every Zech entry
+    # at once would add about twice the tables
+    tracemalloc.start()
+    try:
+        t = FieldTower(3, 1, 10, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    tables = sum(a.itemsize * len(a) for a in (t._exp, t._log, t._zech))
+    assert peak <= 2.5 * tables
 
 
 @pytest.mark.parametrize("key,j", [((2, 1, 1, 1), 1), ((2, 2, 1, 1), 2),

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from autsplit.autk import LocalFieldAuto, compose_auto
+from autsplit.autk import LocalFieldAuto, compose_auto, restrict_auto
 from autsplit.cyclic import (AlgebraMatrix, SemilinearAuto, acts_like,
                              acts_trivially, compose_semilinear)
 from autsplit.gftower import (FFElement, frobenius, in_subfield,
@@ -10,7 +10,7 @@ from autsplit.gftower import (FFElement, frobenius, in_subfield,
 from autsplit.sections import (SectionContext, glue_section, random_j_element,
                                random_k_auto, section_Ca,
                                section_Caprime, section_Cb, section_Cbprime,
-                               section_J, underlying_k_auto, verify_section)
+                               section_J, verify_section)
 from autsplit.series import LaurentSeries
 from test_cyclic import entry_form, invert_semilinear
 
@@ -148,7 +148,7 @@ def test_section_Caprime_properties():
     assert acts_trivially(section_Caprime(ctx, 0), gens)
     assert acts_trivially(section_Caprime(ctx, ctx.a2), gens)
     f = section_Caprime(ctx, 1)
-    back = underlying_k_auto(f, ctx)
+    back = restrict_auto(f.alphaE, ctx.i)
     assert back == LocalFieldAuto.frobenius_power(ctx.tower, ctx.i, ctx.b2,
                                                   ctx.prec)
 
@@ -161,7 +161,7 @@ def test_section_Cbprime_properties():
     assert W ** ctx.b2 == AlgebraMatrix.scalar_matrix(ctx.algebra.u(), ctx.n)
     assert acts_trivially(section_Cbprime(ctx, ctx.b2), gens)
     f = section_Cbprime(ctx, 1)
-    back = underlying_k_auto(f, ctx)
+    back = restrict_auto(f.alphaE, ctx.i)
     assert back == LocalFieldAuto.frobenius_power(ctx.tower, ctx.i, ctx.a2,
                                                   ctx.prec)
 
@@ -181,7 +181,7 @@ def test_glue_section_property_random():
     for ctx in (CTX2, CTX3):
         for _ in range(5):
             al = random_k_auto(ctx, rng)
-            assert underlying_k_auto(glue_section(ctx, al), ctx) == al
+            assert restrict_auto(glue_section(ctx, al).alphaE, ctx.i) == al
 
 
 def test_verify_section_passes_small():
