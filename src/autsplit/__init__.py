@@ -5,7 +5,7 @@ Subpackage map:
 
 - ``gftower``   one ambient finite field housing every needed subfield
 - ``series``    truncated Laurent series with explicit precision, and
-                square matrices over them (det, inverse)
+                square matrices over them (det, projective comparison)
 - ``autk``      automorphisms of F_{p^j}((T)) and their decomposition
 - ``cyclic``    the cyclic algebra A(d,r), reduced norms, semilinear autos
 - ``brauer``    discrete Brauer/splitting arithmetic

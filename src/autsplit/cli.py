@@ -206,8 +206,10 @@ def _cmd_hanke(args) -> int:
     if not ok:
         return _emit(args, "hanke", params, {"in_aut_g": False}, 1)
     g_rows = [[repr(e) for e in row] for row in witness["g"].rows]
+    # branch 1 names the inner equation alpha(a)/a = N(lambda), the one
+    # hanke_test_deg3 solves
     return _emit(args, "hanke", params,
-                 {"in_aut_g": True, "branch": witness["branch"],
+                 {"in_aut_g": True, "branch": 1,
                   "lambda": repr(witness["lambda"]), "g": g_rows}, 0)
 
 

@@ -2,124 +2,85 @@
 
 For l/k unramified cyclic of degree 3 with Galois generator gamma (the
 i-th Frobenius power on coefficients), an inner form of SL_3 is pinned by
-the cocycle gamma -> [[0,0,a],[1,0,0],[0,1,0]] in PGL_3(l).  A semilinear
-automorphism candidate b*Id_beta descends exactly when
+the cocycle gamma -> c_gamma = [[0,0,a],[1,0,0],[0,1,0]] in PGL_3(l).  A
+semilinear automorphism candidate b*Id_beta descends exactly when
 
     c_gamma  (gamma.b)  (beta^(-1).c_gamma)^(-1)  =  b      (projectively)
 
 evaluated on the generator, which suffices for cyclic groups.  The
-optional outer flag composes b with the order-2 pinned outer automorphism
-g -> at(g)^(-1) (anti-transpose inverse), under which the cocycle matrix
-conjugates to its inverse.
+inverse is read off the cocycle's shape: for any slot s,
+[[0,0,s],[1,0,0],[0,1,0]]^(-1) = [[0,1,0],[0,0,1],[1/s,0,0]].
 
-The degree-3 extendability test decides, for a field automorphism alpha,
-whether one of the two norm equations
-
-    alpha(a)/a = N_{l/k}(lambda)      or      alpha(a)*a = N_{l/k}(lambda)
-
-is solvable; a solution is turned into an explicit descent witness and
-re-checked through the cocycle condition.
+The degree-3 extendability test solves alpha(a)/a = N_{l/k}(lambda) and
+turns lambda into an explicit descent witness, re-checked through the
+cocycle condition.  Over k = F_q((T)) this inner equation always has a
+solution: alpha keeps valuations, so alpha(a)/a is a unit, and every unit
+of k is a norm from the unramified l.  The outer equation
+alpha(a)*a = N_{l/k}(lambda), which would pair alpha with the
+anti-transpose-inverse automorphism, is therefore never needed and is not
+tried.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .autk import LocalFieldAuto, extend_auto, invert_auto
-from .gftower import FieldTower
 from .series import (LaurentSeries, SeriesMatrix, frobenius_coeffwise,
                      norm_equation_solve)
 
 
-@dataclass
-class CyclicCocycle:
-    """Cocycle on Gal(l/k) = <gamma>, [l : k] = 3, stored by its value at
-    gamma."""
-    gamma_matrix: SeriesMatrix
-    i: int          # gamma acts on coefficients by Frobenius^i
-
-    @staticmethod
-    def standard(tower: FieldTower, i: int, a: LaurentSeries) -> CyclicCocycle:
-        """gamma -> [[0,0,a],[1,0,0],[0,1,0]], the inner form with slot a."""
-        j = 3 * i
-        prec = a.prec
-        one = LaurentSeries.one(tower, j, prec)
-        zero = LaurentSeries.zero(tower, j, prec)
-        al = a.with_subfield(j)
-        m = SeriesMatrix(tower, j, prec, [[zero, zero, al],
-                                          [one, zero, zero],
-                                          [zero, one, zero]])
-        return CyclicCocycle(m, i)
-
-    def gamma_action(self, mat: SeriesMatrix) -> SeriesMatrix:
-        return mat.map_entries(lambda e: frobenius_coeffwise(e, self.i))
+def cocycle_matrix(a: LaurentSeries, j: int) -> SeriesMatrix:
+    """c_gamma = [[0,0,a],[1,0,0],[0,1,0]] over F_{p^j}((T)), the inner
+    form with slot a."""
+    one = LaurentSeries.one(a.tower, j, a.prec)
+    zero = LaurentSeries.zero(a.tower, j, a.prec)
+    return SeriesMatrix(a.tower, j, a.prec, [[zero, zero, a.with_subfield(j)],
+                                             [one, zero, zero],
+                                             [zero, one, zero]])
 
 
-def descent_condition_check(c: CyclicCocycle, bmat: SeriesMatrix, e_flag: bool,
+def descent_condition_check(i: int, a: LaurentSeries, bmat: SeriesMatrix,
                             beta_inv: LocalFieldAuto) -> bool:
-    """Whether b*Id_beta descends along the form defined by c, given the
-    inverse beta_inv of beta.
+    """Whether b*Id_beta descends along the form with slot a, given the
+    inverse beta_inv of beta and gamma = Frobenius^i on coefficients.
 
-    Evaluates c_gamma (gamma.b) X = b projectively with X the beta-inverse
-    image of c_gamma^(-1), pushed through the outer flip when e_flag is
-    set (the flip inverts the cocycle matrix, so X becomes the
-    anti-transpose of the beta-inverse image of c_gamma).
-    """
-    cm = c.gamma_matrix
-    gb = c.gamma_action(bmat)
-    cm_beta = cm.map_entries(beta_inv)
-    if e_flag:
-        r = cm_beta.rows
-        X = SeriesMatrix(cm.tower, cm.j, cm.prec,
-                         [[r[2 - t][2 - s] for t in range(3)] for s in range(3)])
-    else:
-        X = cm_beta.inverse()
-    lhs = cm * gb * X
-    return bmat.proportional_to(lhs)
+    Evaluates c_gamma (gamma.b) X = b projectively with X the inverse of
+    the beta-inverse image of c_gamma."""
+    cm = cocycle_matrix(a, 3 * i)
+    gb = bmat.map_entries(lambda e: frobenius_coeffwise(e, i))
+    return bmat.proportional_to(cm * gb * image_inverse(cm, beta_inv))
+
+
+def image_inverse(cm: SeriesMatrix, beta_inv: LocalFieldAuto) -> SeriesMatrix:
+    """(beta_inv.c_gamma)^(-1) = [[0,1,0],[0,0,1],[1/beta_inv(a),0,0]] for
+    c_gamma = cocycle_matrix(a, j); its zeros and ones are c_gamma's."""
+    zero, one = cm.rows[0][0], cm.rows[1][0]
+    return SeriesMatrix(cm.tower, cm.j, cm.prec,
+                        [[zero, one, zero],
+                         [zero, zero, one],
+                         [one * beta_inv(cm.rows[0][2]).inverse(), zero, zero]])
 
 
 def hanke_test_deg3(i: int, a: LaurentSeries, alpha: LocalFieldAuto):
     """Extendability of alpha to the degree-3 algebra with slot a.
 
-    Tries alpha(a)/a = N(lambda) first (inner branch), then
-    alpha(a)*a = N(lambda) (outer branch).  Returns (True, witness) with
-    witness = {lambda, branch, g} on success; the witness matrix is
-    fed back through descent_condition_check before being returned.
-    """
+    Solves alpha(a)/a = N(lambda) and builds the witness
+    g = diag(gamma^2(lambda) gamma(lambda), gamma^2(lambda), 1).  Returns
+    (True, {lambda, g}) when g passes descent_condition_check, and
+    (False, None) otherwise."""
     tower = a.tower
     jl = 3 * i
     if tower.M % jl != 0:
         raise ValueError("tower does not contain the unramified cubic extension")
     beta_inv = invert_auto(extend_auto(alpha, jl))
-    a_l = a.with_subfield(jl)
-    cocycle = CyclicCocycle.standard(tower, i, a)
-
-    def gamma(s, power=1):
-        return frobenius_coeffwise(s, i * power)
-
-    for branch, rhs in ((1, alpha(a) / a), (2, alpha(a) * a)):
-        lam = norm_equation_solve(rhs, i, 3)
-        if lam is None:
-            continue
-        if branch == 1:
-            g_rows = _diag3(tower, jl, gamma(lam, 2) * gamma(lam, 1),
-                            gamma(lam, 2),
-                            LaurentSeries.one(tower, jl, lam.prec))
-            e_flag = False
-        else:
-            zero = LaurentSeries.zero(tower, jl, lam.prec)
-            one = LaurentSeries.one(tower, jl, lam.prec)
-            g_rows = [[one, zero, zero],
-                      [zero, zero, a_l / lam],
-                      [zero, a_l / (lam * gamma(lam, 1)), zero]]
-            e_flag = True
-        g = SeriesMatrix(tower, jl, lam.prec, g_rows)
-        if descent_condition_check(cocycle, g.map_entries(beta_inv), e_flag,
-                                   beta_inv):
-            return True, {"lambda": lam, "branch": branch, "g": g}
+    lam = norm_equation_solve(alpha(a) / a, i, 3)
+    gamma_lam = frobenius_coeffwise(lam, i)
+    gamma2_lam = frobenius_coeffwise(lam, 2 * i)
+    d1 = gamma2_lam * gamma_lam
+    zero = LaurentSeries.zero(tower, jl, d1.prec)
+    g = SeriesMatrix(tower, jl, lam.prec,
+                     [[d1, zero, zero],
+                      [zero, gamma2_lam, zero],
+                      [zero, zero, LaurentSeries.one(tower, jl, lam.prec)]])
+    if descent_condition_check(i, a, g.map_entries(beta_inv), beta_inv):
+        return True, {"lambda": lam, "g": g}
     return False, None
-
-
-def _diag3(tower, j, d1, d2, d3):
-    zero = LaurentSeries.zero(tower, j, d1.prec)
-    return [[d1, zero, zero], [zero, d2, zero], [zero, zero, d3]]

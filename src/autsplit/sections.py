@@ -41,8 +41,7 @@ from .cyclic import (AdmissibilityFailure, AlgebraMatrix, CyclicAlgebra,
                      compose_semilinear, generator_matrices)
 from .gftower import (FFElement, build_tower, frobenius, hilbert90_solve,
                       relative_trace, subfield_generator)
-from .series import (LaurentSeries, NotInvertible, PrecisionExhausted,
-                     hensel_root)
+from .series import LaurentSeries, PrecisionExhausted, hensel_root
 
 
 class DecompositionFailure(RuntimeError):
@@ -57,7 +56,7 @@ class SectionContext:
     requires.
     """
 
-    def __init__(self, p: int, i: int, d: int, r: int, n: int, prec: int = 32):
+    def __init__(self, p: int, i: int, d: int, r: int, n: int, prec: int):
         if gcd(d, p) != 1:
             raise ValueError("gcd(d, p) must be 1")
         if gcd(d, r) != 1:
@@ -220,13 +219,13 @@ def section_J(ctx: SectionContext, alpha: LocalFieldAuto) -> SemilinearAuto:
     twist = (x_alpha ** ctx.b2).with_subfield(ctx.jE)
     if ctx.b2 == 1:
         return SemilinearAuto(alg, ctx.n, None, alphaE, twist)
-    xs = [alg.scalar((x_alpha ** k).with_subfield(ctx.jE))
-          for k in range(ctx.b2)]
-    xs_inv = [alg.scalar((x_alpha ** (-k)).with_subfield(ctx.jE))
-              for k in range(ctx.b2)]
-    X = ctx.staircase_matrix(xs)
-    X_inv = ctx.staircase_matrix(xs_inv)
-    return SemilinearAuto(alg, ctx.n, X, alphaE, twist, inner_inv=X_inv)
+
+    def inner(e):
+        return ctx.staircase_matrix([
+            alg.scalar((x_alpha ** (e * k)).with_subfield(ctx.jE))
+            for k in range(ctx.b2)])
+    return SemilinearAuto(alg, ctx.n, inner(1), alphaE, twist,
+                          inner_inv=inner(-1))
 
 
 def section_Ca(ctx: SectionContext, j: int) -> SemilinearAuto:
@@ -237,13 +236,14 @@ def section_Ca(ctx: SectionContext, j: int) -> SemilinearAuto:
     twist = LaurentSeries.constant(ctx.z ** (ctx.b2 * j), ctx.jE, ctx.prec)
     if ctx.z.log == 0:
         return SemilinearAuto(alg, ctx.n, None, alphaE, twist)
-    zs = [alg.scalar(LaurentSeries.constant(ctx.z ** (k * j), ctx.jE, ctx.prec))
-          for k in range(ctx.b2)]
-    zs_inv = [alg.scalar(LaurentSeries.constant(ctx.z ** (-k * j), ctx.jE,
-                                                ctx.prec))
-              for k in range(ctx.b2)]
-    return SemilinearAuto(alg, ctx.n, ctx.staircase_matrix(zs), alphaE, twist,
-                          inner_inv=ctx.staircase_matrix(zs_inv))
+
+    def inner(e):
+        return ctx.staircase_matrix([
+            alg.scalar(LaurentSeries.constant(ctx.z ** (e * k), ctx.jE,
+                                              ctx.prec))
+            for k in range(ctx.b2)])
+    return SemilinearAuto(alg, ctx.n, inner(j), alphaE, twist,
+                          inner_inv=inner(-j))
 
 
 def section_Cb(ctx: SectionContext, j: int) -> SemilinearAuto:
@@ -257,11 +257,11 @@ def section_Cb(ctx: SectionContext, j: int) -> SemilinearAuto:
     twist = LaurentSeries.constant(ctx.x_hat ** j, ctx.jE, ctx.prec)
     if ctx.b == 1:
         return SemilinearAuto(alg, ctx.n, None, alphaE, twist)
-    blocks = ctx.phi(ctx.y ** (-j))
-    blocks_inv = ctx.phi(ctx.y ** j)
-    Y = ctx.const_matrix(blocks, ctx.n // ctx.b)
-    Y_inv = ctx.const_matrix(blocks_inv, ctx.n // ctx.b)
-    return SemilinearAuto(alg, ctx.n, Y, alphaE, twist, inner_inv=Y_inv)
+
+    def inner(e):
+        return ctx.const_matrix(ctx.phi(ctx.y ** e), ctx.n // ctx.b)
+    return SemilinearAuto(alg, ctx.n, inner(-j), alphaE, twist,
+                          inner_inv=inner(j))
 
 
 def section_Caprime(ctx: SectionContext, j: int) -> SemilinearAuto:
@@ -377,7 +377,7 @@ class VerificationReport:
 # raised while the sides of a check are built or compared, these fail that
 # check instead of ending the verification
 CONSTRUCTION_FAILURES = (AdmissibilityFailure, DecompositionFailure,
-                         NotInvertible, PrecisionExhausted)
+                         PrecisionExhausted)
 
 
 class _Tally:
@@ -401,50 +401,39 @@ class _Tally:
         return "; ".join(filter(None, (note, self.error)))
 
 
-def _random_field_elt(ctx, rng, degree):
-    order = ctx.p ** degree - 1
-    k = rng.randrange(order + 1)
-    if k == 0:
-        return ctx.tower.zero()
-    return subfield_generator(ctx.tower, degree) ** (k - 1)
-
-
-def _random_unit(ctx, rng, degree):
-    order = ctx.p ** degree - 1
-    return subfield_generator(ctx.tower, degree) ** rng.randrange(order)
-
-
-def random_j_element(ctx: SectionContext, rng: random.Random,
-                     depth: int | None = None) -> LocalFieldAuto:
-    """Random inertia automorphism T -> T + sum a_k T^k."""
-    t = ctx.tower
-    depth = depth if depth is not None else ctx.prec
-    pairs = [(1, t.one())]
-    for k in range(2, depth):
-        c = _random_field_elt(ctx, rng, ctx.i)
+def _random_image(ctx: SectionContext, rng: random.Random,
+                  lead: FFElement) -> LaurentSeries:
+    """T -> lead*T + sum a_k T^k for 1 < k < prec, each a_k drawn from
+    F_{p^i} (zero included)."""
+    order = ctx.p ** ctx.i - 1
+    pairs = [(1, lead)]
+    for k in range(2, ctx.prec):
+        c = rng.randrange(order + 1)
         if c:
-            pairs.append((k, c))
-    img = LaurentSeries.from_pairs(t, ctx.i, pairs, ctx.prec)
-    return LocalFieldAuto(t, ctx.i, 0, img)
+            pairs.append((k, ctx.zeta ** (c - 1)))
+    return LaurentSeries.from_pairs(ctx.tower, ctx.i, pairs, ctx.prec)
+
+
+def random_j_element(ctx: SectionContext, rng: random.Random) -> LocalFieldAuto:
+    """Random inertia automorphism T -> T + sum a_k T^k."""
+    img = _random_image(ctx, rng, ctx.tower.one())
+    return LocalFieldAuto(ctx.tower, ctx.i, 0, img)
 
 
 def random_k_auto(ctx: SectionContext, rng: random.Random) -> LocalFieldAuto:
-    t = ctx.tower
-    pairs = [(1, _random_unit(ctx, rng, ctx.i))]
-    for k in range(2, ctx.prec):
-        c = _random_field_elt(ctx, rng, ctx.i)
-        if c:
-            pairs.append((k, c))
-    img = LaurentSeries.from_pairs(t, ctx.i, pairs, ctx.prec)
-    return LocalFieldAuto(t, ctx.i, rng.randrange(ctx.i), img)
+    """Random automorphism: a unit lead coefficient, then a random tail,
+    then a residue Frobenius power."""
+    lead = ctx.zeta ** rng.randrange(ctx.p ** ctx.i - 1)
+    img = _random_image(ctx, rng, lead)
+    return LocalFieldAuto(ctx.tower, ctx.i, rng.randrange(ctx.i), img)
 
 
 def _conj(f, g, f_inv):
     return compose_semilinear(compose_semilinear(f, g), f_inv)
 
 
-def verify_section(ctx: SectionContext, samples: int = 20,
-                   seed: int = 0) -> VerificationReport:
+def verify_section(ctx: SectionContext, samples: int,
+                   seed: int) -> VerificationReport:
     """Run every verifiable identity of the construction and report.
 
     A check whose sides cannot be built or compared, because one of
@@ -479,9 +468,8 @@ def verify_section(ctx: SectionContext, samples: int = 20,
 
     # sampled parameters ----------------------------------------------------
     n_pairs = max(2, samples // 6)
-    j_samples = lambda order: sorted({1 % max(order, 1)} |
-                                     {rng.randrange(1, order) for _ in
-                                      range(n_pairs)} - {0}) if order > 1 else []
+    j_samples = lambda order: sorted({1} | {rng.randrange(1, order) for _ in
+                                            range(n_pairs)}) if order > 1 else []
     ja = j_samples(ctx.a)
     jb = j_samples(ctx.b)
     ja2 = j_samples(ctx.a2)
@@ -492,8 +480,10 @@ def verify_section(ctx: SectionContext, samples: int = 20,
     # conjugates g(k) to g(k p^(e j)); f(j) conjugates f_J(alpha) to
     # f_J(kappa alpha kappa^-1) for an explicitly given kappa = kappa(j)
     def commute(f, g):
-        return lambda j, k: (compose_semilinear(f(ctx, j), g(ctx, k)),
-                             compose_semilinear(g(ctx, k), f(ctx, j)))
+        def pair(j, k):
+            fj, gk = f(ctx, j), g(ctx, k)
+            return compose_semilinear(fj, gk), compose_semilinear(gk, fj)
+        return pair
 
     def moves_index(f, g, e):
         return lambda j, k: (_conj(f(ctx, j), g(ctx, k), f(ctx, -j)),

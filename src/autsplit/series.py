@@ -24,8 +24,8 @@ down to Brent-Kung baby-step/giant-step leaves of at most max(16, p^2)
 coefficients.
 
 ``SeriesMatrix`` is the one square-matrix type over such a field: products,
-determinants, inverses and projective comparison.  Reduced norms of the
-cyclic algebra and the PGL_3 descent checks are built on it.
+determinants and projective comparison.  Reduced norms of the cyclic
+algebra and the PGL_3 descent checks are built on it.
 """
 
 from __future__ import annotations
@@ -58,10 +58,6 @@ class PDividesExponent(ValueError):
 
 class ApparentZero(ValueError):
     """Operation needs a nonzero series within precision."""
-
-
-class NotInvertible(ZeroDivisionError):
-    """Element or matrix is not invertible within the working precision."""
 
 
 class PrecisionExhausted(ArithmeticError):
@@ -438,11 +434,11 @@ class LaurentSeries:
 class SeriesMatrix:
     """Square matrix over F_{p^j}((T)) for one tower, subfield and precision.
 
-    The entries commute, so determinants and inverses are ordinary
-    Gaussian elimination.  Every elimination pivots on an entry of least
-    valuation, which keeps the series divisions as exact as the precision
-    allows.  ``prec`` is the precision of the zero and identity entries the
-    matrix creates; each entry keeps its own precision.
+    The entries commute, so the determinant is ordinary Gaussian
+    elimination.  It pivots on an entry of least valuation, which keeps
+    the series divisions as exact as the precision allows.  ``prec`` is the
+    precision of the zero and one entries the matrix creates; each entry
+    keeps its own precision.
     """
 
     __slots__ = ("tower", "j", "prec", "rows")
@@ -457,14 +453,6 @@ class SeriesMatrix:
     @property
     def n(self) -> int:
         return len(self.rows)
-
-    @staticmethod
-    def identity(tower: FieldTower, j: int, n: int, prec: int) -> SeriesMatrix:
-        one = LaurentSeries.one(tower, j, prec)
-        zero = LaurentSeries.zero(tower, j, prec)
-        return SeriesMatrix(tower, j, prec, [[one if s == t else zero
-                                              for t in range(n)]
-                                             for s in range(n)])
 
     def _like(self, rows) -> SeriesMatrix:
         return SeriesMatrix(self.tower, self.j, self.prec, rows)
@@ -500,10 +488,11 @@ class SeriesMatrix:
         det = LaurentSeries.one(self.tower, self.j, self.prec)
         sign = 1
         for k in range(n):
-            pivot_row = _least_valuation_row(mat, k)
-            if pivot_row is None:
+            rows = [m for m in range(k, n) if mat[m][k]]
+            if not rows:
                 prec = min(e.prec for r in mat for e in r)
                 return LaurentSeries.zero(self.tower, self.j, prec)
+            pivot_row = min(rows, key=lambda m: mat[m][k].val)
             if pivot_row != k:
                 mat[k], mat[pivot_row] = mat[pivot_row], mat[k]
                 sign = -sign
@@ -519,27 +508,6 @@ class SeriesMatrix:
         if sign < 0:
             det = -det
         return det
-
-    def inverse(self) -> SeriesMatrix:
-        """Gauss-Jordan on [self | I]; the reduced right half."""
-        n = self.n
-        ident = SeriesMatrix.identity(self.tower, self.j, n, self.prec).rows
-        mat = [list(r) + list(extra) for r, extra in zip(self.rows, ident)]
-        width = len(mat[0])
-        for k in range(n):
-            pivot_row = _least_valuation_row(mat, k)
-            if pivot_row is None:
-                raise NotInvertible("matrix is singular within precision")
-            if pivot_row != k:
-                mat[k], mat[pivot_row] = mat[pivot_row], mat[k]
-            pinv = mat[k][k].inverse()
-            mat[k] = [e * pinv for e in mat[k]]
-            for m in range(n):
-                if m == k or not mat[m][k]:
-                    continue
-                factor = mat[m][k]
-                mat[m] = [mat[m][c] - factor * mat[k][c] for c in range(width)]
-        return self._like([row[n:] for row in mat])
 
     def proportional_to(self, other: SeriesMatrix) -> bool:
         """Equality up to a scalar: other = s * self for a series s."""
@@ -558,16 +526,6 @@ class SeriesMatrix:
         return all(not a or a * scale == b
                    for row_a, row_b in zip(self.rows, other.rows)
                    for a, b in zip(row_a, row_b))
-
-
-def _least_valuation_row(mat, k: int) -> Optional[int]:
-    """Row m >= k whose entry in column k is nonzero of least valuation."""
-    pivot_row = pivot_val = None
-    for m in range(k, len(mat)):
-        e = mat[m][k]
-        if e and (pivot_val is None or e.val < pivot_val):
-            pivot_row, pivot_val = m, e.val
-    return pivot_row
 
 
 # ----------------------------------------------------------------------

@@ -276,6 +276,24 @@ GOLDEN_REPORTS = [
     ("b1957fde9c3f47fd27ee24d06704d6ed1f2ac366ce09780e564e0e4a2e86d564", 0,
      JSON + ["hanke", "--p", "2", "--i", "2", "--r", "1", "--alpha", "g*T+T^2",
              "--frob", "1", "--prec", "8"]),
+    # recorded while hanke_test_deg3 still fell back to the outer equation
+    # alpha(a)*a = N(lambda): 3 | r, where that equation is solvable too,
+    # r <= 0, and i = 3 with --frob 2
+    ("bffa59ce127cd35d049b4e7443379cb3f0fcf384f9edd4e63aac853ff9b29154", 0,
+     JSON + ["hanke", "--p", "2", "--i", "1", "--r", "3", "--alpha",
+             "T+T^2+T^5", "--prec", "12"]),
+    ("1d1ed0858c71d997687360a40e467de4794f969598cc86902e26df614c03b59a", 0,
+     JSON + ["hanke", "--p", "5", "--i", "1", "--r", "6", "--alpha", "2*T+T^2",
+             "--prec", "14"]),
+    ("8a5e56a606f28af43a422a55566d293386361bcb11ebb333270e04a38fd51a7e", 0,
+     JSON + ["hanke", "--p", "3", "--i", "1", "--r", "0", "--alpha", "2*T+T^2",
+             "--prec", "8"]),
+    ("db270760e95bbb7727c0b1d482a810c7c782b0f032adc077bab132ff3a9057bb", 0,
+     JSON + ["hanke", "--p", "7", "--i", "1", "--r", "-2", "--alpha",
+             "3*T+T^3", "--prec", "10"]),
+    ("2b24f6f9b4c17740aef78ae4319b85784b6f21623cbf64ccb070e4f7270d5496", 0,
+     JSON + ["hanke", "--p", "2", "--i", "3", "--r", "2", "--alpha", "g*T+T^2",
+             "--frob", "2", "--prec", "8"]),
     ("9d478a4eaddf8790ac8692ed9b35e4ab69c75666c39e79d5b7835916230a0f84", 0,
      JSON + ["section", "synth", "--p", "3", "--i", "1", "--d", "2", "--r",
              "1", "--n", "2", "--samples", "3", "--prec", "12", "--seed",

@@ -9,9 +9,9 @@ from autsplit.cyclic import (AdmissibilityFailure, AlgebraElement,
                              acts_like, acts_trivially, compose_semilinear,
                              generator_matrices)
 from autsplit.gftower import build_tower, frobenius, subfield_generator
-from autsplit.series import (LaurentSeries, NotInvertible, SeriesMatrix,
-                             norm_equation_solve, series_in_subfield,
-                             unramified_norm)
+from autsplit.series import (LaurentSeries, SeriesMatrix, norm_equation_solve,
+                             series_in_subfield, unramified_norm)
+from series_matrix_reference import NotInvertible, matrix_inverse
 
 PREC = 16
 
@@ -45,7 +45,7 @@ def power(a, e):
 def inverse(a):
     """The two-sided inverse of a: column 0 of rep(a)^-1 solves
     rep(a) x = e_0, and x holds its components."""
-    rows = a.regular_representation().inverse().rows
+    rows = matrix_inverse(a.regular_representation()).rows
     return AlgebraElement(a.alg, tuple(row[0] for row in rows))
 
 
