@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 from math import gcd
 
 from . import brauer as br
@@ -246,7 +247,10 @@ def _cmd_ses_verdict(args) -> int:
 
 # -- parser ---------------------------------------------------------------
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parse_args keeps no
+    state in it and returns a fresh Namespace for each call."""
     top = argparse.ArgumentParser(
         prog="autsplit",
         description="Exact splitting analysis for semilinear automorphisms "

@@ -15,7 +15,7 @@ characteristic 2 and uses a Zech logarithm table for odd p.
 Determinism.  The modulus is the first irreducible monic polynomial of
 degree M in code order (which is exactly lexicographic order on the
 coefficient vector read high-to-low), and ``g`` is the first element in
-code order of multiplicative order p^M - 1.  Tables are built once per
+code order of multiplicative order p^M - 1.  Towers are made once per
 (p, i, d, b) and cached.
 
 Storage and cost.  ``_exp`` (log -> code), ``_log`` (code -> log) and,
@@ -23,12 +23,26 @@ for odd p only, ``_zech`` are ``array('i')``, 4 bytes an entry: 8 bytes
 an element in characteristic 2, 12 for odd p.  The exp table doubles (see
 ``_build_tables``): once n codes are known, the next ones are g^n times
 the first ones, by a few C-level byte translations per _PIECE codes in
-characteristic 2 and by two table lookups per code for odd p.  The log scatter and the Zech fill
-take one interpreted step per element.  In CPython 3.11 on one core of a
-2-vCPU VM, twelve fresh processes each, a build took 0.05-0.08 s for
-F_{3^10}, 0.40-0.67 s for F_{3^12}, 0.65-0.84 s for F_{1000003} and
-0.47-0.74 s for F_{2^21}; of the last, six instrumented builds spent
-0.06-0.12 s on the exp fill and 0.40-0.58 s on the log scatter.
+characteristic 2 and by two table lookups per code for odd p.  The log
+scatter and the Zech fill take one interpreted step per element.  In
+CPython 3.11 on one core of a 2-vCPU VM, twelve fresh processes each, a
+build took 0.05-0.08 s for F_{3^10}, 0.40-0.67 s for F_{3^12}, 0.65-0.84 s
+for F_{1000003} and 0.47-0.74 s for F_{2^21}; of the last, six
+instrumented builds spent 0.06-0.12 s on the exp fill and 0.40-0.58 s on
+the log scatter.
+
+Characteristic 2 builds no table up front.  A command over F_{2^21} may
+read a few hundred entries, all in a small subfield, so ``_exp`` and
+``_log`` start as dicts that compute a missing entry when it is read and
+keep it: g^k as one product of two stored powers, a log by
+Pohlig-Hellman.  Each miss is charged its cost in elements of a full
+build, and once a tower's charges reach q it builds the full arrays
+after all (``FieldTower._full``), so a dense input pays at most about
+two builds.  A stored entry reads about 0.05 us slower from these dicts
+than from an array (a Python subclass of dict takes the generic subscript
+path; 128,000 XOR-loop reads took 29-31 ms against 23-25 ms).  Odd p
+keeps the eager build: its additions read Zech entries densely, and its
+code products are interpreted polynomial products.
 """
 
 from __future__ import annotations
@@ -36,13 +50,15 @@ from __future__ import annotations
 import sys
 from array import array
 from functools import lru_cache
+from math import gcd, isqrt
 from typing import Sequence
 
 LOG_ZERO = -1
 
-# The tables take 8 bytes per element in characteristic 2 (exp and log)
-# and 12 for odd p (plus Zech), at most about 25 MB at this size.  The limit
-# bounds that memory; the build time is linear in p^M.
+# The full tables take 8 bytes per element in characteristic 2 (exp and
+# log) and 12 for odd p (plus Zech), at most about 25 MB at this size.  The
+# limit bounds that memory and the build's time, linear in p^M: a
+# characteristic-2 tower pays it only when its misses outgrow a build.
 MAX_FIELD_SIZE = 1 << 21
 
 # Codes multiplied, and Zech entries filled, at a time.  A piece's
@@ -51,6 +67,35 @@ MAX_FIELD_SIZE = 1 << 21
 # build's peak memory stays near its finished tables, where one piece per
 # doubling would add half of them again.
 _PIECE = 1 << 14
+
+
+# What characteristic-2 entries made on demand cost, in elements of a full
+# build (see ``FieldTower._full``), each the largest ratio measured, rounded
+# up.  In CPython 3.11 on one core of a 2-vCPU VM, over F_{2^16}, F_{2^18},
+# F_{2^20} and F_{2^21} (medians of 7 builds, 5,000 exp misses and 1,000 log
+# misses, three runs each), a build took 0.11-0.28 us an element, a code
+# product 1.1-2.9 us (7-15 elements), an exp miss 1.7-4.4 us (9-26) and a
+# log miss 55-189 us (257-694).
+_PRODUCT_COST = 16      # one product of the one-time lo, hi and subgroup
+                        # tables
+_EXP_MISS_COST = 28     # one exp entry: a product and its bookkeeping
+_LOG_MISS_COST = 700    # one log entry: M - 1 squarings and, per prime
+                        # power of Q, a product per bit of its cofactor
+
+
+class _Table(dict):
+    """A table filled on demand: reading a missing key stores and returns
+    ``fill(key)``."""
+
+    __slots__ = ("fill",)
+
+    def __init__(self, fill, preset=()):
+        super().__init__(preset)
+        self.fill = fill
+
+    def __missing__(self, key):
+        value = self[key] = self.fill(key)
+        return value
 
 
 class NotPrime(ValueError):
@@ -226,7 +271,10 @@ def _reduce_table(p: int, S: int, slots: range) -> list[int]:
 class FieldTower:
     """The ambient field F_{p^M}, M = i*d*b, with exp/log tables.
 
-    Instances are immutable after construction and safe to share.
+    Its field (modulus, generator) is fixed at construction.  In
+    characteristic 2 the tables fill as they are read and may be replaced
+    by the full arrays later; every entry has one value, so instances
+    answer the same at any time and are safe to share.
     """
 
     def __init__(self, p: int, i: int, d: int, b: int):
@@ -240,8 +288,18 @@ class FieldTower:
             raise Overflow(f"p^M = {p}^{M} exceeds the table limit {MAX_FIELD_SIZE}")
         self.p, self.i, self.d, self.b, self.M, self.q = p, i, d, b, M, q
         self.modulus = self._find_modulus()
-        self._build_tables()
+        self.g_code = self._find_generator_code()
+        # log of -1, used for subtraction; in characteristic 2 it is 0.
+        self._neg_log = 0 if p == 2 else (q - 1) // 2
         self._frob_exp = [pow(p, e, q - 1) if q > 2 else 0 for e in range(M)]
+        if p != 2:
+            self._build_tables()
+            return
+        self._mul = self._char2_product()
+        self._charge = 0
+        self._lo_hi = self._crt = None
+        self._exp = _Table(self._exp_miss)
+        self._log = _Table(self._log_miss, {0: LOG_ZERO})
 
     # -- bootstrap ------------------------------------------------------
 
@@ -264,17 +322,40 @@ class FieldTower:
         multiplication by h.  The table is allocated once at its final
         length (``series`` indexes it at la + lb - Q, so it must hold
         exactly Q codes) and written in place, _PIECE codes at a time.
-        ``_log`` is the inverse of ``_exp``, one store a code.
+        ``_log`` is the inverse of ``_exp``, one store a code; the
+        multiplication closures are released before it, in
+        ``_exp_array``, so they do not outlive the exp fill.
 
         Characteristic 2 adds as log[exp[a] ^ exp[b]] and has no Zech
         table.  For odd p, Zech needs only log(1 + g^k), and adding 1 to a
         code changes its lowest digit alone: c + 1, or c - (p - 1) when that
         digit is p - 1.  It is filled _PIECE entries at a time too.
         """
-        p, M, q, f = self.p, self.M, self.q, self.modulus
-        self.g_code = self._find_generator_code()
+        p, M, q = self.p, self.M, self.q
         Q = q - 1
-        by = self._char2_times() if p == 2 else self._odd_times()
+        exp = self._exp_array()
+        g = _code_to_vec(self.g_code, p, M)
+        if _poly_mulmod(_code_to_vec(exp[-1], p, M), g, self.modulus, p) != (1,):
+            raise RuntimeError("generator order mismatch")  # pragma: no cover
+        log = array("i", [LOG_ZERO]) * q
+        # a memoryview stores an int a few per cent faster than the array
+        view = memoryview(log)
+        for k, c in enumerate(exp):
+            view[c] = k
+        self._exp, self._log = exp, log
+        if p == 2:
+            return
+        zech = array("i")
+        top = p - 1
+        for n in range(0, Q, _PIECE):
+            zech.fromlist([log[c + 1 if c % p != top else c - top]
+                           for c in exp[n:n + _PIECE]])
+        self._zech = zech
+
+    def _exp_array(self) -> array:
+        """The Q codes of g^0, ..., g^(Q-1), by doubling."""
+        Q = self.q - 1
+        by = self._char2_times() if self.p == 2 else self._odd_times()
         exp = array("i", [0]) * Q
         exp[0] = 1
         h, n = self.g_code, 1
@@ -285,25 +366,118 @@ class FieldTower:
                 b = min(a + _PIECE, m)
                 exp[n + a:n + b] = times(exp[a:b])
             h, n = times(array("i", [h]))[0], n + m
-        g = _code_to_vec(self.g_code, p, M)
-        if _poly_mulmod(_code_to_vec(exp[-1], p, M), g, f, p) != (1,):
-            raise RuntimeError("generator order mismatch")  # pragma: no cover
-        log = array("i", [LOG_ZERO]) * q
-        # a memoryview stores an int a few per cent faster than the array
-        view = memoryview(log)
-        for k, c in enumerate(exp):
-            view[c] = k
-        self._exp, self._log = exp, log
-        # log of -1, used for subtraction; in characteristic 2 it is 0.
-        self._neg_log = 0 if p == 2 else Q // 2
-        if p == 2:
-            return
-        zech = array("i")
-        top = p - 1
-        for n in range(0, Q, _PIECE):
-            zech.fromlist([log[c + 1 if c % p != top else c - top]
-                           for c in exp[n:n + _PIECE]])
-        self._zech = zech
+        return exp
+
+    # -- characteristic 2: entries on demand ------------------------------
+
+    def _full(self, cost: int) -> bool:
+        """Whether the full tables exist, after charging a miss ``cost``.
+
+        Charges add up per tower, in elements of a full build: 28 an exp
+        miss, 700 a log miss and 16 a product of the one-time tables, the
+        measured costs rounded up (see ``_EXP_MISS_COST``).  Once they
+        reach q, ``_build_tables`` runs and ``_exp`` and ``_log`` become
+        its arrays; a table a caller still holds then answers its misses
+        from them.  So on-demand entries never cost much more than one
+        build, and a field whose build is cheaper than a few misses gets
+        its full tables at once.
+        """
+        if type(self._exp) is not _Table:
+            return True
+        self._charge += cost
+        if self._charge < self.q:
+            return False
+        self._build_tables()
+        return True
+
+    def _exp_miss(self, k: int) -> int:
+        """The code of g^k, for any integer k, as lo[b] * hi[a] with
+        k = a*B + b mod Q: lo holds g^0..g^(B-1) and hi the powers of g^B,
+        for B = ceil(sqrt(Q)), about 2*sqrt(Q) products made once."""
+        Q = self.q - 1
+        if self._lo_hi is None:
+            B = isqrt(Q - 1) + 1
+            if not self._full((B + Q // B) * _PRODUCT_COST):
+                lo = self._powers(self.g_code, B + 1)
+                self._lo_hi = lo, self._powers(lo.pop(), -(-Q // B))
+        if self._full(_EXP_MISS_COST):
+            return self._exp[k]
+        lo, hi = self._lo_hi
+        a, b = divmod(k % Q, len(lo))
+        return self._mul(hi[a], lo[b])
+
+    def _log_miss(self, c: int) -> int:
+        """The log of the nonzero code c, by Pohlig-Hellman: for each prime
+        power n exactly dividing Q, c^(Q/n) lies in the subgroup of order n,
+        whose full table of logs is made once, and the residues mod each n
+        combine by the Chinese remainder theorem.  The powers c^(Q/n) share
+        the squarings c^(2^j), j < M."""
+        Q = self.q - 1
+        if self._crt is None:
+            # the power of ell in Q, as ell^M > 2^M > Q
+            orders = [gcd(Q, ell ** self.M) for ell in _prime_factors(Q)]
+            if not self._full(sum(orders) * _PRODUCT_COST):
+                crt = []
+                for n in orders:
+                    m = Q // n
+                    sub = self._powers(self._exp[m], n)
+                    crt.append(([j for j in range(self.M) if m >> j & 1],
+                                dict(zip(sub, range(n))), m * pow(m, -1, n)))
+                self._crt = crt
+        if self._full(_LOG_MISS_COST):
+            return self._log[c]
+        mul = self._mul
+        squares = [c]
+        for _ in range(self.M - 1):
+            squares.append(mul(squares[-1], squares[-1]))
+        total = 0
+        for bits, sub, weight in self._crt:
+            y = 1
+            for j in bits:
+                y = mul(y, squares[j])
+            total += sub[y] * weight
+        return total % Q
+
+    def _powers(self, h: int, n: int) -> list[int]:
+        """Codes of h^0, ..., h^(n-1), one product each."""
+        mul, out = self._mul, [1]
+        for _ in range(n - 1):
+            out.append(mul(out[-1], h))
+        return out
+
+    def _char2_product(self):
+        """The product of two codes of F_{2^M}, for entries made one at a
+        time: a carry-less product taking b three bits at a time, whose
+        bits at M and above fold back a byte at a time through tables of
+        x^(M + k) mod f, each built by XOR doubling like ``by``'s."""
+        M = self.M
+        f = sum(c << j for j, c in enumerate(self.modulus))
+        mask = (1 << M) - 1
+        folds = []
+        c = f & mask                    # x^M mod f
+        for k in range(0, M - 1, 8):
+            lin = [0]
+            for _ in range(min(8, M - 1 - k)):
+                lin += [t ^ c for t in lin]
+                c <<= 1
+                if c >> M:
+                    c ^= f
+            folds.append(lin)
+
+        def product(a: int, b: int) -> int:
+            a2, a4 = a << 1, a << 2
+            window = (0, a, a2, a2 ^ a, a4, a4 ^ a, a4 ^ a2, a4 ^ a2 ^ a)
+            acc = s = 0
+            while b:
+                acc ^= window[b & 7] << s
+                b, s = b >> 3, s + 3
+            high = acc >> M
+            acc &= mask
+            for tbl in folds:
+                acc ^= tbl[high & 255]
+                high >>= 8
+            return acc
+        return product
 
     def _char2_times(self):
         """Multiplication by h in F_{2^M}, for the doubling of the exp table.

@@ -92,9 +92,10 @@ def _sum_of_products(t: FieldTower, n: int, groups) -> list[int]:
     holds (index, log) of nonzero terms in increasing index.
 
     In characteristic 2 the sums are taken over codes, where addition is
-    XOR: each pair costs one read of exp at la + lb - Q, which indexing
-    wraps to (la + lb) mod Q since exp has Q entries, and the codes turn
-    back into logs once at the end.  For odd p the sums are taken over
+    XOR: each pair costs one read of exp at la + lb - Q, which reads
+    g^((la + lb) mod Q) (a full exp array has Q entries and wraps the
+    index; an on-demand one reduces it), and the codes turn back into
+    logs once at the end.  For odd p the sums are taken over
     logs, each pair adding in through Zech.  The pairs of one outer term
     stop at the truncation, so callers put the factor with fewer terms
     outside.

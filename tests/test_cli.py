@@ -405,6 +405,34 @@ def test_bad_arguments_are_usage_errors(argv, capsys):
     assert "Traceback" not in err
 
 
+def test_one_parser_serves_every_command(capsys):
+    # the parser is built once per process; commands run after it, and
+    # after argparse's own usage errors, must report as they do when first
+    from autsplit.cli import build_parser
+    commands = [
+        ["--output", "json", "brauer", "basechange", "--d", "4", "--r", "3",
+         "--m", "2"],
+        ["hanke", "--p", "2", "--i", "1", "--r", "1", "--alpha", "T+T^2",
+         "--prec", "12"],
+        ["--output", "json"] + SYNTH + ["--n", "1", "--samples", "2",
+                                        "--prec", "8", "--seed", "3"],
+        ["nrd", "--p", "3", "--i", "1", "--d", "2", "--r", "1", "--prec", "8",
+         "--element", "1+T;T^-1"],
+    ]
+    first = [run_cli(argv) for argv in commands]
+    assert all(code in (0, 1) and out for code, out in first)
+    capsys.readouterr()
+    assert build_parser() is build_parser()
+    for _ in range(2):
+        for argv, report in zip(commands, first):
+            assert run_cli_usage(SYNTH + ["--n", "0"], capsys)[0] == 2
+            assert run_cli_usage(["hanke", "--p", "2"], capsys)[0] == 2
+            assert run_cli(argv) == report
+        assert run_cli_usage(["nrd", "--p", "4", "--i", "1", "--d", "2",
+                              "--r", "1", "--element", "1;0"], capsys)[0] == 2
+    assert [run_cli(argv) for argv in commands] == first
+
+
 def test_zero_samples_are_reported_as_vacuous():
     code, doc = validate_json_output(SYNTH + ["--n", "1", "--samples", "0",
                                               "--prec", "8"])

@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from autsplit.gftower import (LOG_ZERO, PRIME_TEST_BOUND, FFElement,
-                              FieldTower, NormNotOne, NotDivisor,
+from autsplit.gftower import (_LOG_MISS_COST, LOG_ZERO, PRIME_TEST_BOUND,
+                              FFElement, FieldTower, NormNotOne, NotDivisor,
                               NotInSubfield, NotPrime, Overflow, _is_prime,
                               build_tower, frobenius,
                               hilbert90_solve, in_subfield, relative_norm,
@@ -68,14 +68,28 @@ def poly_pow_mod(a, e, mod, p):
 
 
 @lru_cache(maxsize=None)
+def full_tables(tower):
+    """The full exp and log arrays of the tower's field.  For odd p they
+    are the tower's own.  A characteristic-2 tower fills its tables on
+    demand, so they come from an uncached tower of the same field (same
+    modulus, same generator) through the ``_build_tables`` that a tower
+    calls once its misses would cost more than a build."""
+    if tower.p != 2:
+        return tower._exp, tower._log
+    full = FieldTower(tower.p, tower.i, tower.d, tower.b)
+    full._build_tables()
+    return full._exp, full._log
+
+
+@lru_cache(maxsize=None)
 def zech_table(tower):
     """log(1 + g^k) for each k: the tower's own table for odd p; in
     characteristic 2 the tower keeps none, so it is derived here as
     log[exp[k] ^ 1]."""
     if tower.p != 2:
         return tower._zech
-    log = tower._log
-    return array("i", [log[c ^ 1] for c in tower._exp])
+    exp, log = full_tables(tower)
+    return array("i", [log[c ^ 1] for c in exp])
 
 
 def brute_order(tower, x):
@@ -190,24 +204,25 @@ def test_tables_match_polynomial_powers(p, M):
     t = build_tower(p, M, 1, 1)
     Q, mod = t.q - 1, list(t.modulus)
     g = [t.g_code // p ** j % p for j in range(M)]
+    exp, log = full_tables(t)
     zech = zech_table(t)
-    assert len(t._exp) == len(zech) == Q and len(t._log) == t.q
-    assert t._log[0] == LOG_ZERO
+    assert len(exp) == len(zech) == Q and len(log) == t.q
+    assert log[0] == LOG_ZERO
     assert hasattr(t, "_zech") == (p != 2)   # characteristic 2 adds by XOR
     cur = [1] + [0] * (M - 1)
     for k in range(Q):
         code = code_of(cur, p)
-        assert t._exp[k] == code
-        assert t._log[code] == k
+        assert exp[k] == code
+        assert log[code] == k
         plus_one = code_of([(cur[0] + 1) % p] + cur[1:], p)
-        assert zech[k] == (t._log[plus_one] if plus_one else LOG_ZERO)
+        assert zech[k] == (log[plus_one] if plus_one else LOG_ZERO)
         cur = poly_mul_mod(cur, g, mod, p)
     assert cur == [1] + [0] * (M - 1)   # g has order exactly q - 1
 
 
 def table_digest(tower):
     h = hashlib.sha256()
-    for tbl in (tower._exp, tower._log, zech_table(tower)):
+    for tbl in (*full_tables(tower), zech_table(tower)):
         a = array("i", tbl)
         if sys.byteorder == "big":
             a.byteswap()
@@ -257,6 +272,7 @@ def test_char2_build_memory_is_its_tables():
     tracemalloc.start()
     try:
         t = FieldTower(2, 17, 1, 1)
+        t._build_tables()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -276,7 +292,83 @@ def test_odd_build_memory_stays_near_its_tables():
     finally:
         tracemalloc.stop()
     tables = sum(a.itemsize * len(a) for a in (t._exp, t._log, t._zech))
-    assert peak <= 2.5 * tables
+    assert peak <= 2.0 * tables
+
+
+CHAR2_PINNED = [(2, 2, 3, 2), (2, 9, 1, 1), (2, 16, 1, 1), (2, 17, 1, 1),
+                (2, 2, 3, 3), (2, 7, 3, 1)]
+
+
+@pytest.mark.parametrize("key", CHAR2_PINNED, ids=str)
+def test_on_demand_entries_match_full_tables(key):
+    # an uncached tower answers every read through its on-demand tables,
+    # and then, once its misses outgrow a build, through the full arrays;
+    # exp is read at negative keys too, as series reads it at la + lb - Q
+    t = FieldTower(*key)
+    exp, log = full_tables(build_tower(*key))
+    Q, rng = t.q - 1, random.Random(t.q)
+    if t.q <= 1 << 12:
+        ks, codes = list(range(-Q, Q)), list(range(t.q))
+    else:
+        ks = ([0, 1, Q - 1, -1, -Q, 1 - Q]
+              + [rng.randrange(-Q, Q) for _ in range(2000)])
+        codes = [0, 1, 2, t.q - 1] + [rng.randrange(t.q) for _ in range(300)]
+    rng.shuffle(ks)
+    rng.shuffle(codes)
+    on_demand = 0
+    for k in ks:
+        on_demand += type(t._exp) is not array
+        assert t._exp[k] == exp[k]
+    for c in codes:
+        on_demand += type(t._log) is not array
+        assert t._log[c] == log[c]
+    assert on_demand > 0
+
+
+def test_char2_tower_builds_no_table(monkeypatch):
+    # F_{2^21} is made by its modulus and generator searches alone; its
+    # 2^21-entry tables come only once reads would cost more than them
+    def no_build(self):
+        raise AssertionError("full tables built")
+    monkeypatch.setattr(FieldTower, "_build_tables", no_build)
+    tracemalloc.start()
+    try:
+        t = FieldTower(2, 7, 3, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert len(t._exp) == 0 and dict(t._log) == {0: LOG_ZERO}
+    assert t._exp[-1] == t._exp[(1 << 21) - 2]
+
+
+def test_dense_reads_build_the_tables_once(monkeypatch):
+    # reading the log of every code in turn charges each miss until the
+    # charges reach q; then the full tables are built, once, and the
+    # tables a caller already holds keep answering with the same values
+    builds = []
+    build = FieldTower._build_tables
+
+    def counted(self):
+        builds.append(self.q)
+        build(self)
+    monkeypatch.setattr(FieldTower, "_build_tables", counted)
+    t = FieldTower(2, 7, 3, 1)
+    held_exp, held_log = t._exp, t._log
+    before = [held_exp[k] for k in range(-50, 50)]
+    code = 0
+    while not builds:
+        code += 1
+        held_log[code]
+    assert code <= t.q // _LOG_MISS_COST
+    assert t.q <= t._charge < t.q + _LOG_MISS_COST
+    assert type(t._exp) is array and type(t._log) is array
+    assert [held_log[c] for c in range(code + 1)] == list(t._log[:code + 1])
+    assert before == [t._exp[k] for k in range(-50, 50)]
+    later = range(code + 1, code + 100)
+    assert [held_log[c] for c in later] == list(t._log[code + 1:code + 100])
+    assert [held_exp[k] for k in range(60, 99)] == list(t._exp[60:99])
+    assert builds == [t.q]
 
 
 @pytest.mark.parametrize("key,j", [((2, 1, 1, 1), 1), ((2, 2, 1, 1), 2),

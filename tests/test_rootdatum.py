@@ -99,6 +99,23 @@ def test_group_table_validation():
         FiniteGroupTable(tbl)
 
 
+def test_nonassociative_loop_is_refused():
+    # a loop of order 5: a Latin square with identity 0, so every element
+    # has an inverse, yet not associative; a check of (x*s)*y = x*(s*y)
+    # over a generating set s alone must still find the failure
+    loop = [[0, 1, 2, 3, 4],
+            [1, 0, 3, 4, 2],
+            [2, 4, 0, 1, 3],
+            [3, 2, 4, 0, 1],
+            [4, 3, 1, 2, 0]]
+    assert all(sorted(row) == list(range(5)) for row in loop)
+    assert all(sorted(col) == list(range(5)) for col in zip(*loop))
+    assert any(loop[loop[x][y]][z] != loop[x][loop[y][z]]
+               for x in range(5) for y in range(5) for z in range(5))
+    with pytest.raises(ValueError, match="associativity fails"):
+        FiniteGroupTable(loop)
+
+
 def test_c4_over_c2_does_not_split():
     g = cyclic_table(4)
     prob = ExtensionProblem(g, frozenset({0, 2}))
