@@ -148,13 +148,14 @@ def _cmd_descent_form(args) -> int:
 
 
 def _cmd_nrd(args) -> int:
+    _require_prime(args.p)
+    parts = args.element.split(";")
+    if len(parts) != args.d:
+        raise ValueError(f"element needs {args.d} components")
     tower = build_tower(args.p, args.i, args.d, 1)
     alg = CyclicAlgebra(tower, args.i, args.d, args.r, args.prec)
     comps = [parse_series(part, tower, args.i * args.d, args.prec)
-             for part in args.element.split(";")]
-    if len(comps) != args.d:
-        print(f"error: element needs {args.d} components", file=sys.stderr)
-        return 2
+             for part in parts]
     elt = alg.from_components(comps)
     return _emit(args, "nrd",
                  {"p": args.p, "i": args.i, "d": args.d, "r": args.r,
@@ -194,6 +195,7 @@ def _cmd_section_synth(args) -> int:
 
 
 def _cmd_hanke(args) -> int:
+    _require_prime(args.p)
     if args.r >= args.prec:
         raise ValueError(f"--r {args.r} must be below --prec {args.prec}: "
                          "T^r is zero modulo T^prec")

@@ -393,8 +393,12 @@ class FieldTower:
     def _exp_miss(self, k: int) -> int:
         """The code of g^k, for any integer k, as lo[b] * hi[a] with
         k = a*B + b mod Q: lo holds g^0..g^(B-1) and hi the powers of g^B,
-        for B = ceil(sqrt(Q)), about 2*sqrt(Q) products made once."""
+        for B = ceil(sqrt(Q)), about 2*sqrt(Q) products made once.  A k
+        outside [0, Q) reads the entry at k mod Q, so an exponent read at
+        both k and k - Q is computed and charged once."""
         Q = self.q - 1
+        if not 0 <= k < Q:
+            return self._exp[k % Q]
         if self._lo_hi is None:
             B = isqrt(Q - 1) + 1
             if not self._full((B + Q // B) * _PRODUCT_COST):
@@ -403,7 +407,7 @@ class FieldTower:
         if self._full(_EXP_MISS_COST):
             return self._exp[k]
         lo, hi = self._lo_hi
-        a, b = divmod(k % Q, len(lo))
+        a, b = divmod(k, len(lo))
         return self._mul(hi[a], lo[b])
 
     def _log_miss(self, c: int) -> int:

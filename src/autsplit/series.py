@@ -17,7 +17,8 @@ t'(r) * r' = 1 in any characteristic, so 1/t'(r) is the derivative of the
 known terms of r.  ``norm_equation_solve`` takes its residue as one
 generator power, N(zeta^m) = g^(m*s), and lifts a doubling block at a
 time against one inverse of the right-hand side, taken before the loop.
-The Hensel root is one exponentiation, s^(m^-1 mod p^K), with no loop.
+The Hensel root is one exponentiation, s^(m^-1 mod p^K), with no loop
+of its own: ``LaurentSeries.__pow__`` takes every p-th power by Frobenius.
 ``substitute`` composes by splitting the exponents mod p, each part
 composed at 1/p of the precision and raised to the p-th power for free,
 down to Brent-Kung baby-step/giant-step leaves of at most max(16, p^2)
@@ -135,6 +136,18 @@ def _sum_of_products(t: FieldTower, n: int, groups) -> list[int]:
                     z = zech[(lm - cur) % Q]
                     buf[k] = LOG_ZERO if z == LOG_ZERO else (cur + z) % Q
     return buf
+
+
+def _pth_logs(t: FieldTower, logs: Sequence[int], n: int) -> list[int]:
+    """Logs of the first n coefficients of (sum c_k T^k)^p = sum c_k^p
+    T^(pk), for logs the window of c_k: in characteristic p the p-th power
+    has no cross terms."""
+    p, Q = t.p, t.q - 1
+    out = [LOG_ZERO] * n
+    head = logs[:(n + p - 1) // p]
+    out[:p * len(head):p] = [lg if lg == LOG_ZERO else lg * p % Q
+                             for lg in head]
+    return out
 
 
 class LaurentSeries:
@@ -297,8 +310,7 @@ class LaurentSeries:
 
         A monomial factor only shifts the other's logs.  In characteristic
         2 a square, two factors with equal log windows whatever their val
-        and prec, is sum c_k^2 T^(2k): (x + y)^2 = x^2 + y^2 leaves no
-        cross terms, so each log doubles and lands at twice its index.
+        and prec, is sum c_k^2 T^(2k), the Frobenius window ``_pth_logs``.
         Other products loop over the nonzero terms of the factor with
         fewer of them, each against the other's nonzero terms up to the
         truncation (``_sum_of_products``), into min(N, la + lb - 1) slots
@@ -326,11 +338,8 @@ class LaurentSeries:
                 return _canonical(t, self.j, lo, tuple(out), prec)
             return LaurentSeries(t, self.j, lo, out, prec, _checked=True)
         if t.p == 2 and alogs == blogs:
-            out = [LOG_ZERO] * n
-            half = [lg if lg == LOG_ZERO else 2 * lg % Q
-                    for lg in alogs[:(n + 1) // 2]]
-            out[:2 * len(half):2] = half
-            return LaurentSeries(t, self.j, lo, out, prec, _checked=True)
+            return LaurentSeries(t, self.j, lo, _pth_logs(t, alogs, n), prec,
+                                 _checked=True)
         if (len(alogs) - alogs.count(LOG_ZERO)
                 > len(blogs) - blogs.count(LOG_ZERO)):
             alogs, blogs = blogs, alogs
@@ -385,10 +394,24 @@ class LaurentSeries:
         return self * other.inverse()
 
     def __pow__(self, e: int) -> LaurentSeries:
+        """self^e, with the (val, logs, prec) of the product self * ... *
+        self in any grouping: val e*v, precision prec + (e - 1)*v.  For
+        e >= p it is (self^p)^(e // p) * self^(e % p), self^p the free
+        Frobenius window (``_pth_logs``), so a power costs a product per
+        nonzero base-p digit of e plus the binary powering of each digit;
+        a negative e powers the inverse."""
         if e < 0:
             return self.inverse() ** (-e)
         if e == 0:
             return LaurentSeries.one(self.tower, self.j, self.prec)
+        t, v = self.tower, self.val
+        p = t.p
+        if e >= p:
+            pth = LaurentSeries(t, self.j, p * v,
+                                _pth_logs(t, self.logs, self.prec - v),
+                                self.prec + (p - 1) * v, _checked=True)
+            head = pth ** (e // p)
+            return head * self ** (e % p) if e % p else head
         result, base = None, self
         while True:
             if e & 1:
@@ -568,7 +591,7 @@ def substitute(s: LaurentSeries, target: LaurentSeries) -> LaurentSeries:
     precision P, so its unit part is u(t) mod T^P with valuation 0 and
     precision exactly P, and for P <= 0 it is the zero series at P; both
     are built here from the same value.  The constant shortcut and the
-    tail, a product with target ** val or target.inverse() ** (-val),
+    tail, a product with target ** val (the inverse's power for val < 0),
     are Horner's own.
     """
     if target.val != 1 or not target.logs:
@@ -586,8 +609,7 @@ def substitute(s: LaurentSeries, target: LaurentSeries) -> LaurentSeries:
     else:
         res = _compose_unit(s.logs[:prec], target, prec)
     if s.val:
-        res = res * (target ** s.val if s.val > 0
-                     else target.inverse() ** (-s.val))
+        res = res * target ** s.val
     return res.truncate(min(res.prec, prec))
 
 
@@ -601,10 +623,9 @@ def _compose_unit(coeffs: Sequence[int], target: LaurentSeries,
     f(t) = sum_k t^k * h~_k(t)^p, where h~_k is h_k with the inverse
     Frobenius applied to each coefficient.  Only h~_k(t) mod
     T^ceil((n - k)/p) reaches below T^n, so it recurses at that precision,
-    and its p-th power is free: each log times p, at p times its index,
-    known p times as far.  An all-zero h_k is skipped, t^1 ... t^(p-1) are
-    the baby powers at precision n, and the p pieces add up in one
-    ``_sum_of_products``.
+    and its p-th power is free (``_pth_logs``), known p times as far.  An
+    all-zero h_k is skipped, t^1 ... t^(p-1) are the baby powers at
+    precision n, and the p pieces add up in one ``_sum_of_products``.
 
     Any other window is a leaf: Brent-Kung's block loop over baby powers
     t^0 ... t^m, m = ceil(sqrt(len)), built by halves, t^k = t^(k//2) *
@@ -646,8 +667,7 @@ def _compose_unit(coeffs: Sequence[int], target: LaurentSeries,
                     continue
                 root = compose([lg if lg == LOG_ZERO else lg * unfrob % Q
                                 for lg in h], -(-(n - k) // p))
-                pth = [(p * i, lg * p % Q) for i, lg in enumerate(root)
-                       if lg != LOG_ZERO]
+                pth = _terms(_pth_logs(t, root, n))
                 groups.append((pth, tk[k]) if len(pth) <= len(tk[k])
                               else (tk[k], pth))
             return _sum_of_products(t, n, groups)
@@ -677,50 +697,19 @@ def hensel_root(s: LaurentSeries, m: int) -> LaurentSeries:
     group of exponent p^K: (1 + y)^(p^K) = 1 + y^(p^K) = 1 mod T^n for
     val(y) >= 1.  So x -> x^m is a bijection of that group, inverted by
     x -> x^e with e = m^-1 mod p^K, and x = s^e is the root; it is unique
-    because the group has no m-torsion.  The power is taken from the top
-    base-p digit of e down as x <- x^p * s^digit, where x^p is free: the
-    coefficient Frobenius with T -> T^p (``_pth_power``, for every p).
-    For p = 2 the root costs one product per nonzero bit of e below the
-    top one, fewer than K = ceil(log2 n).  For odd p each nonzero digit
-    below the top one costs one product, plus those that build s^digit,
-    at most 2*log2(p) per distinct digit; when p >= n, e is the one digit
-    m^-1 mod p and the root is s^e by binary powering.  The result has
-    val 0 and precision n.
+    because the group has no m-torsion.  It is one power,
+    ``LaurentSeries.__pow__``, which takes the p-th powers for free; the
+    result has val 0 and precision n.
     """
-    t = s.tower
-    p = t.p
+    p = s.tower.p
     if m % p == 0:
         raise PDividesExponent(f"characteristic {p} divides exponent {m}")
     if s.val != 0 or not s.logs or s.logs[0] != 0:
         raise BadResidue("Hensel input must be 1 + (positive order terms)")
-    n = s.prec
     pk = 1
-    while pk < n:
+    while pk < s.prec:
         pk *= p
-    e = pow(m, -1, pk)
-    digits = []
-    while e:
-        e, dig = divmod(e, p)
-        digits.append(dig)
-    s_pow = {dig: s ** dig for dig in set(digits) if dig}
-    x = LaurentSeries.one(t, s.j, n)
-    for dig in reversed(digits):
-        x = _pth_power(x)
-        if dig:
-            x = x * s_pow[dig]
-    return x
-
-
-def _pth_power(x: LaurentSeries) -> LaurentSeries:
-    """x^p at x's precision for val(x) = 0: (sum c_k T^k)^p is
-    sum c_k^p T^(pk) in characteristic p."""
-    t, p = x.tower, x.tower.p
-    Q = t.q - 1
-    out = [LOG_ZERO] * x.prec
-    head = x.logs[:(x.prec + p - 1) // p]
-    out[:p * len(head):p] = [lg if lg == LOG_ZERO else lg * p % Q
-                             for lg in head]
-    return LaurentSeries(t, x.j, 0, out, x.prec, _checked=True)
+    return s ** pow(m, -1, pk)
 
 
 def unramified_norm(s: LaurentSeries, i: int, d: int) -> LaurentSeries:

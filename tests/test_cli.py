@@ -313,6 +313,16 @@ GOLDEN_REPORTS = [
      JSON + ["section", "synth", "--p", "2", "--i", "3", "--d", "3", "--r",
              "1", "--n", "3", "--prec", "12", "--samples", "4", "--seed",
              "3"]),
+    # odd p >= 5 with r >= p: ratio ** r and the Hensel exponent both reach
+    # powers of at least p
+    ("d576a86ebe7e53bd6f5f670b43c99799d2b655968137b4566e0784b777093ba3", 0,
+     JSON + ["section", "synth", "--p", "7", "--i", "1", "--d", "2", "--r",
+             "9", "--n", "2", "--prec", "16", "--samples", "3", "--seed",
+             "2"]),
+    ("13957336e52fffcf6cc818eeef8cfe134b27a6f98dc2ab99507e4deddf6d3ec4", 0,
+     JSON + ["section", "synth", "--p", "5", "--i", "1", "--d", "3", "--r",
+             "7", "--n", "1", "--prec", "16", "--samples", "3", "--seed",
+             "2"]),
     # CHECK-FAILED synth reports, so that a golden compares semilinear
     # automorphisms on a failing verdict.  These verdicts are ROADMAP item
     # 1's known defect (low-precision zeros for r < prec, u^d = T^r lost
@@ -367,6 +377,36 @@ def test_golden_reports(digest, code, argv):
     got, out = run_cli(argv)
     assert got == code
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+def test_synth_deep_command_reads_its_tables_on_demand(monkeypatch):
+    # SL_1(A(3,1)) over F_{2^7}((T)) at prec 64 on a fresh F_{2^21} tower
+    # reads a few hundred entries, each made on demand, and builds no full
+    # table.  A benchmark round after the first finds them made, so this
+    # bound on the products behind them is what guards their cost.
+    from functools import lru_cache
+
+    from autsplit import sections
+    from autsplit.gftower import FieldTower
+
+    products = []
+    factory = FieldTower._char2_product
+
+    def counted(self):
+        mul = factory(self)
+        return lambda a, b: products.append(1) or mul(a, b)
+
+    def no_build(self):
+        raise AssertionError("full tables built")
+    monkeypatch.setattr(FieldTower, "_char2_product", counted)
+    monkeypatch.setattr(FieldTower, "_build_tables", no_build)
+    monkeypatch.setattr(sections, "build_tower",
+                        lru_cache(maxsize=None)(FieldTower))
+    code, out = run_cli(JSON + ["section", "synth", "--p", "2", "--i", "7",
+                                "--d", "3", "--r", "1", "--n", "1", "--prec",
+                                "64", "--samples", "2", "--seed", "7"])
+    assert code == 0 and json.loads(out)["result"]["verdict"] == "VERIFIED"
+    assert len(products) <= 8615
 
 
 def run_cli_usage(argv, capsys):
@@ -449,6 +489,11 @@ def test_zero_samples_are_reported_as_vacuous():
     ["hanke", "--p", "2", "--i", "1", "--alpha", "T+T^2", "--prec", "1"],
     ["hanke", "--p", "5", "--i", "1", "--r", "2", "--alpha", "g^1*T",
      "--frob", "2", "--prec", "2"],
+    ["hanke", "--p", "4", "--i", "1", "--r", "1", "--alpha", "T"],
+    ["nrd", "--p", "4", "--i", "1", "--d", "2", "--r", "1", "--element",
+     "1;T"],
+    ["nrd", "--p", "2", "--i", "1", "--d", "3", "--r", "1", "--element",
+     "1+T;T"],
 ], ids=lambda argv: " ".join(argv))
 def test_refused_before_any_arithmetic(argv, capsys, monkeypatch):
     # a characteristic that is not prime, and a precision below 2, at

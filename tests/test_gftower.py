@@ -10,8 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from autsplit.gftower import (_LOG_MISS_COST, LOG_ZERO, PRIME_TEST_BOUND,
-                              FFElement, FieldTower, NormNotOne, NotDivisor,
+from autsplit.gftower import (_EXP_MISS_COST, _LOG_MISS_COST, LOG_ZERO,
+                              PRIME_TEST_BOUND, FFElement, FieldTower,
+                              NormNotOne, NotDivisor,
                               NotInSubfield, NotPrime, Overflow, _is_prime,
                               build_tower, frobenius,
                               hilbert90_solve, in_subfield, relative_norm,
@@ -340,6 +341,20 @@ def test_char2_tower_builds_no_table(monkeypatch):
     assert peak < 1 << 20
     assert len(t._exp) == 0 and dict(t._log) == {0: LOG_ZERO}
     assert t._exp[-1] == t._exp[(1 << 21) - 2]
+
+
+def test_exp_read_at_aliases_of_k_is_one_miss():
+    # series reads exp at la + lb - Q; k, k - Q and k + Q are one exponent,
+    # computed by one product and charged one miss
+    t = FieldTower(2, 7, 3, 1)
+    Q = t.q - 1
+    t._exp[0]                       # makes the lo and hi tables
+    charged, products = t._charge, []
+    mul = t._mul
+    t._mul = lambda a, b: products.append(1) or mul(a, b)
+    codes = {t._exp[k] for k in (12345, 12345 - Q, 12345 + Q)}
+    assert len(codes) == 1 and len(products) == 1
+    assert t._charge - charged == _EXP_MISS_COST
 
 
 def test_dense_reads_build_the_tables_once(monkeypatch):

@@ -667,6 +667,38 @@ def test_hensel_root_matches_newton(p):
             assert shape(hensel_root(s, m)) == shape(newton_hensel_root(s, m))
 
 
+def count_handed_pairs(monkeypatch):
+    """A list that gains, per _sum_of_products call, the term pairs handed
+    to it: the sum over its groups of len(outer) * len(inner)."""
+    import autsplit.series as series
+    calls = []
+    kernel = series._sum_of_products
+
+    def counting(t, n, groups):
+        groups = list(groups)
+        calls.append(sum(len(outer) * len(inner) for outer, inner in groups))
+        return kernel(t, n, groups)
+    monkeypatch.setattr(series, "_sum_of_products", counting)
+    return calls
+
+
+@pytest.mark.parametrize("key,j,n,bound", [
+    ((2, 7, 3, 1), 7, 64, 2320), ((31, 1, 2, 1), 2, 128, 99069)],
+    ids=["F_2^21", "F_31^2"])
+def test_hensel_root_term_pairs(key, j, n, bound, monkeypatch):
+    # the cube root of a dense 1 + O(T): the p-th powers inside s ** e are
+    # Frobenius windows, so each product of a digit meets a factor with
+    # about 1/p^k of s's terms
+    tower = build_tower(*key)
+    rng = random.Random(n)
+    s = LaurentSeries(tower, j, 0,
+                      [0] + random_window(tower, j, rng, n - 1, 1.0), n)
+    calls = count_handed_pairs(monkeypatch)
+    x = hensel_root(s, 3)
+    assert sum(calls) <= bound
+    assert x ** 3 == s
+
+
 def test_hensel_trivial_cases():
     one = LaurentSeries.one(T4, 2, 16)
     assert hensel_root(one, 3) == one
@@ -937,6 +969,36 @@ def test_positive_powers_build_no_unit(monkeypatch):
         assert s ** e == expected[e]
     assert built == []
     assert shape(s ** 0) == shape(one(T3, 2, s.prec))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_powers_match_the_product_chain(p):
+    # s ** e groups its factors by the base-p digits of e; the chain
+    # s * ... * s has the same (val, logs, prec) in any grouping, for
+    # every val, a monomial and the zero series included
+    tower = build_tower(p, 1, 2, 1)
+    rng = random.Random(50 + p)
+    gen = subfield_generator(tower, 2)
+    samples = [sample_series(tower, 2, rng, prec=8, val_range=(v, v + 1),
+                             min_terms=2) for v in range(-2, 4)]
+    samples += [LaurentSeries.from_pairs(tower, 2, [(1, gen ** 3)], 8),
+                LaurentSeries.zero(tower, 2, 8)]
+    for s in samples:
+        chain = s
+        for e in range(1, p ** 3 + p + 1):
+            assert shape(s ** e) == shape(chain)
+            chain = chain * s
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_powers_of_p_take_no_products(p, monkeypatch):
+    tower = build_tower(p, 1, 2, 1)
+    s = sample_series(tower, 2, random.Random(p), prec=40, val_range=(-1, 2),
+                      min_terms=2)
+    calls = count_handed_pairs(monkeypatch)
+    for k in range(1, 4):
+        assert (s ** p ** k).val == p ** k * s.val
+    assert calls == []
 
 
 # -- matrices over the series field -----------------------------------------
