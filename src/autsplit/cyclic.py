@@ -31,7 +31,13 @@ matrices, I and the parts x*e_ab of the elementary matrices I + x*e_ab.
 f is additive, so comparing f(I) and f(x*e_ab) compares f(I + x*e_ab).
 Each generator is diagonal or stores one entry, and for such an M the
 single pass of ``SemilinearAuto.apply`` takes the same products and sums
-as (g * phi~(M)) * g^-1.
+as (g * phi~(M)) * g^-1.  Two kinds of work skip it.  A scalar c*Id with
+c in K, such as zeta*Id and T*Id, is central: Int(g) fixes K pointwise,
+so f(c*Id) = alpha(c)*f(I), and once f(I) is compared the comparison
+reads alpha(c) alone (``acts_like``).  And a product with a factor shaped
+like 1, as phi(1) and the parts 1*e_ab give, copies the other factor's
+components at the precision the series product would give, without
+taking it (``AlgebraElement.__mul__``).
 
 The builders store one element object at many positions (a scalar
 matrix holds one object n times, and the generators share alg.one() and
@@ -135,9 +141,25 @@ class AlgebraElement:
         sum of its terms capped there, or alg.zero_series.
 
         Only the nonzero components of both factors take part, so a
-        product of two scalars is one series product whatever d is."""
+        product of two scalars is one series product whatever d is.  A
+        factor shaped like 1 (``_one_prec``: 1 + O(T^P1) with P1 >=
+        alg.prec, every other component without terms) takes no series
+        product: each nonzero component c of the other factor keeps its
+        val and logs, cut to precision min(c.prec, P1 + c.val, alg.prec),
+        and each component without terms becomes alg.zero_series.  That is
+        the (val, logs, prec) the product c * (1 + O(T^P1)) and the cap
+        give, and it is the component's only term."""
         alg = self.alg
         d, r, i, prec = alg.d, alg.r, alg.i, alg.prec
+        one, rest = _one_prec(other.comps, prec), self.comps
+        if one is None:
+            one, rest = _one_prec(self.comps, prec), other.comps
+        if one is not None:
+            zero = alg.zero_series
+            return AlgebraElement(alg, tuple(
+                zero if not c.logs
+                else c if c.prec <= min(one + c.val, prec)
+                else c.truncate(min(one + c.val, prec)) for c in rest))
         right = [(t, yt) for t, yt in enumerate(other.comps) if yt.logs]
         out = [None] * d
         for s, xs in enumerate(self.comps):
@@ -196,6 +218,18 @@ class AlgebraElement:
                 head = "" if j == 0 else ("u*" if j == 1 else f"u^{j}*")
                 parts.append(f"{head}({c!r})")
         return " + ".join(parts) if parts else "0"
+
+
+def _one_prec(comps: tuple[LaurentSeries, ...], prec: int) -> int | None:
+    """P1 when comps is shaped like 1: component 0 is 1 + O(T^P1) with
+    P1 >= prec, and no other component has a term.  None otherwise."""
+    c = comps[0]
+    if c.logs != (0,) or c.val or c.prec < prec:
+        return None
+    for x in comps[1:]:
+        if x.logs:
+            return None
+    return c.prec
 
 
 class AlgebraMatrix:
@@ -353,15 +387,21 @@ class SemilinearAuto:
         return self._twists
 
     def apply_element(self, a: AlgebraElement) -> AlgebraElement:
-        """phi(alpha, x): sum u^j a_j -> sum (u x)^j alpha(a_j)."""
+        """phi(alpha, x): sum u^j a_j -> sum (u x)^j alpha(a_j).
+
+        alpha fixes 1, so a component 1 + O(T^P) maps to 1 + O(T^P'),
+        P' = min(P, alpha's precision), the series alphaE would return,
+        without calling it."""
         alg = self.alg
         tw = self._twist_powers()
+        prec = self.alphaE.prec
         comps = []
         for j, c in enumerate(a.comps):
             if not c:
                 comps.append(c)
             else:
-                img = self.alphaE(c)
+                img = (self.alphaE(c) if c.logs != (0,) or c.val
+                       else c if c.prec <= prec else c.truncate(prec))
                 comps.append(img if tw[j].logs == (0,) and tw[j].val == 0
                              else tw[j] * img)
         return AlgebraElement(alg, tuple(comps))
@@ -484,16 +524,64 @@ def acts_like(f1: SemilinearAuto, f2: SemilinearAuto,
     which for an additive spanning set such as ``generator_matrices`` is
     equality on every matrix it spans.
 
+    A central generator c*Id, c in K other than 1 (``_central``), is
+    decided by f1.alphaE(c) == f2.alphaE(c), with no matrix product.
+    Int(g) fixes K pointwise, so f(c*Id) = g*alpha(c)*g^-1 =
+    alpha(c)*f(I): once f1(I) == f2(I), f1(c*Id) == f2(c*Id) exactly when
+    alpha1(c) == alpha2(c).  So f(I) is compared first, taken from gens
+    or built when gens lacks it (n = 1, or a caller's subset).  alpha(c)
+    is compared at its own precision, which is never below the one the
+    matrix path g*alpha(c)*g^-1 reaches: g*g^-1 = I puts on the diagonal
+    a pair g_sk, (g^-1)_ks whose valuations sum to at most 0, and that
+    entry is known to at most alpha(c)'s precision.
+
     Each side keeps one phi-memo, keyed by entry ids, for the whole
     comparison, so the generators are held in a list while it runs: a
     generator freed early could lend its id to a later one."""
-    gens = list(gens)
-    images1, images2 = {}, {}
-    return all(f1.apply(G, images1) == f2.apply(G, images2) for G in gens)
+    return _acts_alike(f1, f2, gens)
 
 
 def acts_trivially(f: SemilinearAuto, gens: Iterable[AlgebraMatrix]) -> bool:
-    """f(G) == G for every generator G, compared as in ``acts_like``."""
+    """f(G) == G for every generator G, compared as in ``acts_like``: a
+    central generator c*Id by f.alphaE(c) == c, after f(I) == I."""
+    return _acts_alike(f, None, gens)
+
+
+def _acts_alike(f1: SemilinearAuto, f2: SemilinearAuto | None,
+                gens: Iterable[AlgebraMatrix]) -> bool:
+    """``acts_like``, with f2 None standing for the identity."""
     gens = list(gens)
-    images = {}
-    return all(f.apply(G, images) == G for G in gens)
+    ident, central, rest = None, [], []
+    for G in gens:
+        e = _central(G)
+        if e is None:
+            rest.append(G)
+        elif ident is None and _one_prec(e.comps, f1.alg.prec) is not None:
+            ident = G
+        else:
+            central.append(e.comps[0])
+    if central and ident is None:
+        ident = AlgebraMatrix.identity(f1.alg, f1.n)
+    first = [] if ident is None else [ident]
+    images1, images2 = {}, {}
+    if f2 is None:
+        side2, alpha2 = (lambda G: G), (lambda c: c)
+    else:
+        side2, alpha2 = (lambda G: f2.apply(G, images2)), f2.alphaE
+    same = lambda G: f1.apply(G, images1) == side2(G)
+    return (all(map(same, first))
+            and all(f1.alphaE(c) == alpha2(c) for c in central)
+            and all(map(same, rest)))
+
+
+def _central(G: AlgebraMatrix) -> AlgebraElement | None:
+    """e when G = e*Id, one element object e of K stored at every diagonal
+    position (only component 0 has terms, all in F_{p^i}); else None."""
+    e = G.entries[0].get(0)
+    if e is None or any(len(row) != 1 or row.get(s) is not e
+                        for s, row in enumerate(G.entries)):
+        return None
+    c, *others = e.comps
+    if any(x.logs for x in others) or not series_in_subfield(c, e.alg.i):
+        return None
+    return e

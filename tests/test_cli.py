@@ -341,6 +341,26 @@ GOLDEN_REPORTS = [
      JSON + ["section", "synth", "--p", "3", "--i", "1", "--r", "3", "--d",
              "2", "--n", "2", "--prec", "2", "--samples", "6", "--seed",
              "1"]),                         # fails order_Cbprime
+    # VERIFIED on the precision edge: a change to the precision some
+    # comparison reaches (such as composing the glued section in another
+    # order) turns these to CHECK-FAILED on glue_homomorphism.  --n and
+    # --prec come first so that golden_id names each by them
+    ("7865ce0594606058d64cbbd6a27e14b219a862af05a61f0ec3b183d45428d9ac", 0,
+     JSON + ["section", "synth", "--n", "3", "--p", "2", "--prec", "3",
+             "--i", "3", "--d", "3", "--r", "1", "--samples", "6", "--seed",
+             "1"]),
+    ("087e67c95f155e806c8ef697b9fbbf4603df6c7e2565d13baada5775ee3d8b8b", 0,
+     JSON + ["section", "synth", "--n", "6", "--p", "2", "--prec", "3",
+             "--i", "3", "--d", "3", "--r", "1", "--samples", "6", "--seed",
+             "1"]),
+    ("e6809f4dad5a4637adc6d038b7e0340172b4ab154f296a2f3407c293385faf45", 0,
+     JSON + ["section", "synth", "--n", "3", "--p", "2", "--prec", "5",
+             "--i", "3", "--d", "3", "--r", "2", "--samples", "6", "--seed",
+             "1"]),
+    ("c623c8e0a61fc44322c3c1d0573dc7ecf2dc30d94548e8557ec06f03be29768c", 0,
+     JSON + ["section", "synth", "--n", "6", "--p", "2", "--prec", "5",
+             "--i", "3", "--d", "3", "--r", "2", "--samples", "6", "--seed",
+             "1"]),
     # the other subcommands, the verdicts that exit 1 and one text report
     ("4184e90e4c68c1e095de62596ac1bdc127c777d6b871720e30347a1c254c83df", 0,
      JSON + ["brauer", "basechange", "--d", "4", "--r", "1", "--m", "6"]),
@@ -407,6 +427,38 @@ def test_synth_deep_command_reads_its_tables_on_demand(monkeypatch):
                                 "64", "--samples", "2", "--seed", "7"])
     assert code == 0 and json.loads(out)["result"]["verdict"] == "VERIFIED"
     assert len(products) <= 8615
+
+
+def test_synth_wide_command_work_is_bounded(monkeypatch):
+    # a synth-wide-shaped command at low precision: the comparisons answer
+    # zeta*Id and T*Id by alpha and multiply by 1 without a series
+    # product.  Round times spread by about a tenth on a 2-vCPU VM and
+    # would not show a small loss of either; these counts do
+    from autsplit.cyclic import AlgebraElement, SemilinearAuto
+    from autsplit.series import LaurentSeries
+
+    calls = {}
+
+    def counted(cls, name):
+        method = getattr(cls, name)
+
+        def wrapper(*args, **kwargs):
+            calls[key] = calls.get(key, 0) + 1
+            return method(*args, **kwargs)
+        key = f"{cls.__name__}.{name}"
+        monkeypatch.setattr(cls, name, wrapper)
+    counted(SemilinearAuto, "apply")
+    counted(AlgebraElement, "__mul__")
+    counted(LaurentSeries, "__mul__")
+    code, out = run_cli(JSON + ["section", "synth", "--p", "2", "--i", "2",
+                                "--d", "3", "--r", "2", "--n", "6", "--prec",
+                                "12", "--samples", "2", "--seed", "3"])
+    assert code == 0 and json.loads(out)["result"]["verdict"] == "VERIFIED"
+    # with every generator through apply and a series product for each
+    # factor 1, these read 500, 6,930 and 7,441
+    bounds = {"SemilinearAuto.apply": 460, "AlgebraElement.__mul__": 5490,
+              "LaurentSeries.__mul__": 3763}
+    assert all(calls[key] <= bound for key, bound in bounds.items()), calls
 
 
 def run_cli_usage(argv, capsys):

@@ -245,6 +245,62 @@ def test_product_with_a_missing_component_stores_the_zero_series():
         assert all(c is alg.zero_series for c in missing)
 
 
+def times_one_reference(x, one, one_left):
+    """x * one (or one * x) by the general formula, component by component:
+    c * 1 for each component c with a term, capped at alg.prec, and
+    alg.zero_series for each without."""
+    alg, unit = x.alg, one.comps[0]
+    out = []
+    for c in x.comps:
+        if not c.logs:
+            out.append(alg.zero_series)
+            continue
+        prod = unit * c if one_left else c * unit
+        out.append(prod.truncate(alg.prec) if prod.prec > alg.prec else prod)
+    return [(c.val, c.logs, c.prec) for c in out]
+
+
+@pytest.mark.parametrize("p,i,d,r", [(2, 1, 1, 2), (3, 1, 2, 1), (2, 2, 3, 1)])
+def test_product_by_one_takes_no_series_product(p, i, d, r, monkeypatch):
+    alg = make_algebra(p, i, d, r, prec=10)
+    t, jE, prec = alg.tower, alg.jE, alg.prec
+    rng = random.Random(41)
+    # shaped like 1: at alg.prec, above it, and with its other components
+    # zeros known below alg.prec
+    ones = [alg.one(),
+            alg.scalar(LaurentSeries.one(t, jE, prec + 4)),
+            alg.from_components([LaurentSeries.one(t, jE, prec)]
+                                + [LaurentSeries.zero(t, jE, prec - 3)]
+                                * (d - 1))]
+    xs = [alg.u_power(-1), alg.u_power(-d - 1),
+          alg.scalar(LaurentSeries.T_power(t, jE, -3, prec)),
+          alg.zero(), *ones]
+    # empty components known below alg.prec next to nonzero ones, and
+    # components of negative valuation at precisions around alg.prec
+    xs.append(alg.from_components([LaurentSeries.zero(t, jE, prec - 4)] * d))
+    xs += [rough_element(alg, rng) for _ in range(30)]
+    assert any(not c.logs and c.prec < prec for x in xs for c in x.comps)
+    assert any(c.logs and c.val < 0 for x in xs for c in x.comps)
+    expected = [(times_one_reference(x, one, False),
+                 times_one_reference(x, one, True))
+                for x in xs for one in ones]
+    calls = []
+    mul = LaurentSeries.__mul__
+    monkeypatch.setattr(LaurentSeries, "__mul__",
+                        lambda a, b: calls.append(1) or mul(a, b))
+    got = [([(c.val, c.logs, c.prec) for c in (x * one).comps],
+            [(c.val, c.logs, c.prec) for c in (one * x).comps])
+           for x in xs for one in ones]
+    assert got == expected
+    assert not calls
+    for x in xs:
+        assert all(c is alg.zero_series
+                   for c in (x * alg.one()).comps if not c.logs)
+    # a 1 known below alg.prec is not shaped like 1: a series product
+    rough_one = alg.scalar(LaurentSeries.one(t, jE, prec - 1))
+    assert rough_one * alg.u() == alg.u() and calls
+
+
 def test_negative_power_of_an_algebra_matrix_is_refused():
     # e >>= 1 never reaches 0 from e < 0, so the loop must not be entered
     alg = make_algebra(2, 1, 3, 1)
@@ -379,6 +435,34 @@ def test_phi_identity_and_image_of_u():
     f = phi_auto(alg, 1, alpha, x)
     img = f.apply_element(alg.u())
     assert img == alg.u() * alg.scalar(x)
+
+
+def test_phi_maps_one_as_alpha_does_without_calling_it(monkeypatch):
+    # 1 + O(T^P) at, below and above alpha's precision, at u^0 and at u^1
+    alg = make_algebra(2, 2, 3, 1)
+    t, jE = alg.tower, alg.jE
+    rng = random.Random(12)
+    for _ in range(3):
+        alpha, x = admissible_pair(alg, rng)
+        f = phi_auto(alg, 1, alpha, x)
+        tw = f._twist_powers()
+        for P in (alg.prec - 3, alpha.prec, alpha.prec + 2):
+            one = LaurentSeries.one(t, jE, P)
+            zero = LaurentSeries.zero(t, jE, alg.prec)
+            elts = [alg.from_components([one, zero, zero]),
+                    alg.from_components([zero, one, zero])]
+            expected = [entry_form(alg.from_components([alpha(one), zero,
+                                                        zero])),
+                        entry_form(alg.from_components([zero,
+                                                        tw[1] * alpha(one),
+                                                        zero]))]
+            calls = []
+            call = LocalFieldAuto.__call__
+            with monkeypatch.context() as m:
+                m.setattr(LocalFieldAuto, "__call__",
+                          lambda a, s: calls.append(1) or call(a, s))
+                got = [entry_form(f.apply_element(e)) for e in elts]
+            assert got == expected and not calls
 
 
 def test_phi_is_ring_homomorphism():

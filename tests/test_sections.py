@@ -11,7 +11,7 @@ from autsplit.sections import (SectionContext, glue_section, random_j_element,
                                random_k_auto, section_Ca,
                                section_Caprime, section_Cb, section_Cbprime,
                                section_J, verify_section)
-from autsplit.series import LaurentSeries
+from autsplit.series import LaurentSeries, series_in_subfield
 from test_cyclic import entry_form, invert_semilinear
 
 
@@ -324,11 +324,19 @@ CTX_B = SectionContext(2, 2, 3, 1, 3, prec=10)    # b = 3: a full 3x3 Y
 
 def mutated(f, part, k, pos):
     """f with T^k added to one entry of its inner part or of the inverse
-    it carries, or to its twist x."""
+    it carries, to its twist x, or to alphaE's image of T ("alpha_T"); or
+    with k added to alphaE's Frobenius exponent ("alpha_e")."""
     alg = f.alg
     t_k = LaurentSeries.T_power(alg.tower, alg.jE, k, alg.prec)
     if part == "x":
         return SemilinearAuto(alg, f.n, f.inner, f.alphaE, f.x + t_k,
+                              inner_inv=f.inner_inv, check=False)
+    if part in ("alpha_T", "alpha_e"):
+        a = f.alphaE
+        alpha = (LocalFieldAuto(a.tower, a.j, a.e, a.image_of_T + t_k)
+                 if part == "alpha_T"
+                 else LocalFieldAuto(a.tower, a.j, a.e + k, a.image_of_T))
+        return SemilinearAuto(alg, f.n, f.inner, alpha, f.x,
                               inner_inv=f.inner_inv, check=False)
     mats = {"inner": f.inner, "inner_inv": f.inner_inv}
     entries = [dict(row) for row in mats[part].entries]
@@ -407,6 +415,76 @@ def test_identity_image_is_compared_for_each_elementary_generator():
         assert not acts_like(f, g, gens) and not acts_like(g, f, gens)
     blind = [G for G in parts if all(0 not in row for row in G.entries)]
     assert blind and acts_like(f, g, blind) and acts_like(g, f, blind)
+
+
+# -- central generators: c*Id, c in K, is decided by alpha(c) after f(I) -------
+
+CTX_N1 = SectionContext(2, 2, 5, 1, 1, prec=10)   # n = 1 and i = 2: no I
+CTX_N2 = SectionContext(3, 1, 2, 1, 2, prec=10)
+
+
+def central_generators(ctx):
+    """zeta*Id and T*Id, the two generators in K."""
+    gens = ctx.generators()
+    return [gens[0], gens[2]]
+
+
+@pytest.mark.parametrize("ctx", [CTX_N1, CTX_N2, CTX_B],
+                         ids=["n=1", "n=2", "n=3"])
+def test_central_image_is_alpha_times_identity_image(ctx):
+    # f(c*Id) = g*alpha(c)*g^-1 = alpha(c)*f(I) for c in K, the identity
+    # that lets a comparison read alpha(c) in place of f(c*Id)
+    alg = ctx.algebra
+    ident = AlgebraMatrix.identity(alg, ctx.n)
+    rng = random.Random(29)
+    fs = [glue_section(ctx, random_k_auto(ctx, rng)) for _ in range(3)]
+    fs += [section_J(ctx, random_j_element(ctx, rng)), section_Cb(ctx, 1)]
+    for f in fs:
+        base = f.apply(ident)
+        for G in central_generators(ctx):
+            c = G.entries[0][0].comps[0]
+            assert c.logs and series_in_subfield(c, ctx.i)
+            scaled = AlgebraMatrix.scalar_matrix(alg.scalar(f.alphaE(c)),
+                                                 ctx.n) * base
+            assert f.apply(G) == scaled
+
+
+@pytest.mark.parametrize("ctx", [CTX_N1, CTX_B], ids=["n=1", "n=3"])
+def test_mutated_alpha_is_flagged(ctx):
+    # alpha's T-image is seen by T*Id alone, so these go through the
+    # central comparison, with and without the other generators
+    f = glue_section(ctx, random_k_auto(ctx, random.Random(18)))
+    prec = f.alphaE.prec
+    assert prec >= ctx.prec - 1
+    for gens in (ctx.generators(), central_generators(ctx)):
+        assert acts_like(f, f, gens)
+        for k in (2, 3, prec - 1):
+            g = mutated(f, "alpha_T", k, None)
+            assert not acts_like(f, g, gens) and not acts_like(g, f, gens), k
+        # T^prec is beyond alpha's precision: nothing changed
+        assert acts_like(f, mutated(f, "alpha_T", prec, None), gens)
+    # a Frobenius power moves the residue generator of E; zeta in
+    # F_{p^i} alone sees the powers that are not multiples of i
+    for k in range(1, ctx.algebra.jE):
+        g = mutated(f, "alpha_e", k, None)
+        assert not acts_like(f, g, ctx.generators()), k
+        assert acts_like(f, g, central_generators(ctx)) == (k % ctx.i == 0)
+
+
+@pytest.mark.parametrize("k", [1, 4, 9])
+def test_broken_inverse_is_flagged_at_n1(k):
+    # n = 1 has no I among its generators: the comparison builds I before
+    # it answers zeta*Id and T*Id by alpha, and f(I) shows a broken g^-1
+    ctx = CTX_N1
+    f = glue_section(ctx, random_k_auto(ctx, random.Random(18)))
+    ident = glue_section(ctx, LocalFieldAuto.ev(ctx.tower.one(), ctx.i,
+                                                ctx.prec))
+    for gens in (ctx.generators(), central_generators(ctx)):
+        assert acts_trivially(ident, gens)
+        assert not acts_trivially(mutated(ident, "inner_inv", k, (0, 0)),
+                                  gens)
+        g = mutated(f, "inner_inv", k, (0, 0))
+        assert not acts_like(f, g, gens) and not acts_like(g, f, gens)
 
 
 def test_noncommuting_factor_flags_commutation(monkeypatch):
