@@ -106,11 +106,11 @@ def descent_form(n: int, d: int, r: int, m: int) -> GroupDescriptor | None:
 
 
 def splits_globally_charp(n: int, d: int, p: int, i: int) -> bool:
-    """Splitting over every Galois subfield of F_{p^i}((T)):
-    gcd(d, p) = 1 and gcd(nd, i(p^i - 1)) divides n."""
+    """Splitting over every Galois subfield of F_{p^i}((T)): gcd(d, p) = 1
+    and gcd(nd, i(p^i - 1)) divides n, read from p^i mod nd alone."""
     if gcd(d, p) != 1:
         return False
-    return n % gcd(n * d, i * (p ** i - 1)) == 0
+    return n % gcd(n * d, i * (pow(p, i, n * d) - 1)) == 0
 
 
 def non_split_witness(n: int, d: int, p: int, i: int) -> int | None:
@@ -120,7 +120,7 @@ def non_split_witness(n: int, d: int, p: int, i: int) -> int | None:
     Index p^a is realizable for every a, and q^a for a prime q != p when
     q^a divides i(p^i - 1).  Only a prime q dividing nd can give a
     witness, since gcd(nd, q^a) = 1 otherwise, so those are the only
-    primes tried and i(p^i - 1) is never factored."""
+    primes tried; i(p^i - 1) is neither factored nor formed (p^i mod q^a)."""
     nd = n * d
     witnesses = []
     if gcd(d, p) != 1:
@@ -128,12 +128,11 @@ def non_split_witness(n: int, d: int, p: int, i: int) -> int | None:
         while n % gcd(nd, p ** a) == 0:
             a += 1
         witnesses.append(p ** a)
-    tame = i * (p ** i - 1)
     for q in _prime_factors(nd):
         if q == p:
             continue
         a = 1
-        while tame % (q ** a) == 0:
+        while i * (pow(p, i, q ** a) - 1) % q ** a == 0:
             if n % gcd(nd, q ** a) != 0:
                 witnesses.append(q ** a)
                 break

@@ -25,13 +25,13 @@ the inner part nor the twist data is unique.
 Every matrix the sections build is diagonal, block diagonal or monomial,
 so an algebra matrix has one constructor, AlgebraMatrix(alg, entries),
 taking one {column: entry} dict per row: it stores only the entries
-given, and a product multiplies only the stored nonzero pairs.  The
-generators a comparison runs on form an additive spanning set: scalar
-matrices, I and the parts x*e_ab of the elementary matrices I + x*e_ab.
-f is additive, so comparing f(I) and f(x*e_ab) compares f(I + x*e_ab).
-Each generator is diagonal or stores one entry, and for such an M the
-single pass of ``SemilinearAuto.apply`` takes the same products and sums
-as (g * phi~(M)) * g^-1.  Two kinds of work skip it.  A scalar c*Id with
+given, and a product multiplies only the stored nonzero pairs, through
+one kernel, ``_row_times``.  ``SemilinearAuto.apply`` is the definition
+(g * phi~(M)) * g^-1 taken one row of g at a time through the same
+kernel.  The generators a comparison runs on form an additive spanning
+set: scalar matrices, I and the parts x*e_ab of the elementary matrices
+I + x*e_ab.  f is additive, so comparing f(I) and f(x*e_ab) compares
+f(I + x*e_ab).  Two kinds of work skip the products.  A scalar c*Id with
 c in K, such as zeta*Id and T*Id, is central: Int(g) fixes K pointwise,
 so f(c*Id) = alpha(c)*f(I), and once f(I) is compared the comparison
 reads alpha(c) alone (``acts_like``).  And a product with a factor shaped
@@ -236,34 +236,44 @@ class AlgebraMatrix:
     """Square matrix over A(d,r), stored as one dict {column: entry} per row.
 
     A position missing from its row holds the algebra's zero, alg.zero().
-    An entry of a product is the sum of a_sk * b_kt over the pairs whose
-    factors are both nonzero, or alg.zero() when there is no such pair.
-    That is the dense schoolbook formula, value and precision alike, with
-    one exception: a factor that is a zero known only to T^k, k < alg.prec
+    Neither a matrix nor its entries are mutated after construction, so
+    ``nonzero()`` finds the entries with a term once and keeps them.  An
+    entry of a product sums a_sk * b_kt over the pairs of ``nonzero()``
+    entries, and is missing when there is no such pair.  That is the
+    dense schoolbook formula, value and precision alike, with one
+    exception: a factor that is a zero known only to T^k, k < alg.prec
     (no terms, as ``is_zero`` reads it), is skipped like an exact zero.
     Its pair with a factor of valuation v would put O(T^(k + v)) into the
     schoolbook sum; skipped, the entry can claim more precision than the
     schoolbook one.  ``AlgebraElement.__mul__`` skips a component with no
     terms in the same way.  A product of algebra elements is already
     known to at most alg.prec, so its sum needs no zero accumulator to be
-    capped there.  An entry that cancels to zero keeps the precision its sum
-    reached and stays stored: equality compares at the lower precision of
-    the two sides, so dropping it would compare at alg.prec instead.
+    capped there.  An entry that cancels to zero keeps the precision its
+    sum reached and stays stored: equality compares at the lower precision
+    of the two sides, so dropping it would compare at alg.prec instead.
     ``rows`` is a dense read-only view.
     """
 
-    __slots__ = ("alg", "n", "entries")
+    __slots__ = ("alg", "n", "entries", "_nonzero")
 
     def __init__(self, alg: CyclicAlgebra,
                  entries: Sequence[dict[int, AlgebraElement]]):
         """From one {column: entry} dict per row, stored as given."""
         self.alg, self.n, self.entries = alg, len(entries), tuple(entries)
+        self._nonzero = None
 
     @property
     def rows(self) -> tuple[tuple[AlgebraElement, ...], ...]:
         zero = self.alg.zero()
         return tuple(tuple(row.get(t, zero) for t in range(self.n))
                      for row in self.entries)
+
+    def nonzero(self) -> tuple[list[tuple[int, AlgebraElement]], ...]:
+        """Per row, the (column, entry) pairs whose entry has a term."""
+        if self._nonzero is None:
+            self._nonzero = tuple(_nonzero_pairs(row.items())
+                                  for row in self.entries)
+        return self._nonzero
 
     @staticmethod
     def identity(alg: CyclicAlgebra, n: int) -> AlgebraMatrix:
@@ -276,9 +286,9 @@ class AlgebraMatrix:
     def __mul__(self, other: AlgebraMatrix) -> AlgebraMatrix:
         if self.n != other.n:
             raise ValueError("size mismatch")
-        right = _nonzero_rows(other)
-        return AlgebraMatrix(self.alg,
-                             [_row_times(row, right) for row in self.entries])
+        right = other.nonzero()
+        return AlgebraMatrix(self.alg, [_row_times(row, right)
+                                        for row in self.nonzero()])
 
     def __pow__(self, e: int) -> AlgebraMatrix:
         """A power e >= 0 by repeated squaring; nothing here inverts a
@@ -311,19 +321,19 @@ class AlgebraMatrix:
         return "[" + ",\n ".join(repr(list(r)) for r in self.rows) + "]"
 
 
-def _nonzero_rows(m: AlgebraMatrix) -> list[list[tuple[int, AlgebraElement]]]:
-    return [[(t, e) for t, e in row.items() if not e.is_zero()]
-            for row in m.entries]
+def _nonzero_pairs(pairs: Iterable[tuple[int, AlgebraElement]]
+                   ) -> list[tuple[int, AlgebraElement]]:
+    """The (column, entry) pairs whose entry has a term."""
+    return [(t, e) for t, e in pairs if not e.is_zero()]
 
 
-def _row_times(row: dict[int, AlgebraElement],
-               right: list[list[tuple[int, AlgebraElement]]]) -> dict[int, AlgebraElement]:
-    """Row vector times a matrix given by its nonzero rows: each entry sums
-    a * b over the pairs with both factors nonzero."""
+def _row_times(row: Iterable[tuple[int, AlgebraElement]],
+               right: Sequence[list[tuple[int, AlgebraElement]]]
+               ) -> dict[int, AlgebraElement]:
+    """A row given by its nonzero (k, a) pairs times a matrix given by the
+    nonzero (t, b) pairs of each row k: entry t sums a * b over them."""
     out = {}
-    for k, a in row.items():
-        if a.is_zero():
-            continue
+    for k, a in row:
         for t, b in right[k]:
             prod = a * b
             cur = out.get(t)
@@ -408,12 +418,9 @@ class SemilinearAuto:
 
     def apply(self, M: AlgebraMatrix, images: dict | None = None
               ) -> AlgebraMatrix:
-        """f(M) = g * phi~(M) * g^(-1) in one pass, without forming
-        g * phi~(M): row s sums left * (g^-1)_lt over the stored nonzero
-        g_sk, phi(M_kl) and (g^-1)_lt, with left = g_sk * phi(M_kl)
-        skipped when zero, in the order of row s of g.  For a diagonal M,
-        or one with a single stored entry, these are the products and sums
-        of the two matrix products.
+        """f(M) = (g * phi~(M)) * g^(-1), one row of g at a time through
+        ``_row_times``: the products and sums of the two matrix products,
+        with the nonzero entries of g and g^-1 found once per matrix.
 
         phi maps each distinct stored element object once, as in
         ``apply_matrix_entrywise``.  ``images``, keyed by id(entry), is
@@ -432,27 +439,10 @@ class SemilinearAuto:
                 if not img.is_zero():
                     pairs.append((l, img))
             mapped.append(pairs)
-        inv, right = self.inner_inv.entries, {}
-        out = []
-        for row in self.inner.entries:
-            out_row = {}
-            for k, a in row.items():
-                bs = mapped[k]
-                if not bs or a.is_zero():
-                    continue
-                for l, b in bs:
-                    left = a * b
-                    if left.is_zero():
-                        continue
-                    if l not in right:      # row l of g^-1, nonzero entries
-                        right[l] = [(t, c) for t, c in inv[l].items()
-                                    if not c.is_zero()]
-                    for t, c in right[l]:
-                        prod = left * c
-                        cur = out_row.get(t)
-                        out_row[t] = prod if cur is None else cur + prod
-            out.append(out_row)
-        return AlgebraMatrix(self.alg, out)
+        inv = self.inner_inv.nonzero()
+        return AlgebraMatrix(self.alg, [
+            _row_times(_nonzero_pairs(_row_times(row, mapped).items()), inv)
+            for row in self.inner.nonzero()])
 
     def apply_matrix_entrywise(self, M: AlgebraMatrix) -> AlgebraMatrix:
         """phi~(M), entry by entry.  phi maps alg.zero() to itself, so
@@ -460,17 +450,10 @@ class SemilinearAuto:
         is mapped once per call and its image stored at every position
         that holds it: scalar, identity, staircase and constant block
         matrices store one object n times, which costs one image."""
-        images = {}
-        out = []
-        for row in M.entries:
-            out_row = {}
-            for t, e in row.items():
-                img = images.get(id(e))
-                if img is None:
-                    img = images[id(e)] = self.apply_element(e)
-                out_row[t] = img
-            out.append(out_row)
-        return AlgebraMatrix(self.alg, out)
+        distinct = {id(e): e for row in M.entries for e in row.values()}
+        images = {k: self.apply_element(e) for k, e in distinct.items()}
+        return AlgebraMatrix(self.alg, [{t: images[id(e)] for t, e in
+                                         row.items()} for row in M.entries])
 
 
 def compose_semilinear(f1: SemilinearAuto, f2: SemilinearAuto) -> SemilinearAuto:

@@ -98,6 +98,11 @@ class _Table(dict):
         return value
 
 
+def exceeds_table_limit(p: int, e: int) -> bool:
+    """p^e > MAX_FIELD_SIZE, not formed when e alone says so (p^e >= 2^e)."""
+    return e >= MAX_FIELD_SIZE.bit_length() or p ** e > MAX_FIELD_SIZE
+
+
 class NotPrime(ValueError):
     """The characteristic passed to build_tower is not prime."""
 
@@ -283,9 +288,9 @@ class FieldTower:
         if min(i, d, b) < 1:
             raise ValueError("i, d, b must be positive")
         M = i * d * b
-        q = p ** M
-        if q > MAX_FIELD_SIZE:
+        if exceeds_table_limit(p, M):
             raise Overflow(f"p^M = {p}^{M} exceeds the table limit {MAX_FIELD_SIZE}")
+        q = p ** M
         self.p, self.i, self.d, self.b, self.M, self.q = p, i, d, b, M, q
         self.modulus = self._find_modulus()
         self.g_code = self._find_generator_code()
@@ -729,6 +734,17 @@ def frobenius(x: FFElement, e: int) -> FFElement:
 def in_subfield(x: FFElement, j: int) -> bool:
     """Whether x lies in F_{p^j}, i.e. is fixed by the j-th Frobenius."""
     return frobenius(x, j) == x
+
+
+def logs_in_subfield(tower: FieldTower, logs: Sequence[int], j: int) -> bool:
+    """Whether the elements with these logs lie in F_{p^j}: the j-th
+    Frobenius multiplies a log by p^j mod Q = p^M - 1, and fixes the zero."""
+    Q = tower.q - 1
+    pj = pow(tower.p, j, Q)
+    for lg in logs:
+        if lg != LOG_ZERO and lg * pj % Q != lg:
+            return False
+    return True
 
 
 def subfield_generator(tower: FieldTower, j: int) -> FFElement:

@@ -39,7 +39,8 @@ from .brauer import d_part, non_split_witness, splits_globally_charp
 from .cyclic import (AdmissibilityFailure, AlgebraMatrix, CyclicAlgebra,
                      SemilinearAuto, acts_like, acts_trivially,
                      compose_semilinear, generator_matrices)
-from .gftower import (FFElement, build_tower, frobenius, hilbert90_solve,
+from .gftower import (MAX_FIELD_SIZE, FFElement, Overflow, build_tower,
+                      exceeds_table_limit, frobenius, hilbert90_solve,
                       relative_trace, subfield_generator)
 from .series import LaurentSeries, PrecisionExhausted, hensel_root
 
@@ -62,6 +63,10 @@ class SectionContext:
         if gcd(d, r) != 1:
             raise ValueError("gcd(d, r) must be 1 (division algebra input)")
         self.p, self.i, self.d, self.r, self.n, self.prec = p, i, d, r, n, prec
+        # the tower contains F_{p^i}: refuse it before p^i - 1 is split
+        if exceeds_table_limit(p, i):
+            raise Overflow(f"p^i = {p}^{i} exceeds the table limit "
+                           f"{MAX_FIELD_SIZE}")
         self.a, self.b = d_part(p ** i - 1, d)
         self.a2, self.b2 = d_part(i, d)
         if not splits_globally_charp(n, d, p, i):

@@ -35,7 +35,7 @@ from bisect import bisect_left
 from math import isqrt
 from typing import Iterable, Optional, Sequence
 
-from .gftower import (FFElement, FieldTower, LOG_ZERO, in_subfield,
+from .gftower import (FFElement, FieldTower, LOG_ZERO, logs_in_subfield,
                       relative_trace, subfield_generator)
 
 DEFAULT_PREC = 32
@@ -162,11 +162,8 @@ class LaurentSeries:
         if not _checked:
             if tower.M % j != 0:
                 raise ValueError(f"subfield degree {j} does not divide M = {tower.M}")
-            pj = pow(tower.p, j, tower.q - 1) if tower.q > 2 else 1
-            Q = tower.q - 1
-            for lg in logs:
-                if lg != LOG_ZERO and Q > 0 and lg * pj % Q != lg:
-                    raise ValueError("coefficient outside F_{p^%d}" % j)
+            if not logs_in_subfield(tower, logs, j):
+                raise ValueError("coefficient outside F_{p^%d}" % j)
         # normalize: clip at precision, strip leading/trailing zeros
         hi = min(len(logs), max(prec - val, 0))
         lo = 0
@@ -825,5 +822,4 @@ def reversion(t_series: LaurentSeries) -> LaurentSeries:
 
 def series_in_subfield(s: LaurentSeries, j: int) -> bool:
     """Whether every coefficient is fixed by the j-th Frobenius power."""
-    return all(in_subfield(FFElement(s.tower, lg), j)
-               for lg in s.logs if lg != LOG_ZERO)
+    return logs_in_subfield(s.tower, s.logs, j)

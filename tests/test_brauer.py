@@ -181,6 +181,27 @@ def test_non_split_witness_never_factors_the_tame_index():
     assert non_split_witness(127, 127, 2, 127) is None
 
 
+def test_splits_globally_matches_the_literal_formula():
+    # the criterion reads p^i mod nd; against gcd(nd, i(p^i - 1)) formed
+    for p in (2, 3, 5, 7, 11, 13):
+        for i in range(1, 13):
+            tame = i * (p ** i - 1)
+            for n in range(1, 13):
+                for d in range(1, 13):
+                    literal = gcd(d, p) == 1 and n % gcd(n * d, tame) == 0
+                    assert splits_globally_charp(n, d, p, i) == literal, \
+                        (n, d, p, i)
+
+
+def test_splitting_never_forms_p_to_the_i():
+    # 3^(10^9 + 7) has about 1.6e9 bits; both answers take microseconds.
+    # i = 7 mod 10 and 3^i = 7 mod 10, so gcd(10, i(3^i - 1)) = 2 | n = 2
+    assert splits_globally_charp(2, 5, 3, 10 ** 9 + 7)
+    assert non_split_witness(2, 5, 3, 10 ** 9 + 7) is None
+    # i = 0 mod 10: gcd(10, i(3^i - 1)) = 10 does not divide 2; 5 | i
+    assert non_split_witness(2, 5, 3, 10 ** 7) == 5
+
+
 def test_non_split_witness_large_degree():
     # 2^40 - 1 = 3 * 5^2 * 11 * 17 * 31 * 41 * 61681; a scan over every
     # q <= 40 * (2^40 - 1) would not finish

@@ -461,6 +461,24 @@ def test_synth_wide_command_work_is_bounded(monkeypatch):
     assert all(calls[key] <= bound for key, bound in bounds.items()), calls
 
 
+def test_a_large_i_is_answered_without_forming_p_to_the_i(capsys):
+    # split-check reads p^i mod nd; section synth refuses p^i above the
+    # table limit before splitting p^i - 1, and every table refuses p^M
+    # before forming it.  3^(10^9 + 7) would take minutes to form
+    big = str(10 ** 9 + 7)
+    code, out = run_cli(["split-check", "--charp", "--n", "2", "--d", "5",
+                         "--p", "3", "--i", big])
+    assert code == 0 and "SPLIT" in out
+    for argv in (["section", "synth", "--p", "3", "--i", big, "--d", "5",
+                  "--r", "1", "--n", "2"],
+                 ["nrd", "--p", "3", "--i", big, "--d", "1", "--r", "0",
+                  "--element", "1"],
+                 ["hanke", "--p", "3", "--i", big, "--r", "1", "--alpha",
+                  "T"]):
+        code, err = run_cli_usage(argv, capsys)
+        assert code == 2 and "exceeds the table limit" in err
+
+
 def run_cli_usage(argv, capsys):
     """Exit code and stderr of a command that should be refused."""
     try:

@@ -15,7 +15,8 @@ from autsplit.gftower import (_EXP_MISS_COST, _LOG_MISS_COST, LOG_ZERO,
                               NormNotOne, NotDivisor,
                               NotInSubfield, NotPrime, Overflow, _is_prime,
                               build_tower, frobenius,
-                              hilbert90_solve, in_subfield, relative_norm,
+                              hilbert90_solve, in_subfield, logs_in_subfield,
+                              relative_norm,
                               relative_trace, subfield_generator)
 from autsplit.series import LaurentSeries
 
@@ -531,6 +532,19 @@ def test_subfield_membership_matches_powers_all_divisors():
         members = {x.log for x in elements(t) if in_subfield(x, j)}
         expected = {-1} | {(zj ** k).log for k in range(2 ** j - 1)}
         assert members == expected
+
+
+def test_log_membership_matches_frobenius_membership():
+    # the one log test that series use, against in_subfield's Frobenius,
+    # element by element and for the whole field's logs at once
+    for t in (build_tower(2, 1, 6, 1), build_tower(3, 1, 4, 1)):
+        logs = [x.log for x in elements(t)]
+        for j in range(1, t.M + 1):
+            members = [x.log for x in elements(t) if in_subfield(x, j)]
+            assert [lg for lg in logs if logs_in_subfield(t, [lg], j)] \
+                == members
+            assert logs_in_subfield(t, members, j)
+            assert logs_in_subfield(t, logs, j) == (j == t.M)
 
 
 # -- norms ---------------------------------------------------------------

@@ -3,8 +3,8 @@ import random
 import pytest
 
 from autsplit.autk import LocalFieldAuto, compose_auto, restrict_auto
-from autsplit.cyclic import (AlgebraMatrix, SemilinearAuto, acts_like,
-                             acts_trivially, compose_semilinear)
+from autsplit.cyclic import (AlgebraElement, AlgebraMatrix, SemilinearAuto,
+                             acts_like, acts_trivially, compose_semilinear)
 from autsplit.gftower import (FFElement, frobenius, in_subfield,
                               subfield_generator)
 from autsplit.sections import (SectionContext, glue_section, random_j_element,
@@ -12,7 +12,7 @@ from autsplit.sections import (SectionContext, glue_section, random_j_element,
                                section_Caprime, section_Cb, section_Cbprime,
                                section_J, verify_section)
 from autsplit.series import LaurentSeries, series_in_subfield
-from test_cyclic import entry_form, invert_semilinear
+from test_cyclic import entry_form, invert_semilinear, shaped_matrix
 
 
 CTX1 = SectionContext(2, 1, 3, 1, 1, prec=24)
@@ -279,23 +279,58 @@ def test_elementary_image_is_identity_image_plus_part_image():
                                           ((2, 3, 3, 1, 3), 8),
                                           ((3, 1, 2, 3, 2), 2)],
                          ids=["b=3", "b'=3", "r>=prec"])
-def test_fused_apply_takes_the_products_of_the_generic_one(params, prec):
-    # every generator is diagonal or stores one entry, and for such an M
-    # the one-pass apply takes the products and sums of (g phi~(M)) g^-1:
-    # the same stored keys and the same (val, logs, prec) in every entry
+def test_apply_takes_the_products_of_the_generic_one(params, prec):
+    # apply multiplies (g phi~(M)) g^-1 row by row through the kernel of
+    # the matrix product: the same stored keys and the same (val, logs,
+    # prec) in every entry as the two generic products, for the
+    # generators (each diagonal or with one stored entry), a dense random
+    # M, and M = phi~^-1(g^-1), the inner part of f^-1, for which
+    # g phi~(M) = g g^-1 cancels off the diagonal
     ctx = SectionContext(*params, prec=prec)
     gens = ctx.generators()
     assert len(gens) == 4 + (ctx.n >= 2) * (1 + 4 * (ctx.n - 1))
     for G in gens:
         stored = [(s, t) for s, row in enumerate(G.entries) for t in row]
         assert len(stored) == 1 or all(s == t for s, t in stored)
-    for f in small_section_family(ctx, random.Random(37)):
-        for G in gens:
-            fused, generic = f.apply(G), generic_image(f, G)
-            for row1, row2 in zip(fused.entries, generic.entries):
+    rng = random.Random(37)
+    cancelled, monomial = False, True
+    for f in small_section_family(ctx, rng):
+        monomial &= all(len(row) <= 1 for row in f.inner.entries)
+        undo = invert_semilinear(f).inner
+        first = f.inner * f.apply_matrix_entrywise(undo)
+        cancelled |= any(e.is_zero() for row in first.entries
+                         for e in row.values())
+        dense = shaped_matrix(ctx.algebra, ctx.n, rng, "dense")
+        for G in gens + [dense, undo]:
+            got, generic = f.apply(G), generic_image(f, G)
+            for row1, row2 in zip(got.entries, generic.entries):
                 assert row1.keys() == row2.keys()
                 for t, e in row1.items():
                     assert entry_form(e) == entry_form(row2[t])
+    # a sum of one product cannot cancel: with b = 1 every g is monomial
+    assert cancelled != monomial
+
+
+def test_comparison_tests_each_inner_entry_for_zero_once(monkeypatch):
+    # the nonzero entries of g and g^-1 are found once per matrix, not
+    # once per generator: at n = 6, 23 of the 25 generators go through
+    # apply on each side of the comparison (zeta*Id and T*Id do not)
+    ctx = SectionContext(2, 2, 3, 2, 6, prec=8)
+    f = glue_section(ctx, random_k_auto(ctx, random.Random(5)))
+    stored = [id(e) for m in (f.inner, f.inner_inv) for row in m.entries
+              for e in row.values()]
+    ids = set(stored)
+    tested = []
+    is_zero = AlgebraElement.is_zero
+
+    def counted(self):
+        if id(self) in ids:
+            tested.append(id(self))
+        return is_zero(self)
+    monkeypatch.setattr(AlgebraElement, "is_zero", counted)
+    assert acts_like(f, f, ctx.generators())
+    assert tested and len(tested) <= len(stored)
+    assert all(tested.count(k) <= stored.count(k) for k in set(tested))
 
 
 def test_comparison_holds_a_one_shot_iterator_of_generators():
