@@ -38,11 +38,14 @@ keep it: g^k as one product of two stored powers, a log by
 Pohlig-Hellman.  Each miss is charged its cost in elements of a full
 build, and once a tower's charges reach q it builds the full arrays
 after all (``FieldTower._full``), so a dense input pays at most about
-two builds.  A stored entry reads about 0.05 us slower from these dicts
-than from an array (a Python subclass of dict takes the generic subscript
-path; 128,000 XOR-loop reads took 29-31 ms against 23-25 ms).  Odd p
-keeps the eager build: its additions read Zech entries densely, and its
-code products are interpreted polynomial products.
+two builds.  Those dicts are a Python subclass of dict, which takes the
+generic subscript path, so each keeps a plain-dict mirror of its entries,
+``_exp_fast`` and ``_log_fast``, filled with it.  The characteristic-2
+hot loops of ``series`` read the mirrors, and on a KeyError run that one
+sum again through the filling tables; after the full build the mirrors
+are the arrays too.  Odd p keeps the eager build: its additions read
+Zech entries densely, and its code products are interpreted polynomial
+products.
 """
 
 from __future__ import annotations
@@ -85,16 +88,18 @@ _LOG_MISS_COST = 700    # one log entry: M - 1 squarings and, per prime
 
 class _Table(dict):
     """A table filled on demand: reading a missing key stores and returns
-    ``fill(key)``."""
+    ``fill(key)``, in the table and in ``mirror``, a plain dict holding the
+    same entries that hot loops read (a missing key raises KeyError
+    there)."""
 
-    __slots__ = ("fill",)
+    __slots__ = ("fill", "mirror")
 
     def __init__(self, fill, preset=()):
         super().__init__(preset)
-        self.fill = fill
+        self.fill, self.mirror = fill, dict(preset)
 
     def __missing__(self, key):
-        value = self[key] = self.fill(key)
+        value = self[key] = self.mirror[key] = self.fill(key)
         return value
 
 
@@ -305,6 +310,7 @@ class FieldTower:
         self._lo_hi = self._crt = None
         self._exp = _Table(self._exp_miss)
         self._log = _Table(self._log_miss, {0: LOG_ZERO})
+        self._exp_fast, self._log_fast = self._exp.mirror, self._log.mirror
 
     # -- bootstrap ------------------------------------------------------
 
@@ -347,7 +353,8 @@ class FieldTower:
         view = memoryview(log)
         for k, c in enumerate(exp):
             view[c] = k
-        self._exp, self._log = exp, log
+        self._exp = self._exp_fast = exp
+        self._log = self._log_fast = log
         if p == 2:
             return
         zech = array("i")

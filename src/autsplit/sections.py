@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import wraps
 from math import gcd, lcm
 
 from .autk import (LocalFieldAuto, compose_auto, decompose_auto, extend_auto,
@@ -55,6 +56,12 @@ class SectionContext:
     Standing hypotheses (checked): gcd(d, p) = gcd(d, r) = 1 and b*b'
     divides n, which is what splitting over every Galois subfield of K
     requires.
+
+    The sections of the four finite factors are built once per context
+    and kept, keyed by (kind, j) (see ``_memoised``), so a context is not
+    mutated after its first section.  A variant is a copy: ``copy.copy``
+    and ``_with_witness`` start with an empty memo, so attributes set on
+    the copy before its first section are what its sections read.
     """
 
     def __init__(self, p: int, i: int, d: int, r: int, n: int, prec: int):
@@ -84,6 +91,13 @@ class SectionContext:
         self._init_z()
         self._init_embedding()
         self._gens = None
+        self._sections = {}
+
+    def __copy__(self) -> SectionContext:
+        alt = object.__new__(SectionContext)
+        alt.__dict__.update(self.__dict__)
+        alt._sections = {}
+        return alt
 
     # -- derived data ---------------------------------------------------
 
@@ -207,6 +221,22 @@ def _trace_dual_basis(eta: FFElement, j: int, b: int) -> list[FFElement]:
 # Partial sections
 # ----------------------------------------------------------------------
 
+def _memoised(build):
+    """build(ctx, j), made once per context and j: the verifier asks for
+    the same few partial sections hundreds of times, and each build pays
+    the admissibility check again."""
+    kind = build.__name__
+
+    @wraps(build)
+    def section(ctx: SectionContext, j: int) -> SemilinearAuto:
+        key = (kind, j)
+        f = ctx._sections.get(key)
+        if f is None:
+            f = ctx._sections[key] = build(ctx, j)
+        return f
+    return section
+
+
 def section_J(ctx: SectionContext, alpha: LocalFieldAuto) -> SemilinearAuto:
     """Section on the inertia group J(K).
 
@@ -233,6 +263,7 @@ def section_J(ctx: SectionContext, alpha: LocalFieldAuto) -> SemilinearAuto:
                           inner_inv=inner(-1))
 
 
+@_memoised
 def section_Ca(ctx: SectionContext, j: int) -> SemilinearAuto:
     """Section on C_a = <ev(zeta^b T)>: inner diag of z-powers, twist z^(b'j)."""
     alg = ctx.algebra
@@ -251,6 +282,7 @@ def section_Ca(ctx: SectionContext, j: int) -> SemilinearAuto:
                           inner_inv=inner(-j))
 
 
+@_memoised
 def section_Cb(ctx: SectionContext, j: int) -> SemilinearAuto:
     """Section on C_b = <ev(zeta^a T)> through the matrix embedding.
 
@@ -269,6 +301,7 @@ def section_Cb(ctx: SectionContext, j: int) -> SemilinearAuto:
                           inner_inv=inner(j))
 
 
+@_memoised
 def section_Caprime(ctx: SectionContext, j: int) -> SemilinearAuto:
     """Section on C_a' = <F^(b') restricted to K>: F^(b'j) extends to E as
     F^(j(ci + b')) with trivial twist; c*a' + 1 = 0 mod d makes the a'-th
@@ -280,6 +313,7 @@ def section_Caprime(ctx: SectionContext, j: int) -> SemilinearAuto:
     return SemilinearAuto(alg, ctx.n, None, alphaE, one)
 
 
+@_memoised
 def section_Cbprime(ctx: SectionContext, j: int) -> SemilinearAuto:
     """Section on C_b' = <F^(a') restricted to K>: conjugation by the
     block-cyclic matrix W (whose b'-th power is u*Id) over F^(a'j).

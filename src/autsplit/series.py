@@ -22,7 +22,8 @@ of its own: ``LaurentSeries.__pow__`` takes every p-th power by Frobenius.
 ``substitute`` composes by splitting the exponents mod p, each part
 composed at 1/p of the precision and raised to the p-th power for free,
 down to Brent-Kung baby-step/giant-step leaves of at most max(16, p^2)
-coefficients.
+coefficients.  A series of valuation v >= 1 is composed as one window
+with v leading zeros, so it takes no product with a power of the target.
 
 ``SeriesMatrix`` is the one square-matrix type over such a field: products,
 determinants and projective comparison.  Reduced norms of the cyclic
@@ -96,27 +97,20 @@ def _sum_of_products(t: FieldTower, n: int, groups) -> list[int]:
     XOR: each pair costs one read of exp at la + lb - Q, which reads
     g^((la + lb) mod Q) (a full exp array has Q entries and wraps the
     index; an on-demand one reduces it), and the codes turn back into
-    logs once at the end.  For odd p the sums are taken over
-    logs, each pair adding in through Zech.  The pairs of one outer term
-    stop at the truncation, so callers put the factor with fewer terms
-    outside.
+    logs once at the end.  The reads go to the tower's plain-dict mirrors
+    of its on-demand tables; on a KeyError the whole sum runs again from
+    a clean buffer through the tables, which make the missing entries.
+    For odd p the sums are taken over logs, each pair adding in through
+    Zech.  The pairs of one outer term stop at the truncation, so callers
+    put the factor with fewer terms outside.  groups is read once more
+    on such a rerun, so it is a sequence.
     """
     Q = t.q - 1
     if t.p == 2:
-        exp = t._exp
-        buf = [0] * n
-        for outer, inner in groups:
-            last = inner[-1][0] if inner else 0
-            for i, la in outer:
-                room = n - i
-                if room <= 0:
-                    break
-                la -= Q
-                for k, lb in (inner if last < room
-                              else inner[:bisect_left(inner, (room,))]):
-                    buf[i + k] ^= exp[la + lb]
-        log = t._log
-        return [log[c] for c in buf]        # log[0] is LOG_ZERO
+        try:
+            return _xor_products(t._exp_fast, t._log_fast, Q, n, groups)
+        except KeyError:
+            return _xor_products(t._exp, t._log, Q, n, groups)
     zech = t._zech
     buf = [LOG_ZERO] * n
     for outer, inner in groups:
@@ -136,6 +130,33 @@ def _sum_of_products(t: FieldTower, n: int, groups) -> list[int]:
                     z = zech[(lm - cur) % Q]
                     buf[k] = LOG_ZERO if z == LOG_ZERO else (cur + z) % Q
     return buf
+
+
+def _xor_products(exp, log, Q: int, n: int, groups) -> list[int]:
+    """The characteristic-2 sum of ``_sum_of_products`` through the tables
+    exp and log."""
+    buf = [0] * n
+    for outer, inner in groups:
+        last = inner[-1][0] if inner else 0
+        for i, la in outer:
+            room = n - i
+            if room <= 0:
+                break
+            la -= Q
+            for k, lb in (inner if last < room
+                          else inner[:bisect_left(inner, (room,))]):
+                buf[i + k] ^= exp[la + lb]
+    return [log[c] for c in buf]            # log[0] is LOG_ZERO
+
+
+def _xor_into(out: list[int], k: int, tail: Sequence[int], exp, log):
+    """Add the logs of tail into out from slot k, in characteristic 2,
+    through the tables exp and log."""
+    for lb in tail:
+        if lb != LOG_ZERO:
+            cur = out[k]
+            out[k] = lb if cur == LOG_ZERO else log[exp[cur] ^ exp[lb]]
+        k += 1
 
 
 def _pth_logs(t: FieldTower, logs: Sequence[int], n: int) -> list[int]:
@@ -255,7 +276,9 @@ class LaurentSeries:
         precision, so a sum costs the terms its operands store: two
         constants add in one slot whatever the precision.  Where both have
         a term, characteristic 2 adds by XOR of codes (log[0] is LOG_ZERO,
-        so a cancelling pair needs no test) and odd p through Zech."""
+        so a cancelling pair needs no test), read from the tower's
+        plain-dict mirrors as in ``_sum_of_products``, and odd p through
+        Zech."""
         self._require_compatible(other)
         if not other.logs and other.prec >= self.prec:
             return self
@@ -273,12 +296,12 @@ class LaurentSeries:
         k = other.val - lo
         tail = other.logs[:max(prec - other.val, 0)]
         if t.p == 2:
-            exp, log = t._exp, t._log
-            for lb in tail:
-                if lb != LOG_ZERO:
-                    cur = out[k]
-                    out[k] = lb if cur == LOG_ZERO else log[exp[cur] ^ exp[lb]]
-                k += 1
+            try:
+                _xor_into(out, k, tail, t._exp_fast, t._log_fast)
+            except KeyError:        # again from a clean buffer, filling
+                out = [LOG_ZERO] * (hi - lo)
+                out[start:start + len(head)] = head
+                _xor_into(out, k, tail, t._exp, t._log)
         else:
             Q, zech = t.q - 1, t._zech
             for lb in tail:
@@ -583,13 +606,22 @@ def substitute(s: LaurentSeries, target: LaurentSeries) -> LaurentSeries:
     window above 16 terms ran 1.5-2.3x slower than Brent-Kung at 32-128
     terms.  Each call builds its own baby powers and keeps nothing.
 
+    For val = v >= 1, s(t) = sum_k c_k t^(k + v) is the composition of
+    one window, v zeros followed by c_0 ... c_{P-v-1}, at precision P: no
+    product with target ** v, and the zero series at P when v >= P.
+    Every T-image of valuation 1 that ``compose_auto`` and ``reversion``
+    substitute takes this path.  A one-term s = c*T^v is c times the
+    logs of target ** v instead, which for v = 1 is target itself: as a
+    window it would take the baby power t^2, a full product for odd p.
+
     The output is what Horner's rule in t gives, as a value and in its
     (val, logs, prec).  Horner ends on the constant c_0 != 0 added at
     precision P, so its unit part is u(t) mod T^P with valuation 0 and
     precision exactly P, and for P <= 0 it is the zero series at P; both
-    are built here from the same value.  The constant shortcut and the
-    tail, a product with target ** val (the inverse's power for val < 0),
-    are Horner's own.
+    are built here from the same value.  For v >= 1 Horner's product with
+    t^v keeps precision P, as the one window does.  The constant shortcut
+    and, for v < 0, the tail, a product with the inverse's power
+    target ** v, are Horner's own.
     """
     if target.val != 1 or not target.logs:
         raise NotUniformiser("substitution target must have valuation 1")
@@ -601,12 +633,24 @@ def substitute(s: LaurentSeries, target: LaurentSeries) -> LaurentSeries:
         return LaurentSeries.zero(t, s.j, prec)
     if s.val == 0 and len(s.logs) == 1:
         return _canonical(t, s.j, 0, s.logs, prec)    # a constant
+    v = s.val
+    if v >= 1:
+        if v >= prec:
+            return LaurentSeries.zero(t, s.j, prec)
+        if len(s.logs) == 1:            # c*T^v: c times t^v
+            c, Q = s.logs[0], t.q - 1
+            return LaurentSeries(t, s.j, v, [
+                lg if lg == LOG_ZERO else (lg + c) % Q
+                for lg in (target ** v).logs[:prec - v]], prec, _checked=True)
+        # s(t) = sum_k c_k t^(k + v): one window with v leading zeros
+        return _compose_unit((LOG_ZERO,) * v + s.logs[:prec - v], target,
+                             prec)
     if prec <= 0:
         res = LaurentSeries.zero(t, s.j, prec)
     else:
         res = _compose_unit(s.logs[:prec], target, prec)
-    if s.val:
-        res = res * target ** s.val
+    if v < 0:
+        res = res * target ** v
     return res.truncate(min(res.prec, prec))
 
 

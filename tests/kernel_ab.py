@@ -1,25 +1,36 @@
-"""Time the semilinear comparison kernel of two source trees in one process.
+"""Time a kernel, or one command line, of two source trees in one process.
 
     python tests/kernel_ab.py OLD_SRC NEW_SRC [--rounds 41] [--samples 6]
+    python tests/kernel_ab.py OLD_SRC NEW_SRC --command "AUTSPLIT ARGV"
 
 Each tree's ``autsplit`` package is imported under its own name, so the
-two run side by side.  Each builds the same glued sections of one
+two run side by side.
+
+Without --command, each builds the same glued sections of one
 ``SectionContext`` (default (p, i, d, r, n) = (2, 2, 3, 2, 6) at prec 32,
 the synth-wide shape): for ``--samples`` pairs of random automorphisms
 alpha, beta of K, the pair g(alpha) o g(beta), g(alpha beta) that the
 verifier's ``glue_homomorphism`` check compares, and the pair g(alpha),
 g(beta).  A round is one timed pass of ``acts_like`` over every pair and
-one timed pass of ``apply`` over every generator for each g(alpha).
+one timed pass of ``apply`` over every generator for each g(alpha).  The
+script exits 1 when an ``acts_like`` verdict differs between the trees,
+and says whether the ``apply`` images agree in keys and in every (val,
+logs, prec).
+
+With --command, a round is one call of the tree's ``cli.main`` on
+``--output json`` followed by the command's arguments, for instance
+``--command "section synth --p 2 --i 7 --d 3 --r 1 --n 1 --prec 64
+--samples 20 --seed 7"`` (the synth-deep shape, whose series work the
+``acts_like`` pass does not reach).  The script exits 1 when the exit
+codes or the JSON reports of the two trees differ in any round.
+
 After one untimed round each, the trees take turns, the first tree
 alternating.  For each kind of pass the script prints both medians, the
 ratio NEW/OLD of the medians, the median of the per-round ratios, and
 the interquartile range of the OLD passes relative to their median.
-
-It exits 1 when an ``acts_like`` verdict differs between the trees, and
-says whether the ``apply`` images agree in keys and in every (val, logs,
-prec).  Timings of one command in fresh processes spread by about a
-third on a 2-vCPU VM, while ratios taken in one process stay within a
-few percent.  Pytest does not collect this file.
+Timings of one command in fresh processes spread by about a third on a
+2-vCPU VM, while ratios taken in one process stay within a few percent.
+Pytest does not collect this file.
 """
 
 from __future__ import annotations
@@ -28,31 +39,35 @@ import argparse
 import gc
 import importlib
 import importlib.util
+import io
 import random
+import shlex
 import statistics
 import sys
+from contextlib import redirect_stdout
 from pathlib import Path
 from time import perf_counter
 
 
-def load(src: str, name: str):
-    """The ``sections`` and ``cyclic`` modules of src/autsplit, imported as
-    the package ``name``."""
+def load(src: str, name: str, *modules: str):
+    """The named modules of src/autsplit, imported as the package
+    ``name``."""
     pkg = Path(src).resolve() / "autsplit"
     spec = importlib.util.spec_from_file_location(
         name, pkg / "__init__.py", submodule_search_locations=[str(pkg)])
     module = importlib.util.module_from_spec(spec)
     sys.modules[name] = module
     spec.loader.exec_module(module)
-    return (importlib.import_module(f"{name}.sections"),
-            importlib.import_module(f"{name}.cyclic"))
+    return tuple(importlib.import_module(f"{name}.{m}") for m in modules)
 
 
 class Side:
     """One tree's context, generators, glued sections and timed passes."""
 
+    labels = ("acts_like", "apply")
+
     def __init__(self, src, name, params, prec, samples, seed):
-        S, self.cyclic = load(src, name)
+        S, self.cyclic = load(src, name, "sections", "cyclic")
         ctx = S.SectionContext(*params, prec)
         self.gens = ctx.generators()
         rng = random.Random(seed)
@@ -78,6 +93,27 @@ class Side:
         return verdicts, [matrix_form(m) for m in images]
 
 
+class CommandSide:
+    """One tree's command line and its timed calls of one command."""
+
+    labels = ("command",)
+
+    def __init__(self, src, name, argv):
+        self.cli, = load(src, name, "cli")
+        self.argv = ["--output", "json", *argv]
+        self.times = []
+
+    def run(self):
+        """One timed call: (exit code, standard output)."""
+        buf = io.StringIO()
+        gc.collect()
+        start = perf_counter()
+        with redirect_stdout(buf):
+            code = self.cli.main(self.argv)
+        self.times.append((perf_counter() - start,))
+        return code, buf.getvalue()
+
+
 def matrix_form(m):
     return [{t: [(c.val, c.logs, c.prec) for c in e.comps]
              for t, e in row.items()} for row in m.entries]
@@ -95,21 +131,33 @@ def main(argv=None) -> int:
     ap.add_argument("--params", default="2,2,3,2,6",
                     help="p,i,d,r,n of the section context")
     ap.add_argument("--prec", type=int, default=32)
+    ap.add_argument("--command",
+                    help="time this autsplit command line instead of the "
+                         "comparison kernel")
     args = ap.parse_args(argv)
-    params = tuple(int(v) for v in args.params.split(","))
-    old, new = (Side(src, name, params, args.prec, args.samples, args.seed)
-                for src, name in ((args.old, "autsplit_old"),
-                                  (args.new, "autsplit_new")))
-    (v_old, im_old), (v_new, im_new) = old.run(), new.run()
+    trees = ((args.old, "autsplit_old"), (args.new, "autsplit_new"))
+    if args.command is not None:
+        old, new = (CommandSide(src, name, shlex.split(args.command))
+                    for src, name in trees)
+    else:
+        params = tuple(int(v) for v in args.params.split(","))
+        old, new = (Side(src, name, params, args.prec, args.samples,
+                         args.seed) for src, name in trees)
+    first_old, first_new = old.run(), new.run()
     old.times.clear()
     new.times.clear()
+    differ = first_old != first_new
     for k in range(args.rounds):         # alternate which tree goes first
         for side in ((old, new) if k % 2 == 0 else (new, old)):
-            side.run()
-    print(f"{len(old.pairs)} acts_like pairs and "
-          f"{len(old.glued) * len(old.gens)} apply calls a pass, "
-          f"{args.rounds} rounds each")
-    for k, label in enumerate(("acts_like", "apply")):
+            out = side.run()
+            differ |= args.command is not None and out != first_old
+    if args.command is not None:
+        print(f"{args.command!r}, {args.rounds} rounds each")
+    else:
+        print(f"{len(old.pairs)} acts_like pairs and "
+              f"{len(old.glued) * len(old.gens)} apply calls a pass, "
+              f"{args.rounds} rounds each")
+    for k, label in enumerate(old.labels):
         t_old = [t[k] for t in old.times]
         med_old, med_new = (statistics.median(t_old),
                             statistics.median(t[k] for t in new.times))
@@ -120,6 +168,14 @@ def main(argv=None) -> int:
               f"{med_new:.4f} s, ratio {med_new / med_old:.3f} (median "
               f"of pair ratios {pairs:.3f}), old IQR "
               f"{(q3 - q1) / med_old:.3f} of its median")
+    if args.command is not None:
+        if differ:
+            print("exit codes or JSON reports DIFFER")
+            return 1
+        print(f"exit code {first_old[0]} and JSON reports identical in "
+              "every round")
+        return 0
+    (v_old, im_old), (v_new, im_new) = first_old, first_new
     print("apply images", "identical" if im_old == im_new else "DIFFER")
     if v_old != v_new:
         print(f"acts_like verdicts differ: old {v_old}, new {v_new}")

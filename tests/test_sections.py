@@ -203,6 +203,40 @@ def test_tampered_c_flags_caprime():
     assert "order_Caprime" in failed
 
 
+@pytest.mark.parametrize("params", [(7, 1, 2, 1, 2, 6), (2, 3, 3, 1, 3, 8)],
+                         ids=["a=3,b=2", "b'=3"])
+def test_partial_sections_are_built_once_per_context(params, monkeypatch):
+    # a repeated call returns the stored section; copies, through
+    # SectionContext.__copy__ or _with_witness, start with an empty memo,
+    # so what is set on a copy before its first section is what it reads
+    import copy
+    from autsplit.sections import _with_witness
+    ctx = SectionContext(*params[:5], prec=params[5])
+    builds = (section_Ca, section_Cb, section_Caprime, section_Cbprime)
+    made = {build: [build(ctx, j) for j in (1, 2, -1)] for build in builds}
+    inits = []
+    init = SemilinearAuto.__init__
+    monkeypatch.setattr(SemilinearAuto, "__init__",
+                        lambda self, *a, **k: inits.append(1) or init(
+                            self, *a, **k))
+    for build, fs in made.items():
+        assert all(f is g for f, g in zip(fs, [build(ctx, j)
+                                               for j in (1, 2, -1)]))
+        assert len({id(f) for f in fs}) == 3
+    assert inits == [] and len(ctx._sections) == 12
+    alt = copy.copy(ctx)
+    assert alt._sections == {} and len(ctx._sections) == 12
+    for build in builds:
+        assert build(alt, 1) is not build(ctx, 1)
+        assert acts_like(build(alt, 1), build(ctx, 1), ctx.generators())
+    assert len(ctx._sections) == 12
+    if ctx.b > 1:
+        y2 = ctx.y * subfield_generator(ctx.tower, ctx.i * ctx.d)
+        other = _with_witness(ctx, y2)
+        assert other._sections == {}
+        assert section_Cb(other, 1).inner is not section_Cb(ctx, 1).inner
+
+
 def test_verification_report_shape():
     rep = verify_section(CTX1, samples=2, seed=5)
     assert rep.all_passed is True

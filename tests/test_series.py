@@ -1,12 +1,14 @@
 import random
+from array import array
 from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from autsplit.gftower import (LOG_ZERO, FFElement, build_tower, frobenius,
-                              relative_norm, relative_trace, subfield_generator)
+from autsplit.gftower import (LOG_ZERO, FFElement, FieldTower, build_tower,
+                              frobenius, relative_norm, relative_trace,
+                              subfield_generator)
 from autsplit.series import (ApparentZero, BadResidue, DivideByApparentZero,
                              LaurentSeries, NotUniformiser,
                              PDividesExponent, SeriesMatrix,
@@ -232,6 +234,58 @@ def test_mul_loops_over_the_sparser_factor(monkeypatch):
 
 
 # -- windowed sums and products against the precision-sized kernels ---------
+
+# -- characteristic-2 hot loops over tables made on demand -------------------
+
+def on_demand_and_full(key):
+    """A fresh characteristic-2 tower, which makes its table entries as
+    they are read, and one of the same field with its full arrays."""
+    full = FieldTower(*key)
+    full._build_tables()
+    return FieldTower(*key), full
+
+
+def same_shape_as_full(full, op, *operands):
+    """shape(op(operands)) against op on the same logs over full."""
+    return shape(op(*operands)) == shape(op(*(
+        LaurentSeries(full, x.j, x.val, x.logs, x.prec) for x in operands)))
+
+
+def test_sums_and_products_that_miss_partway_match_full_tables():
+    # the hot loops read the plain-dict mirrors; a miss after earlier
+    # slots were already summed runs that sum again from a clean buffer
+    t, full = on_demand_and_full((2, 7, 3, 1))      # F_{2^7} in F_{2^21}
+    j, step, Q = 7, (t.q - 1) // (2 ** 7 - 1), t.q - 1
+    a = LaurentSeries(t, j, 0, [3 * step, 5 * step, 7 * step], 8)
+    b = LaurentSeries(t, j, 0, [11 * step, 13 * step, 17 * step], 8)
+    la, lb = a.logs[0], b.logs[0]
+    t._log[t._exp[la] ^ t._exp[lb]]          # slot 0 of a + b is made
+    t._exp[la + lb - Q]                      # the first pair of a * b too
+    assert a.logs[1] not in t._exp_fast
+    assert same_shape_as_full(full, LaurentSeries.__add__, a, b)
+    assert same_shape_as_full(full, LaurentSeries.__add__, b, a.shift(1))
+    assert same_shape_as_full(full, LaurentSeries.__mul__, a, b)
+    assert a.logs[1] in t._exp_fast and type(t._exp) is not array
+
+
+def test_a_rerun_that_builds_the_full_tables_matches_them():
+    # over F_{2^11} a product of two dense windows charges enough misses
+    # to build the full arrays partway through its rerun; over F_64 the
+    # first miss of a sum builds them
+    rng = random.Random(11)
+    t, full = on_demand_and_full((2, 11, 1, 1))
+    a, b = (LaurentSeries(t, 11, 0, random_window(t, 11, rng, 16, 1.0), 20)
+            for _ in range(2))
+    assert type(t._exp) is not array and not t._exp_fast
+    assert same_shape_as_full(full, LaurentSeries.__mul__, a, b)
+    assert type(t._exp) is array and t._exp_fast is t._exp
+    assert t._log_fast is t._log
+    t, full = on_demand_and_full((2, 2, 3, 1))
+    a, b = (LaurentSeries(t, 2, 0, random_window(t, 2, rng, 6, 1.0), 8)
+            for _ in range(2))
+    assert same_shape_as_full(full, LaurentSeries.__add__, a, b)
+    assert type(t._exp) is array and t._exp_fast is t._exp
+
 
 def reference_add(a, b):
     """The sum as the kernel once took it: a buffer of prec - lo slots,
@@ -509,6 +563,68 @@ def test_substitute_below_precision_zero():
     expected = horner_substitute(s, target)
     assert shape(expected) == (-6, (), -6)
     assert shape(substitute(s, target)) == shape(expected)
+
+
+def two_step_substitute(s, target):
+    """substitute as composed before the one-window form: the unit part
+    composed at P = min(s.prec, target.prec), times target ** val, and
+    truncated to P."""
+    prec = min(s.prec, target.prec)
+    res = substitute(LaurentSeries(s.tower, s.j, 0, s.logs, prec), target)
+    if s.val:
+        res = res * target ** s.val
+    return res.truncate(min(res.prec, prec))
+
+
+@pytest.mark.parametrize("tower,j", [(T4, 2), (T3, 2)], ids=["p2", "p3"])
+def test_one_window_substitution_matches_the_two_step_formula(tower, j):
+    # a valuation v >= 1 is composed as one window with v leading zeros;
+    # its (val, logs, prec) is that of the unit part times target ** v
+    rng = random.Random(70 + tower.p)
+    cases = []
+    for v in range(-2, 4):
+        for length in (1, 2, 5, 11, 37):                # 1: s = c*T^v
+            s = LaurentSeries(tower, j, v, random_window(
+                tower, j, rng, length, 0.6), v + length + rng.randrange(3))
+            for t_prec in {2, 3, 4, 8, s.prec - 1, s.prec, s.prec + 5}:
+                if t_prec >= 2:
+                    cases.append((s, sample_target(tower, j, rng, t_prec,
+                                                   t_prec)))
+        if v < 0:                   # s known only to T^0 or below: P <= 0
+            for s_prec in range(v + 1, 1):
+                s = LaurentSeries(tower, j, v, random_window(
+                    tower, j, rng, s_prec - v, 0.6), s_prec)
+                cases.append((s, sample_target(tower, j, rng, 9, 9)))
+    seen = set()
+    for s, target in cases:
+        prec = min(s.prec, target.prec)
+        seen.add((s.val, prec <= s.val, prec <= 0, target.prec < s.prec,
+                  len(s.logs) == 1))
+        assert shape(substitute(s, target)) == \
+            shape(two_step_substitute(s, target)), (s, target)
+    assert {v for v, *_ in seen} == set(range(-2, 4))
+    positive = [flags for flags in seen if flags[0] >= 1]
+    assert any(at_or_below for _, at_or_below, *_ in positive)     # P <= v
+    assert any(lower for *_, lower, _ in positive)     # target.prec < s.prec
+    assert any(monomial for *_, monomial in positive)
+    assert any(nonpositive for _, _, nonpositive, *_ in seen)      # P <= 0
+
+
+def test_a_one_term_image_takes_no_product(monkeypatch):
+    # c*T maps to c*t: composed as the window (0, c) it would build the
+    # baby power t^2, a full product for odd p
+    rng = random.Random(3)
+    target = sample_target(T3, 2, rng, 20, 20)
+    c = subfield_generator(T3, 2) ** 5
+    s = LaurentSeries.from_pairs(T3, 2, [(1, c)], 30)
+    products = []
+    mul = LaurentSeries.__mul__
+    monkeypatch.setattr(LaurentSeries, "__mul__",
+                        lambda a, b: products.append(1) or mul(a, b))
+    image = substitute(s, target)
+    assert products == []
+    monkeypatch.undo()
+    assert shape(image) == shape(two_step_substitute(s, target))
 
 
 # -- composition split by the exponent mod p ---------------------------------
