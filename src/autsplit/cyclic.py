@@ -130,7 +130,14 @@ class AlgebraElement:
         self.comps = comps
 
     def is_zero(self) -> bool:
-        return not any(c.logs for c in self.comps)
+        """Exactly zero mod T^alg.prec: no component has a term, and every
+        one is known to at least alg.prec.  A zero known only to T^k,
+        k < alg.prec, is not: its products keep that O(T^k)."""
+        prec = self.alg.prec
+        for c in self.comps:
+            if c.logs or c.prec < prec:
+                return False
+        return True
 
     def __add__(self, other: AlgebraElement) -> AlgebraElement:
         return AlgebraElement(self.alg, tuple(a + b for a, b in
@@ -140,7 +147,8 @@ class AlgebraElement:
         """Every component of a product is known to at most alg.prec: the
         sum of its terms capped there, or alg.zero_series.
 
-        Only the nonzero components of both factors take part, so a
+        Only the components of both factors that are not exact zeros (a
+        component with no terms known to alg.prec is one) take part, so a
         product of two scalars is one series product whatever d is.  A
         factor shaped like 1 (``_one_prec``: 1 + O(T^P1) with P1 >=
         alg.prec, every other component without terms) takes no series
@@ -160,10 +168,11 @@ class AlgebraElement:
                 zero if not c.logs
                 else c if c.prec <= min(one + c.val, prec)
                 else c.truncate(min(one + c.val, prec)) for c in rest))
-        right = [(t, yt) for t, yt in enumerate(other.comps) if yt.logs]
+        right = [(t, yt) for t, yt in enumerate(other.comps)
+                 if yt.logs or yt.prec < prec]
         out = [None] * d
         for s, xs in enumerate(self.comps):
-            if not xs.logs:
+            if not xs.logs and xs.prec >= prec:
                 continue
             for t, yt in right:
                 term = (frobenius_coeffwise(xs, i * t) if t else xs) * yt
@@ -237,20 +246,15 @@ class AlgebraMatrix:
 
     A position missing from its row holds the algebra's zero, alg.zero().
     Neither a matrix nor its entries are mutated after construction, so
-    ``nonzero()`` finds the entries with a term once and keeps them.  An
-    entry of a product sums a_sk * b_kt over the pairs of ``nonzero()``
-    entries, and is missing when there is no such pair.  That is the
-    dense schoolbook formula, value and precision alike, with one
-    exception: a factor that is a zero known only to T^k, k < alg.prec
-    (no terms, as ``is_zero`` reads it), is skipped like an exact zero.
-    Its pair with a factor of valuation v would put O(T^(k + v)) into the
-    schoolbook sum; skipped, the entry can claim more precision than the
-    schoolbook one.  ``AlgebraElement.__mul__`` skips a component with no
-    terms in the same way.  A product of algebra elements is already
-    known to at most alg.prec, so its sum needs no zero accumulator to be
-    capped there.  An entry that cancels to zero keeps the precision its
-    sum reached and stays stored: equality compares at the lower precision
-    of the two sides, so dropping it would compare at alg.prec instead.
+    ``nonzero()`` finds the entries that are not ``is_zero`` once and
+    keeps them.  An entry of a product sums a_sk * b_kt over the pairs of
+    ``nonzero()`` entries, and is missing when there is no such pair.
+    That is the dense schoolbook formula, value and precision alike.  A
+    product of algebra elements is already known to at most alg.prec, so
+    its sum needs no zero accumulator to be capped there.  An entry that
+    cancels to zero keeps the precision its sum reached and stays stored:
+    equality compares at the lower precision of the two sides, so
+    dropping it would compare at alg.prec instead.
     ``rows`` is a dense read-only view.
     """
 
@@ -269,7 +273,8 @@ class AlgebraMatrix:
                      for row in self.entries)
 
     def nonzero(self) -> tuple[list[tuple[int, AlgebraElement]], ...]:
-        """Per row, the (column, entry) pairs whose entry has a term."""
+        """Per row, the (column, entry) pairs whose entry is not
+        ``is_zero``."""
         if self._nonzero is None:
             self._nonzero = tuple(_nonzero_pairs(row.items())
                                   for row in self.entries)
@@ -323,7 +328,7 @@ class AlgebraMatrix:
 
 def _nonzero_pairs(pairs: Iterable[tuple[int, AlgebraElement]]
                    ) -> list[tuple[int, AlgebraElement]]:
-    """The (column, entry) pairs whose entry has a term."""
+    """The (column, entry) pairs whose entry is not ``is_zero``."""
     return [(t, e) for t, e in pairs if not e.is_zero()]
 
 

@@ -384,47 +384,21 @@ def _split_frobenius(ctx: SectionContext, e: int) -> tuple[int, int]:
 # Verification
 # ----------------------------------------------------------------------
 
-@dataclass
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str = ""
-
-    def to_dict(self):
-        return {"name": self.name, "passed": self.passed, "detail": self.detail}
-
-
-@dataclass
-class VerificationReport:
-    context: dict
-    checks: list[CheckResult] = field(default_factory=list)
-
-    def add(self, name: str, passed: bool, detail: str = ""):
-        self.checks.append(CheckResult(name, bool(passed), detail))
-
-    @property
-    def all_passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def lines(self):
-        for c in self.checks:
-            status = "pass" if c.passed else "FAIL"
-            suffix = f"  [{c.detail}]" if c.detail else ""
-            yield f"{status}  {c.name}{suffix}"
-
-
 # raised while the sides of a check are built or compared, these fail that
 # check instead of ending the verification
 CONSTRUCTION_FAILURES = (AdmissibilityFailure, DecompositionFailure,
                          PrecisionExhausted)
 
 
-class _Tally:
+@dataclass
+class CheckResult:
     """The verdict of one check over its trials; a trial that raises one of
-    CONSTRUCTION_FAILURES fails, and the first such exception is kept."""
-
-    def __init__(self):
-        self.passed, self.error = True, ""
+    CONSTRUCTION_FAILURES fails, and the first such exception is kept.  The
+    detail is the note, then that exception."""
+    name: str
+    note: str = ""
+    passed: bool = True
+    error: str = ""
 
     def holds(self, trial):
         try:
@@ -436,8 +410,36 @@ class _Tally:
         self.passed = False
         self.error = self.error or f"{type(exc).__name__}: {exc}"
 
-    def detail(self, note: str = "") -> str:
-        return "; ".join(filter(None, (note, self.error)))
+    @property
+    def detail(self) -> str:
+        return "; ".join(filter(None, (self.note, self.error)))
+
+    def to_dict(self):
+        return {"name": self.name, "passed": self.passed, "detail": self.detail}
+
+
+@dataclass
+class VerificationReport:
+    context: dict
+    checks: list[CheckResult] = field(default_factory=list)
+
+    def check(self, name: str, trials=(), note: str = "") -> CheckResult:
+        """Append the check called name and run its trials."""
+        result = CheckResult(name, note)
+        self.checks.append(result)
+        for trial in trials:
+            result.holds(trial)
+        return result
+
+    @property
+    def all_passed(self) -> bool:
+        return all(c.passed for c in self.checks)
+
+    def lines(self):
+        for c in self.checks:
+            status = "pass" if c.passed else "FAIL"
+            suffix = f"  [{c.detail}]" if c.detail else ""
+            yield f"{status}  {c.name}{suffix}"
 
 
 def _random_image(ctx: SectionContext, rng: random.Random,
@@ -485,11 +487,7 @@ def verify_section(ctx: SectionContext, samples: int,
     eq = lambda f1, f2: acts_like(f1, f2, gens)
     triv = lambda f: acts_trivially(f, gens)
 
-    def check(name, trials, note=""):
-        tally = _Tally()
-        for trial in trials:
-            tally.holds(trial)
-        rep.add(name, tally.passed, tally.detail(note))
+    check = rep.check
 
     # partial-section orders ------------------------------------------------
     check("z_power_a_is_1", [lambda: (ctx.z ** ctx.a).log == 0], f"a={ctx.a}")
@@ -571,7 +569,9 @@ def verify_section(ctx: SectionContext, samples: int,
               section_J(ctx, compose_auto(be, al))) for al, be in pairs])
 
     # glued section: homomorphism law and section property
-    hom, sec = _Tally(), _Tally()
+    note = "" if samples else "vacuous (no samples)"
+    hom = check("glue_homomorphism", note=note)
+    sec = check("glue_section_property", note=note)
     for _ in range(samples):
         al = random_k_auto(ctx, rng)
         be = random_k_auto(ctx, rng)
@@ -584,9 +584,6 @@ def verify_section(ctx: SectionContext, samples: int,
         sec.holds(lambda: restrict_auto(g_al.alphaE, ctx.i) == al)
         hom.holds(lambda: eq(compose_semilinear(g_al, glue_section(ctx, be)),
                              glue_section(ctx, compose_auto(al, be))))
-    note = "" if samples else "vacuous (no samples)"
-    rep.add("glue_homomorphism", hom.passed, hom.detail(note))
-    rep.add("glue_section_property", sec.passed, sec.detail(note))
 
     # independence of the Hilbert-90 witness
     if ctx.b > 1:
@@ -596,7 +593,7 @@ def verify_section(ctx: SectionContext, samples: int,
               [lambda j=j: eq(section_Cb(ctx, j), section_Cb(alt, j))
                for j in jb or [1]])
     else:
-        rep.add("y_independence", True, "vacuous (b = 1)")
+        check("y_independence", note="vacuous (b = 1)")
     return rep
 
 

@@ -1,12 +1,14 @@
-"""Time a kernel, or one command line, of two source trees in one process.
+"""Compare two source trees in one process: the time of a kernel or of one
+command line, or every report of the verdict grid.
 
     python tests/kernel_ab.py OLD_SRC NEW_SRC [--rounds 41] [--samples 6]
     python tests/kernel_ab.py OLD_SRC NEW_SRC --command "AUTSPLIT ARGV"
+    python tests/kernel_ab.py OLD_SRC NEW_SRC --grid
 
 Each tree's ``autsplit`` package is imported under its own name, so the
 two run side by side.
 
-Without --command, each builds the same glued sections of one
+Without --command or --grid, each builds the same glued sections of one
 ``SectionContext`` (default (p, i, d, r, n) = (2, 2, 3, 2, 6) at prec 32,
 the synth-wide shape): for ``--samples`` pairs of random automorphisms
 alpha, beta of K, the pair g(alpha) o g(beta), g(alpha beta) that the
@@ -24,13 +26,23 @@ With --command, a round is one call of the tree's ``cli.main`` on
 ``acts_like`` pass does not reach).  The script exits 1 when the exit
 codes or the JSON reports of the two trees differ in any round.
 
-After one untimed round each, the trees take turns, the first tree
-alternating.  For each kind of pass the script prints both medians, the
-ratio NEW/OLD of the medians, the median of the per-round ratios, and
-the interquartile range of the OLD passes relative to their median.
-Timings of one command in fresh processes spread by about a third on a
-2-vCPU VM, while ratios taken in one process stay within a few percent.
-Pytest does not collect this file.
+With --grid, each tree runs ``section synth`` once on every input of the
+verdict grid, untimed: p in {2, 3, 5, 7}, i <= 3, d in {2, 3} with
+gcd(d, p) = 1, b the d-part of p^i - 1 with p^(idb) <= 2^14,
+1 <= r <= 2d + 1 with r prime to d, n in {1, 2, 3, 4, 6} and prec in
+{2, 3, 4, 5, 8}, each with ``--samples 6 --seed 1``: 525 inputs, 135 of
+them non-split (exit 1 in any tree).  The script prints each tree's
+tally of exit codes and every input whose exit code or JSON report
+differs, as ``OLD_CODE -> NEW_CODE  ARGV``, and exits 1 when one does.
+The two trees take about 20 s together on a 2-vCPU VM.
+
+In the timed modes, after one untimed round each, the trees take turns,
+the first tree alternating.  For each kind of pass the script prints both
+medians, the ratio NEW/OLD of the medians, the median of the per-round
+ratios, and the interquartile range of the OLD passes relative to their
+median.  Timings of one command in fresh processes spread by about a
+third on a 2-vCPU VM, while ratios taken in one process stay within a
+few percent.  Pytest does not collect this file.
 """
 
 from __future__ import annotations
@@ -45,6 +57,7 @@ import shlex
 import statistics
 import sys
 from contextlib import redirect_stdout
+from math import gcd
 from pathlib import Path
 from time import perf_counter
 
@@ -100,18 +113,68 @@ class CommandSide:
 
     def __init__(self, src, name, argv):
         self.cli, = load(src, name, "cli")
-        self.argv = ["--output", "json", *argv]
+        self.argv = argv
         self.times = []
 
     def run(self):
         """One timed call: (exit code, standard output)."""
-        buf = io.StringIO()
         gc.collect()
         start = perf_counter()
-        with redirect_stdout(buf):
-            code = self.cli.main(self.argv)
+        out = report(self.cli, self.argv)
         self.times.append((perf_counter() - start,))
-        return code, buf.getvalue()
+        return out
+
+
+def report(cli, argv):
+    """(exit code, standard output) of ``cli.main`` on --output json and
+    argv."""
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        code = cli.main(["--output", "json", *argv])
+    return code, buf.getvalue()
+
+
+def grid() -> list[list[str]]:
+    """The ``section synth`` argument lists of the verdict grid, in order."""
+    out = []
+    for p in (2, 3, 5, 7):
+        for i in (1, 2, 3):
+            for d in (2, 3):
+                if gcd(d, p) != 1:
+                    continue
+                b, m = 1, p ** i - 1        # b: the d-part of m, d prime
+                while m % d == 0:
+                    b, m = b * d, m // d
+                if p ** (i * d * b) > 2 ** 14:
+                    continue
+                for r in range(1, 2 * d + 2):
+                    if gcd(r, d) != 1:
+                        continue
+                    for n in (1, 2, 3, 4, 6):
+                        for prec in (2, 3, 4, 5, 8):
+                            out.append([
+                                "section", "synth", "--p", str(p), "--i",
+                                str(i), "--d", str(d), "--r", str(r), "--n",
+                                str(n), "--prec", str(prec), "--samples", "6",
+                                "--seed", "1"])
+    return out
+
+
+def compare_grid(trees) -> int:
+    """Every grid input once in each tree; exit code 1 when one differs."""
+    argvs, runs = grid(), []
+    for src, name in trees:
+        cli, = load(src, name, "cli")
+        runs.append([report(cli, argv) for argv in argvs])
+        codes = [code for code, _ in runs[-1]]
+        print(f"{name.split('_')[1]}: {len(codes)} inputs: " + ", ".join(
+            f"{codes.count(c)} exit {c}" for c in sorted(set(codes))))
+    moved = [(a[0], b[0], argv) for a, b, argv in zip(*runs, argvs)
+             if a != b]
+    for a, b, argv in moved:
+        print(f"{a} -> {b}  {' '.join(argv)}")
+    print(f"{len(moved)} inputs differ in exit code or JSON report")
+    return 1 if moved else 0
 
 
 def matrix_form(m):
@@ -131,11 +194,18 @@ def main(argv=None) -> int:
     ap.add_argument("--params", default="2,2,3,2,6",
                     help="p,i,d,r,n of the section context")
     ap.add_argument("--prec", type=int, default=32)
-    ap.add_argument("--command",
-                    help="time this autsplit command line instead of the "
-                         "comparison kernel")
+    mode = ap.add_mutually_exclusive_group()
+    mode.add_argument("--command",
+                      help="time this autsplit command line instead of the "
+                           "comparison kernel")
+    mode.add_argument("--grid", action="store_true",
+                      help="compare every report of the verdict grid")
     args = ap.parse_args(argv)
+    if args.rounds < 1:
+        ap.error("--rounds must be at least 1")
     trees = ((args.old, "autsplit_old"), (args.new, "autsplit_new"))
+    if args.grid:
+        return compare_grid(trees)
     if args.command is not None:
         old, new = (CommandSide(src, name, shlex.split(args.command))
                     for src, name in trees)
@@ -161,7 +231,8 @@ def main(argv=None) -> int:
         t_old = [t[k] for t in old.times]
         med_old, med_new = (statistics.median(t_old),
                             statistics.median(t[k] for t in new.times))
-        q1, _, q3 = statistics.quantiles(t_old, n=4)
+        q1, _, q3 = (statistics.quantiles(t_old, n=4) if len(t_old) > 1
+                     else (med_old,) * 3)   # one round has no spread
         pairs = statistics.median(b[k] / a[k] for a, b in
                                   zip(old.times, new.times))
         print(f"{label:9}: old median {med_old:.4f} s, new median "

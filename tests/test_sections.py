@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -189,6 +190,45 @@ def test_verify_section_passes_small():
     assert rep.all_passed, [c.name for c in rep.checks if not c.passed]
     rep = verify_section(CTX4, samples=4, seed=0)
     assert rep.all_passed, [c.name for c in rep.checks if not c.passed]
+
+
+def quotient_elements(ctx):
+    """Every automorphism ``random_k_auto`` can draw: a unit lead zeta^k, a
+    tail in F_{p^i} at T^2 ... T^(prec-1) and a Frobenius power below i."""
+    field = [None] + [ctx.zeta ** k for k in range(ctx.p ** ctx.i - 1)]
+    out = []
+    for lead in field[1:]:
+        for tail in itertools.product(field, repeat=ctx.prec - 2):
+            pairs = [(1, lead)] + [(k, c) for k, c in enumerate(tail, 2)
+                                   if c is not None]
+            img = LaurentSeries.from_pairs(ctx.tower, ctx.i, pairs, ctx.prec)
+            out.extend(LocalFieldAuto(ctx.tower, ctx.i, e, img)
+                       for e in range(ctx.i))
+    return out
+
+
+@pytest.mark.parametrize("params, prec, count", [
+    ((2, 1, 3, 1, 3), 4, 4), ((3, 1, 2, 1, 2), 3, 6),
+    ((2, 2, 3, 1, 3), 3, 24), ((2, 3, 3, 1, 3), 2, 21)],
+    ids=["2,1,3,1,3", "3,1,2,1,2", "2,2,3,1,3", "2,3,3,1,3"])
+def test_glued_section_on_the_whole_quotient(params, prec, count):
+    # the finite quotient of Aut(K) the verifier samples from, all of it:
+    # the glued section is a section on every element and a homomorphism
+    # on every ordered pair.  (2,3,3,1,3) at prec 2 failed 252 of its 441
+    # pairs while an algebra product skipped a zero known only to T^k,
+    # k < prec, like an exact zero
+    ctx = SectionContext(*params, prec=prec)
+    gens = ctx.generators()
+    autos = quotient_elements(ctx)
+    assert len(autos) == count
+    glued = [glue_section(ctx, al) for al in autos]
+    assert all(restrict_auto(g.alphaE, ctx.i) == al
+               for al, g in zip(autos, glued))
+    failed = sum(not acts_like(compose_semilinear(g_al, g_be),
+                               glue_section(ctx, compose_auto(al, be)), gens)
+                 for al, g_al in zip(autos, glued)
+                 for be, g_be in zip(autos, glued))
+    assert failed == 0, f"{failed} of {count ** 2} pairs"
 
 
 def test_tampered_c_flags_caprime():
