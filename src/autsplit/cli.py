@@ -32,26 +32,14 @@ from .sections import SectionContext, verify_section
 from .series import DEFAULT_PREC, LaurentSeries
 
 
-def positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
-
-
-def series_prec(text: str) -> int:
-    """A precision N at which T is representable mod T^N: N >= 2."""
-    value = int(text)
-    if value < 2:
-        raise argparse.ArgumentTypeError(f"must be at least 2, got {value}")
-    return value
-
-
-def nonnegative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
-    return value
+def at_least(k: int):
+    """The argument type of an integer that is at least k."""
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < k:
+            raise argparse.ArgumentTypeError(f"must be at least {k}, got {value}")
+        return value
+    return integer
 
 
 def parse_series(text: str, tower, j: int, prec: int) -> LaurentSeries:
@@ -262,33 +250,33 @@ def build_parser() -> argparse.ArgumentParser:
 
     pb = sub.add_parser("brauer", help="Brauer class arithmetic")
     pb.add_argument("op", choices=("inv", "wedderburn", "basechange"))
-    pb.add_argument("--d", type=positive_int, required=True)
+    pb.add_argument("--d", type=at_least(1), required=True)
     pb.add_argument("--r", type=int, required=True)
-    pb.add_argument("--m", type=positive_int, default=1)
+    pb.add_argument("--m", type=at_least(1), default=1)
     pb.set_defaults(func=_cmd_brauer)
 
     ps = sub.add_parser("split-check", help="splitting criteria")
     mode = ps.add_mutually_exclusive_group(required=True)
     mode.add_argument("--charp", action="store_true")
     mode.add_argument("--subfield", action="store_true")
-    ps.add_argument("--n", type=positive_int, required=True)
-    ps.add_argument("--d", type=positive_int, required=True)
-    ps.add_argument("--p", type=positive_int)
-    ps.add_argument("--i", type=positive_int)
-    ps.add_argument("--m", type=positive_int)
+    ps.add_argument("--n", type=at_least(1), required=True)
+    ps.add_argument("--d", type=at_least(1), required=True)
+    ps.add_argument("--p", type=at_least(1))
+    ps.add_argument("--i", type=at_least(1))
+    ps.add_argument("--m", type=at_least(1))
     ps.set_defaults(func=_cmd_split_check)
 
     pd = sub.add_parser("descent-form", help="descend SL_n(A(d,r)) to a subfield")
-    for flag, kind in (("--n", positive_int), ("--d", positive_int),
-                       ("--r", int), ("--m", positive_int)):
+    for flag, kind in (("--n", at_least(1)), ("--d", at_least(1)),
+                       ("--r", int), ("--m", at_least(1))):
         pd.add_argument(flag, type=kind, required=True)
     pd.set_defaults(func=_cmd_descent_form)
 
     pn = sub.add_parser("nrd", help="reduced norm of an algebra element")
-    for flag, kind in (("--p", positive_int), ("--i", positive_int),
-                       ("--d", positive_int), ("--r", int)):
+    for flag, kind in (("--p", at_least(1)), ("--i", at_least(1)),
+                       ("--d", at_least(1)), ("--r", int)):
         pn.add_argument(flag, type=kind, required=True)
-    pn.add_argument("--prec", type=positive_int, default=DEFAULT_PREC)
+    pn.add_argument("--prec", type=at_least(1), default=DEFAULT_PREC)
     pn.add_argument("--element", required=True,
                     help="semicolon-separated u-components, e.g. '1+T;T^-1'")
     pn.set_defaults(func=_cmd_nrd)
@@ -296,24 +284,24 @@ def build_parser() -> argparse.ArgumentParser:
     psec = sub.add_parser("section", help="splitting section synthesis")
     ssub = psec.add_subparsers(dest="section_op", required=True)
     psy = ssub.add_parser("synth")
-    for flag, kind in (("--p", positive_int), ("--i", positive_int),
-                       ("--d", positive_int), ("--r", int),
-                       ("--n", positive_int)):
+    for flag, kind in (("--p", at_least(1)), ("--i", at_least(1)),
+                       ("--d", at_least(1)), ("--r", int),
+                       ("--n", at_least(1))):
         psy.add_argument(flag, type=kind, required=True)
-    psy.add_argument("--prec", type=series_prec, default=str(DEFAULT_PREC),
+    psy.add_argument("--prec", type=at_least(2), default=str(DEFAULT_PREC),
                      help="work modulo T^PREC; at least 2 (default %(default)s)")
     psy.add_argument("--seed", type=int, default=0)
-    psy.add_argument("--samples", type=nonnegative_int, default=20)
+    psy.add_argument("--samples", type=at_least(0), default=20)
     psy.set_defaults(func=_cmd_section_synth)
 
     ph = sub.add_parser("hanke", help="degree-3 outer automorphism test")
-    ph.add_argument("--p", type=positive_int, required=True)
-    ph.add_argument("--i", type=positive_int, required=True)
+    ph.add_argument("--p", type=at_least(1), required=True)
+    ph.add_argument("--i", type=at_least(1), required=True)
     ph.add_argument("--r", type=int, default=1)
     ph.add_argument("--alpha", required=True, help="image of T, e.g. 'T+T^2'")
     ph.add_argument("--frob", type=int, default=0,
                     help="residue Frobenius power of alpha")
-    ph.add_argument("--prec", type=series_prec, default=str(DEFAULT_PREC),
+    ph.add_argument("--prec", type=at_least(2), default=str(DEFAULT_PREC),
                     help="work modulo T^PREC; at least 2 (default %(default)s)")
     ph.set_defaults(func=_cmd_hanke)
 

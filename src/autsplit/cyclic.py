@@ -26,26 +26,30 @@ Every matrix the sections build is diagonal, block diagonal or monomial,
 so an algebra matrix has one constructor, AlgebraMatrix(alg, entries),
 taking one {column: entry} dict per row: it stores only the entries
 given, and a product multiplies only the stored nonzero pairs, through
-one kernel, ``_row_times``.  ``SemilinearAuto.apply`` is the definition
-(g * phi~(M)) * g^-1 taken one row of g at a time through the same
-kernel.  The generators a comparison runs on form an additive spanning
-set: scalar matrices, I and the parts x*e_ab of the elementary matrices
-I + x*e_ab.  f is additive, so comparing f(I) and f(x*e_ab) compares
-f(I + x*e_ab).  Two kinds of work skip the products.  A scalar c*Id with
-c in K, such as zeta*Id and T*Id, is central: Int(g) fixes K pointwise,
-so f(c*Id) = alpha(c)*f(I), and once f(I) is compared the comparison
-reads alpha(c) alone (``acts_like``).  And a product with a factor shaped
-like 1, as phi(1) and the parts 1*e_ab give, copies the other factor's
-components at the precision the series product would give, without
-taking it (``AlgebraElement.__mul__``).
+one kernel, ``_row_times``.  phi~, phi applied entry by entry, is one
+pass, ``SemilinearAuto.entrywise``.  ``SemilinearAuto.apply`` is the
+definition (g * phi~(M)) * g^-1 taken one row of g at a time through the
+same kernel, and ``compose_semilinear`` forms g1 * phi1~(g2) and
+phi1~(g2^-1) * g1^-1 by matrix products.  The generators a comparison
+runs on form an additive spanning set: scalar matrices, I and the parts
+x*e_ab of the elementary matrices I + x*e_ab.  f is additive, so
+comparing f(I) and f(x*e_ab) compares f(I + x*e_ab).  Two kinds of work
+skip the products.  A scalar c*Id with c in K, such as zeta*Id and T*Id,
+is central: Int(g) fixes K pointwise, so f(c*Id) = alpha(c)*f(I), and
+once f(I) is compared the comparison reads alpha(c) alone
+(``acts_like``).  And a product with a factor shaped like 1, as phi(1)
+and the parts 1*e_ab give, copies the other factor's components at the
+precision the series product would give, without taking it
+(``AlgebraElement.__mul__``).
 
-The builders store one element object at many positions (a scalar
-matrix holds one object n times, and the generators share alg.one() and
-alg.u()), so phi~ maps each distinct stored object once: once per call,
-or once per side of a whole comparison, which keeps the generators alive
-while it runs.  These memos are local and keep nothing.  Series and
-elements are never mutated, so an algebra builds its zero series and its
-zero(), one() and u() once and every builder and product shares them.
+The builders store one element object at many positions (a scalar matrix
+holds one object n times, and the generators share alg.one() and
+alg.u()), so phi~ maps each distinct stored object once: once per
+``apply``, once for g2 and g2^-1 together in a composition, or once per
+side of a whole comparison, which keeps the generators alive while it
+runs.  These memos are local and keep nothing.  Series and elements are
+never mutated, so an algebra builds its zero series and its zero(),
+one() and u() once and every builder and product shares them.
 """
 
 from __future__ import annotations
@@ -53,7 +57,7 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from .autk import LocalFieldAuto, compose_auto
-from .gftower import FieldTower, subfield_generator
+from .gftower import FieldTower, NotInSubfield, subfield_generator
 from .series import (LaurentSeries, SeriesMatrix, frobenius_coeffwise,
                      series_in_subfield, unramified_norm)
 
@@ -378,8 +382,8 @@ class SemilinearAuto:
             if alphaE.j != alg.jE:
                 raise ValueError("alpha must be an automorphism of E")
             if not series_in_subfield(alphaE.image_of_T, alg.i):
-                raise ValueError("alpha must commute with sigma: its T-image "
-                                 "needs F_{p^i} coefficients")
+                raise NotInSubfield("alpha must commute with sigma: its "
+                                    "T-image needs F_{p^i} coefficients")
             Tr = LaurentSeries.T_power(alg.tower, alg.jE, alg.r, min(alg.prec, x.prec))
             lhs = unramified_norm(self.x, alg.i, alg.d)
             rhs = (alphaE(Tr) * LaurentSeries.T_power(
@@ -421,20 +425,17 @@ class SemilinearAuto:
                              else tw[j] * img)
         return AlgebraElement(alg, tuple(comps))
 
-    def apply(self, M: AlgebraMatrix, images: dict | None = None
-              ) -> AlgebraMatrix:
-        """f(M) = (g * phi~(M)) * g^(-1), one row of g at a time through
-        ``_row_times``: the products and sums of the two matrix products,
-        with the nonzero entries of g and g^-1 found once per matrix.
-
-        phi maps each distinct stored element object once, as in
-        ``apply_matrix_entrywise``.  ``images``, keyed by id(entry), is
-        that memo; a caller may pass one to share across calls, and then
-        keeps the matrices alive so that no id is reused while it lasts."""
-        if M.n != self.n:
-            raise ValueError("matrix size mismatch")
-        images = {} if images is None else images
-        mapped = []                 # row k: the nonzero (l, phi(M_kl))
+    def entrywise(self, M: AlgebraMatrix, images: dict
+                  ) -> list[list[tuple[int, AlgebraElement]]]:
+        """phi~(M), the one phi pass: per row k, the (l, phi(M_kl)) pairs
+        whose image is not ``is_zero``.  phi maps alg.zero() to itself, so
+        missing entries stay missing.  ``images``, keyed by id(entry), is
+        the memo through which each distinct stored element object is
+        mapped once: scalar, identity, staircase and constant block
+        matrices store one object n times, which costs one image.  A caller
+        that shares it across matrices keeps them alive while it lasts, so
+        that no id is reused."""
+        mapped = []
         for row in M.entries:
             pairs = []
             for l, e in row.items():
@@ -444,34 +445,39 @@ class SemilinearAuto:
                 if not img.is_zero():
                     pairs.append((l, img))
             mapped.append(pairs)
+        return mapped
+
+    def apply(self, M: AlgebraMatrix, images: dict | None = None
+              ) -> AlgebraMatrix:
+        """f(M) = (g * phi~(M)) * g^(-1), one row of g at a time through
+        ``_row_times``: the products and sums of the two matrix products,
+        with the nonzero entries of g and g^-1 found once per matrix.
+
+        phi~ is ``entrywise``, and ``images`` its memo; a caller may pass
+        one to share across calls."""
+        if M.n != self.n:
+            raise ValueError("matrix size mismatch")
+        mapped = self.entrywise(M, {} if images is None else images)
         inv = self.inner_inv.nonzero()
         return AlgebraMatrix(self.alg, [
             _row_times(_nonzero_pairs(_row_times(row, mapped).items()), inv)
             for row in self.inner.nonzero()])
 
-    def apply_matrix_entrywise(self, M: AlgebraMatrix) -> AlgebraMatrix:
-        """phi~(M), entry by entry.  phi maps alg.zero() to itself, so
-        missing entries stay missing.  Each distinct stored element object
-        is mapped once per call and its image stored at every position
-        that holds it: scalar, identity, staircase and constant block
-        matrices store one object n times, which costs one image."""
-        distinct = {id(e): e for row in M.entries for e in row.values()}
-        images = {k: self.apply_element(e) for k, e in distinct.items()}
-        return AlgebraMatrix(self.alg, [{t: images[id(e)] for t, e in
-                                         row.items()} for row in M.entries])
-
 
 def compose_semilinear(f1: SemilinearAuto, f2: SemilinearAuto) -> SemilinearAuto:
-    """f1 o f2: twists compose as x1 * alpha1(x2) over alpha1 o alpha2."""
+    """f1 o f2: twists compose as x1 * alpha1(x2) over alpha1 o alpha2, and
+    the inner parts as g1 * phi1~(g2) with inverse phi1~(g2^-1) * g1^-1,
+    with one phi1-memo for g2 and g2^-1."""
     if f1.alg is not f2.alg or f1.n != f2.n:
         raise ValueError("automorphisms act on different groups")
-    alg = f1.alg
-    inner = f1.inner * f1.apply_matrix_entrywise(f2.inner)
-    inner_inv = f1.apply_matrix_entrywise(f2.inner_inv) * f1.inner_inv
+    alg, images = f1.alg, {}
+    inner, inner_inv = (AlgebraMatrix(alg, [dict(pairs) for pairs in
+                                            f1.entrywise(m, images)])
+                        for m in (f2.inner, f2.inner_inv))
     alphaE = compose_auto(f1.alphaE, f2.alphaE)
     x = f1.x * f1.alphaE(f2.x)
-    return SemilinearAuto(alg, f1.n, inner, alphaE, x, inner_inv=inner_inv,
-                          check=False)
+    return SemilinearAuto(alg, f1.n, f1.inner * inner, alphaE, x,
+                          inner_inv=inner_inv * f1.inner_inv, check=False)
 
 
 def generator_matrices(alg: CyclicAlgebra, n: int) -> list[AlgebraMatrix]:

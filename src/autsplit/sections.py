@@ -40,9 +40,9 @@ from .brauer import d_part, non_split_witness, splits_globally_charp
 from .cyclic import (AdmissibilityFailure, AlgebraMatrix, CyclicAlgebra,
                      SemilinearAuto, acts_like, acts_trivially,
                      compose_semilinear, generator_matrices)
-from .gftower import (MAX_FIELD_SIZE, FFElement, Overflow, build_tower,
-                      exceeds_table_limit, frobenius, hilbert90_solve,
-                      relative_trace, subfield_generator)
+from .gftower import (MAX_FIELD_SIZE, FFElement, NotInSubfield, Overflow,
+                      build_tower, exceeds_table_limit, frobenius,
+                      hilbert90_solve, relative_trace, subfield_generator)
 from .series import LaurentSeries, PrecisionExhausted, hensel_root
 
 
@@ -61,7 +61,9 @@ class SectionContext:
     and kept, keyed by (kind, j) (see ``_memoised``), so a context is not
     mutated after its first section.  A variant is a copy: ``copy.copy``
     and ``_with_witness`` start with an empty memo, so attributes set on
-    the copy before its first section are what its sections read.
+    the copy before its first section are what its sections read.  No
+    generators are kept: ``generators()`` builds them on each call, and
+    the verifier calls it once.
     """
 
     def __init__(self, p: int, i: int, d: int, r: int, n: int, prec: int):
@@ -90,7 +92,6 @@ class SectionContext:
         self.algebra = CyclicAlgebra(self.tower, i, d, r, prec)
         self._init_z()
         self._init_embedding()
-        self._gens = None
         self._sections = {}
 
     def __copy__(self) -> SectionContext:
@@ -171,8 +172,10 @@ class SectionContext:
         return self._repeat([{t_: scalars[c.log] for t_, c in enumerate(row) if c}
                              for row in blocks], copies)
 
-    def staircase_matrix(self, values: list) -> AlgebraMatrix:
-        """diag over n/(b*b') copies of diag(v_0 Id_b, ..., v_{b'-1} Id_b)."""
+    def staircase_matrix(self, power) -> AlgebraMatrix:
+        """diag over n/(b*b') copies of diag(v_0 Id_b, ..., v_{b'-1} Id_b),
+        v_k the scalar power(k)."""
+        values = [self.algebra.scalar(power(k)) for k in range(self.b2)]
         rows = [{k: v} for k, v in
                 enumerate(x for x in values for _ in range(self.b))]
         return self._repeat(rows, self.n // (self.b * self.b2))
@@ -187,9 +190,7 @@ class SectionContext:
         return self._repeat(rows, self.n // m)
 
     def generators(self):
-        if self._gens is None:
-            self._gens = generator_matrices(self.algebra, self.n)
-        return self._gens
+        return generator_matrices(self.algebra, self.n)
 
     def descriptor(self) -> dict:
         return {"p": self.p, "i": self.i, "d": self.d, "r": self.r,
@@ -237,6 +238,16 @@ def _memoised(build):
     return section
 
 
+def _section(ctx: SectionContext, alphaE: LocalFieldAuto,
+             twist: LaurentSeries, inner=None) -> SemilinearAuto:
+    """The partial section over alphaE with this twist: inner(1) is its
+    inner part and inner(-1) that part's inverse; None is the identity."""
+    if inner is None:
+        return SemilinearAuto(ctx.algebra, ctx.n, None, alphaE, twist)
+    return SemilinearAuto(ctx.algebra, ctx.n, inner(1), alphaE, twist,
+                          inner_inv=inner(-1))
+
+
 def section_J(ctx: SectionContext, alpha: LocalFieldAuto) -> SemilinearAuto:
     """Section on the inertia group J(K).
 
@@ -249,37 +260,24 @@ def section_J(ctx: SectionContext, alpha: LocalFieldAuto) -> SemilinearAuto:
     ratio = (alpha.image_of_T * LaurentSeries.T_power(t, ctx.i, -1, ctx.prec)) \
         ** ctx.r
     x_alpha = hensel_root(ratio, ctx.d * ctx.b2)
-    alg = ctx.algebra
-    alphaE = extend_auto(alpha, ctx.jE)
-    twist = (x_alpha ** ctx.b2).with_subfield(ctx.jE)
-    if ctx.b2 == 1:
-        return SemilinearAuto(alg, ctx.n, None, alphaE, twist)
-
-    def inner(e):
-        return ctx.staircase_matrix([
-            alg.scalar((x_alpha ** (e * k)).with_subfield(ctx.jE))
-            for k in range(ctx.b2)])
-    return SemilinearAuto(alg, ctx.n, inner(1), alphaE, twist,
-                          inner_inv=inner(-1))
+    # for b' = 1 the identity: the staircase x_alpha^0 Id is known only to
+    # T^(prec-1)
+    inner = None if ctx.b2 == 1 else lambda e: ctx.staircase_matrix(
+        lambda k: x_alpha ** (e * k))
+    return _section(ctx, extend_auto(alpha, ctx.jE),
+                    (x_alpha ** ctx.b2).with_subfield(ctx.jE), inner)
 
 
 @_memoised
 def section_Ca(ctx: SectionContext, j: int) -> SemilinearAuto:
     """Section on C_a = <ev(zeta^b T)>: inner diag of z-powers, twist z^(b'j)."""
-    alg = ctx.algebra
-    scalar = ctx.zeta ** (ctx.b * j)
-    alphaE = extend_auto(LocalFieldAuto.ev(scalar, ctx.i, ctx.prec), ctx.jE)
+    alphaE = extend_auto(LocalFieldAuto.ev(ctx.zeta ** (ctx.b * j), ctx.i,
+                                           ctx.prec), ctx.jE)
     twist = LaurentSeries.constant(ctx.z ** (ctx.b2 * j), ctx.jE, ctx.prec)
-    if ctx.z.log == 0:
-        return SemilinearAuto(alg, ctx.n, None, alphaE, twist)
-
-    def inner(e):
-        return ctx.staircase_matrix([
-            alg.scalar(LaurentSeries.constant(ctx.z ** (e * k), ctx.jE,
-                                              ctx.prec))
-            for k in range(ctx.b2)])
-    return SemilinearAuto(alg, ctx.n, inner(j), alphaE, twist,
-                          inner_inv=inner(-j))
+    inner = None if ctx.z.log == 0 else lambda e: ctx.staircase_matrix(
+        lambda k: LaurentSeries.constant(ctx.z ** (e * j * k), ctx.jE,
+                                         ctx.prec))
+    return _section(ctx, alphaE, twist, inner)
 
 
 @_memoised
@@ -288,17 +286,12 @@ def section_Cb(ctx: SectionContext, j: int) -> SemilinearAuto:
 
     The inner part repeats the embedded image of y^(-j) and the twist is
     (F^i(y)/y)^j, whose unramified norm is zeta^(arj)."""
-    alg = ctx.algebra
-    scalar = ctx.zeta ** (ctx.a * j)
-    alphaE = extend_auto(LocalFieldAuto.ev(scalar, ctx.i, ctx.prec), ctx.jE)
+    alphaE = extend_auto(LocalFieldAuto.ev(ctx.zeta ** (ctx.a * j), ctx.i,
+                                           ctx.prec), ctx.jE)
     twist = LaurentSeries.constant(ctx.x_hat ** j, ctx.jE, ctx.prec)
-    if ctx.b == 1:
-        return SemilinearAuto(alg, ctx.n, None, alphaE, twist)
-
-    def inner(e):
-        return ctx.const_matrix(ctx.phi(ctx.y ** e), ctx.n // ctx.b)
-    return SemilinearAuto(alg, ctx.n, inner(-j), alphaE, twist,
-                          inner_inv=inner(j))
+    inner = None if ctx.b == 1 else lambda e: ctx.const_matrix(
+        ctx.phi(ctx.y ** (-e * j)), ctx.n // ctx.b)
+    return _section(ctx, alphaE, twist, inner)
 
 
 @_memoised
@@ -306,11 +299,10 @@ def section_Caprime(ctx: SectionContext, j: int) -> SemilinearAuto:
     """Section on C_a' = <F^(b') restricted to K>: F^(b'j) extends to E as
     F^(j(ci + b')) with trivial twist; c*a' + 1 = 0 mod d makes the a'-th
     power act trivially."""
-    alg, t = ctx.algebra, ctx.tower
-    e = j * (ctx.c * ctx.i + ctx.b2)
-    alphaE = LocalFieldAuto.frobenius_power(t, ctx.jE, e, ctx.prec)
-    one = LaurentSeries.one(t, ctx.jE, ctx.prec)
-    return SemilinearAuto(alg, ctx.n, None, alphaE, one)
+    alphaE = LocalFieldAuto.frobenius_power(
+        ctx.tower, ctx.jE, j * (ctx.c * ctx.i + ctx.b2), ctx.prec)
+    return _section(ctx, alphaE, LaurentSeries.one(ctx.tower, ctx.jE,
+                                                   ctx.prec))
 
 
 @_memoised
@@ -321,30 +313,37 @@ def section_Cbprime(ctx: SectionContext, j: int) -> SemilinearAuto:
     The formula is used unreduced: the b'-th power composite
     intaut(u*Id) phi~(F^i, 1) is the trivial automorphism, which the
     order check verifies rather than assumes."""
-    alg, t = ctx.algebra, ctx.tower
-    alphaE = LocalFieldAuto.frobenius_power(t, ctx.jE, ctx.a2 * j, ctx.prec)
-    one = LaurentSeries.one(t, ctx.jE, ctx.prec)
+    alg = ctx.algebra
+    alphaE = LocalFieldAuto.frobenius_power(ctx.tower, ctx.jE, ctx.a2 * j,
+                                            ctx.prec)
     W = ctx.matrix_w()
     u_inv_mat = AlgebraMatrix.scalar_matrix(alg.u_power(-1), ctx.n)
     W_inv = (W ** (ctx.b2 - 1)) * u_inv_mat if ctx.b2 > 1 else u_inv_mat
-    k = j % ctx.b2
-    extra = (j - k) // ctx.b2
-    # W^j = (u Id)^extra W^k; keep the u-power explicit so negative j and
-    # large j stay cheap and exact
-    Wj = W ** k
-    Wj_inv = W_inv ** k
-    if extra:
-        Wj = Wj * AlgebraMatrix.scalar_matrix(alg.u_power(extra), ctx.n)
-        Wj_inv = AlgebraMatrix.scalar_matrix(alg.u_power(-extra), ctx.n) \
-            * Wj_inv
-    return SemilinearAuto(alg, ctx.n, Wj, alphaE, one, inner_inv=Wj_inv)
+    # W^j = W^k (u Id)^extra and W^-j = (u Id)^-extra W^-k, j = b'*extra
+    # + k: the u-power stays explicit, so negative and large j stay cheap
+    # and exact
+    extra, k = divmod(j, ctx.b2)
+
+    def inner(e):
+        Wk = (W if e == 1 else W_inv) ** k
+        if not extra:
+            return Wk
+        u = AlgebraMatrix.scalar_matrix(alg.u_power(e * extra), ctx.n)
+        return Wk * u if e == 1 else u * Wk
+    return _section(ctx, alphaE, LaurentSeries.one(ctx.tower, ctx.jE,
+                                                   ctx.prec), inner)
 
 
 def glue_section(ctx: SectionContext, alpha: LocalFieldAuto) -> SemilinearAuto:
-    """The glued section f_J(g1) f_Ca(g2) f_Cb(g3) f_Ca'(g4) f_Cb'(g5)."""
+    """The glued section f_J(g1) f_Ca(g2) f_Cb(g3) f_Ca'(g4) f_Cb'(g5):
+    the torus scalar zeta^m, m = b*g2 + a*g3, and the Frobenius power e =
+    b'*g4 + a'*g5 split by the Chinese remainder theorem."""
     jpart, scalar, e = decompose_auto(alpha)
-    j2, j3 = _split_torus(ctx, scalar)
-    j4, j5 = _split_frobenius(ctx, e)
+    step = (ctx.tower.q - 1) // (ctx.p ** ctx.i - 1)
+    if scalar.log % step != 0:
+        raise DecompositionFailure("torus scalar outside F_{p^i}")
+    j2, j3 = _crt_split(scalar.log // step, ctx.a, ctx.b)
+    j4, j5 = _crt_split(e, ctx.a2, ctx.b2)
     f = section_J(ctx, jpart)
     f = compose_semilinear(f, section_Ca(ctx, j2))
     f = compose_semilinear(f, section_Cb(ctx, j3))
@@ -353,31 +352,14 @@ def glue_section(ctx: SectionContext, alpha: LocalFieldAuto) -> SemilinearAuto:
     return f
 
 
-def _split_torus(ctx: SectionContext, scalar: FFElement) -> tuple[int, int]:
-    """Write scalar = zeta^(b*j2) * zeta^(a*j3) in C_a x C_b."""
-    order = ctx.p ** ctx.i - 1
-    if order == 1:
-        return 0, 0
-    step = (ctx.tower.q - 1) // order
-    if scalar.log % step != 0:
-        raise DecompositionFailure("torus scalar outside F_{p^i}")
-    m = scalar.log // step % order
-    a, b = ctx.a, ctx.b
-    j2 = m * pow(b, -1, a) % a if a > 1 else 0
-    j3 = m * pow(a, -1, b) % b if b > 1 else 0
-    if (b * j2 + a * j3 - m) % order != 0:
-        raise DecompositionFailure("torus CRT split failed")
-    return j2, j3
-
-
-def _split_frobenius(ctx: SectionContext, e: int) -> tuple[int, int]:
-    """Write F^e = F^(b'*j4) o F^(a'*j5) in C_a' x C_b'."""
-    a2, b2, i = ctx.a2, ctx.b2, ctx.i
-    j4 = e * pow(b2, -1, a2) % a2 if a2 > 1 else 0
-    j5 = e * pow(a2, -1, b2) % b2 if b2 > 1 else 0
-    if (b2 * j4 + a2 * j5 - e) % i != 0:
-        raise DecompositionFailure("Frobenius CRT split failed")
-    return j4, j5
+def _crt_split(m: int, a: int, b: int) -> tuple[int, int]:
+    """(j, k) with b*j + a*k = m mod a*b, 0 <= j < a and 0 <= k < b, for
+    coprime a and b."""
+    j = m * pow(b, -1, a) % a if a > 1 else 0
+    k = m * pow(a, -1, b) % b if b > 1 else 0
+    if (b * j + a * k - m) % (a * b) != 0:
+        raise DecompositionFailure("CRT split failed")
+    return j, k
 
 
 # ----------------------------------------------------------------------
@@ -387,7 +369,7 @@ def _split_frobenius(ctx: SectionContext, e: int) -> tuple[int, int]:
 # raised while the sides of a check are built or compared, these fail that
 # check instead of ending the verification
 CONSTRUCTION_FAILURES = (AdmissibilityFailure, DecompositionFailure,
-                         PrecisionExhausted)
+                         NotInSubfield, PrecisionExhausted)
 
 
 @dataclass

@@ -36,8 +36,8 @@ from bisect import bisect_left
 from math import isqrt
 from typing import Iterable, Optional, Sequence
 
-from .gftower import (FFElement, FieldTower, LOG_ZERO, logs_in_subfield,
-                      relative_trace, subfield_generator)
+from .gftower import (FFElement, FieldTower, LOG_ZERO, NotInSubfield,
+                      logs_in_subfield, relative_trace, subfield_generator)
 
 DEFAULT_PREC = 32
 
@@ -184,7 +184,7 @@ class LaurentSeries:
             if tower.M % j != 0:
                 raise ValueError(f"subfield degree {j} does not divide M = {tower.M}")
             if not logs_in_subfield(tower, logs, j):
-                raise ValueError("coefficient outside F_{p^%d}" % j)
+                raise NotInSubfield("coefficient outside F_{p^%d}" % j)
         # normalize: clip at precision, strip leading/trailing zeros
         hi = min(len(logs), max(prec - val, 0))
         lo = 0

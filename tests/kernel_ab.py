@@ -15,9 +15,9 @@ alpha, beta of K, the pair g(alpha) o g(beta), g(alpha beta) that the
 verifier's ``glue_homomorphism`` check compares, and the pair g(alpha),
 g(beta).  A round is one timed pass of ``acts_like`` over every pair and
 one timed pass of ``apply`` over every generator for each g(alpha).  The
-script exits 1 when an ``acts_like`` verdict differs between the trees,
-and says whether the ``apply`` images agree in keys and in every (val,
-logs, prec).
+script says whether the ``acts_like`` verdicts agree and whether the
+``apply`` images agree in keys and in every (val, logs, prec), and exits
+1 when either differs between the trees.
 
 With --command, a round is one call of the tree's ``cli.main`` on
 ``--output json`` followed by the command's arguments, for instance
@@ -64,7 +64,10 @@ from time import perf_counter
 
 def load(src: str, name: str, *modules: str):
     """The named modules of src/autsplit, imported as the package
-    ``name``."""
+    ``name``, afresh: modules an earlier load left under that name are
+    dropped first."""
+    for key in [k for k in sys.modules if k.startswith(name + ".")]:
+        del sys.modules[key]
     pkg = Path(src).resolve() / "autsplit"
     spec = importlib.util.spec_from_file_location(
         name, pkg / "__init__.py", submodule_search_locations=[str(pkg)])
@@ -250,9 +253,10 @@ def main(argv=None) -> int:
     print("apply images", "identical" if im_old == im_new else "DIFFER")
     if v_old != v_new:
         print(f"acts_like verdicts differ: old {v_old}, new {v_new}")
-        return 1
-    print(f"acts_like verdicts identical ({sum(v_old)} of {len(v_old)} true)")
-    return 0
+    else:
+        print(f"acts_like verdicts identical ({sum(v_old)} of {len(v_old)} "
+              "true)")
+    return int(first_old != first_new)
 
 
 if __name__ == "__main__":

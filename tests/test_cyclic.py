@@ -85,15 +85,21 @@ def identity_semilinear(alg, n):
     return phi_auto(alg, n, ident, one)
 
 
+def unshared_entrywise(f, M):
+    """phi~(M) with every stored entry mapped on its own by apply_element,
+    sharing no memo with src's phi~ pass; every stored key is kept."""
+    return AlgebraMatrix(f.alg, [{t: f.apply_element(e) for t, e in
+                                  row.items()} for row in M.entries])
+
+
 def invert_semilinear(f):
     """f^-1 = intaut(phi^-1(g^-1)) phi~(alpha^-1, alpha^-1(x^-1))."""
     alpha_inv = invert_auto(f.alphaE)
     x_inv = alpha_inv(f.x.inverse())
     shell = SemilinearAuto(f.alg, f.n, None, alpha_inv, x_inv, check=False)
-    return SemilinearAuto(f.alg, f.n,
-                          shell.apply_matrix_entrywise(f.inner_inv),
+    return SemilinearAuto(f.alg, f.n, unshared_entrywise(shell, f.inner_inv),
                           alpha_inv, x_inv,
-                          inner_inv=shell.apply_matrix_entrywise(f.inner),
+                          inner_inv=unshared_entrywise(shell, f.inner),
                           check=False)
 
 
@@ -540,6 +546,28 @@ def test_compose_and_invert_semilinear():
     comp = compose_semilinear(f, g)
     for G in gens:
         assert comp.apply(G) == f.apply(g.apply(G))
+
+
+def test_compose_maps_a_shared_inner_entry_once(monkeypatch):
+    # f2 = phi~(beta, y) has the identity as inner part and as its
+    # inverse: one phi1-memo for both sides maps alg.one() once
+    alg = make_algebra(2, 1, 3, 1)
+    rng = random.Random(16)
+    f1 = phi_auto(alg, 3, *admissible_pair(alg, rng))
+    f2 = phi_auto(alg, 3, *admissible_pair(alg, rng))
+    assert f2.inner is f2.inner_inv
+    apply_element = SemilinearAuto.apply_element
+    seen = []
+
+    def counting(self, a):
+        seen.append(a)
+        return apply_element(self, a)
+    monkeypatch.setattr(SemilinearAuto, "apply_element", counting)
+    comp = compose_semilinear(f1, f2)
+    assert [a is alg.one() for a in seen] == [True]
+    monkeypatch.undo()
+    for G in generator_matrices(alg, 3):
+        assert comp.apply(G) == f1.apply(f2.apply(G))
 
 
 def test_compose_twist_cocycle():

@@ -13,7 +13,8 @@ from autsplit.sections import (SectionContext, glue_section, random_j_element,
                                section_Caprime, section_Cb, section_Cbprime,
                                section_J, verify_section)
 from autsplit.series import LaurentSeries, series_in_subfield
-from test_cyclic import entry_form, invert_semilinear, shaped_matrix
+from test_cyclic import (entry_form, invert_semilinear, shaped_matrix,
+                         unshared_entrywise)
 
 
 CTX1 = SectionContext(2, 1, 3, 1, 1, prec=24)
@@ -306,8 +307,9 @@ def small_section_family(ctx, rng):
 
 
 def generic_image(f, G):
-    """g phi~(G) g^-1 by two generic matrix products."""
-    return f.inner * f.apply_matrix_entrywise(G) * f.inner_inv
+    """g phi~(G) g^-1 by two generic matrix products, with each entry of G
+    mapped on its own."""
+    return f.inner * unshared_entrywise(f, G) * f.inner_inv
 
 
 @pytest.mark.parametrize("ctx", [SectionContext(2, 2, 3, 1, 3, prec=10),
@@ -371,7 +373,7 @@ def test_apply_takes_the_products_of_the_generic_one(params, prec):
     for f in small_section_family(ctx, rng):
         monomial &= all(len(row) <= 1 for row in f.inner.entries)
         undo = invert_semilinear(f).inner
-        first = f.inner * f.apply_matrix_entrywise(undo)
+        first = f.inner * unshared_entrywise(f, undo)
         cancelled |= any(e.is_zero() for row in first.entries
                          for e in row.values())
         dense = shaped_matrix(ctx.algebra, ctx.n, rng, "dense")
@@ -659,7 +661,7 @@ def test_mutated_hensel_root_fails_a_check(params, monkeypatch):
 
 
 @pytest.mark.parametrize("exc", ["AdmissibilityFailure", "DecompositionFailure",
-                                 "PrecisionExhausted"])
+                                 "NotInSubfield", "PrecisionExhausted"])
 def test_construction_failure_fails_only_its_check(exc, monkeypatch):
     from autsplit import sections
     error = {c.__name__: c for c in sections.CONSTRUCTION_FAILURES}[exc]
@@ -680,6 +682,41 @@ def test_construction_failure_fails_only_its_check(exc, monkeypatch):
                            "glue_section_property"}
 
 
+def test_field_part_outside_the_subfield_fails_checks(monkeypatch):
+    # negative control: frobenius_power adds zeta_E*T^2 to its T-image, so
+    # the Frobenius sections' alpha no longer commutes with sigma.  That
+    # is a failed check (exit 1), not a usage error (exit 2)
+    import io
+    import json
+    from contextlib import redirect_stdout
+
+    from autsplit.cli import main
+    frobenius_power = LocalFieldAuto.frobenius_power
+
+    def broken(tower, j, e, prec):
+        f = frobenius_power(tower, j, e, prec)
+        extra = LaurentSeries.from_pairs(
+            tower, j, [(2, subfield_generator(tower, j))], prec)
+        return LocalFieldAuto(tower, j, e, f.image_of_T + extra)
+    monkeypatch.setattr(LocalFieldAuto, "frobenius_power",
+                        staticmethod(broken))
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        code = main(["--output", "json", "section", "synth", "--p", "2",
+                     "--i", "2", "--d", "3", "--r", "1", "--n", "3",
+                     "--prec", "6", "--samples", "4", "--seed", "1"])
+    result = json.loads(buf.getvalue())["result"]
+    assert code == 1 and result["verdict"] == "CHECK-FAILED"
+    failed = {c["name"]: c["detail"] for c in result["checks"]
+              if not c["passed"]}
+    assert set(failed) == {"order_Caprime", "order_Cbprime",
+                           "commutation_5_Caprime_Cb",
+                           "commutation_6_Caprime_J", "glue_homomorphism",
+                           "glue_section_property"}
+    assert all("NotInSubfield: alpha must commute with sigma" in detail
+               for detail in failed.values())
+
+
 def test_bad_input_errors_still_escape_the_verifier(monkeypatch):
     from autsplit import sections
 
@@ -694,7 +731,9 @@ def test_bad_input_errors_still_escape_the_verifier(monkeypatch):
 # -- phi-images of shared entries --------------------------------------------
 
 def test_entrywise_image_maps_each_stored_object_once(monkeypatch):
-    ctx = CTX_B
+    # apply's one phi~ pass maps each distinct stored object once, and its
+    # images are those of the entries mapped one by one
+    ctx = SectionContext(2, 2, 3, 1, 6, prec=8)     # b = 3, two Y blocks
     alg = ctx.algebra
     f = glue_section(ctx, random_k_auto(ctx, random.Random(21)))
     apply_element = SemilinearAuto.apply_element
@@ -708,20 +747,20 @@ def test_entrywise_image_maps_each_stored_object_once(monkeypatch):
         subfield_generator(ctx.tower, ctx.jE), ctx.jE, ctx.prec))
     for M in (AlgebraMatrix.scalar_matrix(scalar, ctx.n),
               AlgebraMatrix.identity(alg, ctx.n),
-              ctx.const_matrix(blocks, 2)):
+              ctx.const_matrix(blocks, ctx.n // ctx.b)):
         stored = [e for row in M.entries for e in row.values()]
         distinct = {id(e) for e in stored}
         assert len(distinct) < len(stored)
         seen.clear()
         with monkeypatch.context() as m:
             m.setattr(SemilinearAuto, "apply_element", counting)
-            image = f.apply_matrix_entrywise(M)
+            image = f.apply(M)
         assert len(seen) == len(distinct) == len({id(e) for e in seen})
-        # the shared images equal the entries mapped one by one
-        for row, img_row in zip(M.entries, image.entries):
+        generic = generic_image(f, M)
+        for row, img_row in zip(generic.entries, image.entries):
             assert row.keys() == img_row.keys()
             for t, e in row.items():
-                assert entry_form(img_row[t]) == entry_form(f.apply_element(e))
+                assert entry_form(img_row[t]) == entry_form(e)
 
 
 def test_comparison_agrees_with_unshared_images():
@@ -730,13 +769,6 @@ def test_comparison_agrees_with_unshared_images():
     # with a copy of alg.one(), equal to it but not the shared object
     ctx = CTX_B
     alg = ctx.algebra
-
-    def unshared_image(f, G):
-        mapped = AlgebraMatrix(alg, [{t: f.apply_element(e)
-                                      for t, e in row.items()}
-                                     for row in G.entries])
-        return f.inner * mapped * f.inner_inv
-
     copy = alg.scalar(LaurentSeries.one(alg.tower, alg.jE, alg.prec))
     assert copy == alg.one() and copy is not alg.one()
     gens = ctx.generators()[4:]
@@ -744,7 +776,7 @@ def test_comparison_agrees_with_unshared_images():
                                     for t, e in row.items()}
                                    for row in G.entries]) for G in gens]
     fs = small_section_family(ctx, random.Random(23))
-    images = [[unshared_image(f, G) for G in gens] for f in fs]
+    images = [[generic_image(f, G) for G in gens] for f in fs]
     seen = set()
     for f1, im1 in zip(fs, images):
         for f2, im2 in zip(fs, images):
