@@ -33,19 +33,17 @@ the log scatter.
 
 Characteristic 2 builds no table up front.  A command over F_{2^21} may
 read a few hundred entries, all in a small subfield, so ``_exp`` and
-``_log`` start as dicts that compute a missing entry when it is read and
-keep it: g^k as one product of two stored powers, a log by
-Pohlig-Hellman.  Each miss is charged its cost in elements of a full
-build, and once a tower's charges reach q it builds the full arrays
-after all (``FieldTower._full``), so a dense input pays at most about
-two builds.  Those dicts are a Python subclass of dict, which takes the
-generic subscript path, so each keeps a plain-dict mirror of its entries,
-``_exp_fast`` and ``_log_fast``, filled with it.  The characteristic-2
-hot loops of ``series`` read the mirrors, and on a KeyError run that one
-sum again through the filling tables; after the full build the mirrors
-are the arrays too.  Odd p keeps the eager build: its additions read
-Zech entries densely, and its code products are interpreted polynomial
-products.
+``_log`` start as plain dicts, and the accessors ``exp_code`` and
+``log_of`` make a missing entry when it is read and store it there: g^k
+as one product of two stored powers, a log by Pohlig-Hellman.  Each miss
+is charged its cost in elements of a full build, and once a tower's
+charges reach q it builds the full arrays after all
+(``FieldTower._full``), so a dense input pays at most about two builds.
+The read rule: hot loops may subscript ``_exp`` and ``_log`` directly,
+dicts or arrays, and a KeyError means "ask the accessor", which makes
+that one entry; the loop then goes on.  Odd p keeps the eager build: its
+additions read Zech entries densely, and its code products are
+interpreted polynomial products.
 """
 
 from __future__ import annotations
@@ -84,23 +82,6 @@ _PRODUCT_COST = 16      # one product of the one-time lo, hi and subgroup
 _EXP_MISS_COST = 28     # one exp entry: a product and its bookkeeping
 _LOG_MISS_COST = 700    # one log entry: M - 1 squarings and, per prime
                         # power of Q, a product per bit of its cofactor
-
-
-class _Table(dict):
-    """A table filled on demand: reading a missing key stores and returns
-    ``fill(key)``, in the table and in ``mirror``, a plain dict holding the
-    same entries that hot loops read (a missing key raises KeyError
-    there)."""
-
-    __slots__ = ("fill", "mirror")
-
-    def __init__(self, fill, preset=()):
-        super().__init__(preset)
-        self.fill, self.mirror = fill, dict(preset)
-
-    def __missing__(self, key):
-        value = self[key] = self.mirror[key] = self.fill(key)
-        return value
 
 
 def exceeds_table_limit(p: int, e: int) -> bool:
@@ -308,9 +289,7 @@ class FieldTower:
         self._mul = self._char2_product()
         self._charge = 0
         self._lo_hi = self._crt = None
-        self._exp = _Table(self._exp_miss)
-        self._log = _Table(self._log_miss, {0: LOG_ZERO})
-        self._exp_fast, self._log_fast = self._exp.mirror, self._log.mirror
+        self._exp, self._log = {}, {0: LOG_ZERO}
 
     # -- bootstrap ------------------------------------------------------
 
@@ -353,8 +332,7 @@ class FieldTower:
         view = memoryview(log)
         for k, c in enumerate(exp):
             view[c] = k
-        self._exp = self._exp_fast = exp
-        self._log = self._log_fast = log
+        self._exp, self._log = exp, log
         if p == 2:
             return
         zech = array("i")
@@ -380,7 +358,7 @@ class FieldTower:
             h, n = times(array("i", [h]))[0], n + m
         return exp
 
-    # -- characteristic 2: entries on demand ------------------------------
+    # -- table reads; characteristic 2 makes entries on demand -----------
 
     def _full(self, cost: int) -> bool:
         """Whether the full tables exist, after charging a miss ``cost``.
@@ -389,45 +367,60 @@ class FieldTower:
         miss, 700 a log miss and 16 a product of the one-time tables, the
         measured costs rounded up (see ``_EXP_MISS_COST``).  Once they
         reach q, ``_build_tables`` runs and ``_exp`` and ``_log`` become
-        its arrays; a table a caller still holds then answers its misses
-        from them.  So on-demand entries never cost much more than one
+        its arrays, and no later miss is charged: a dict a caller still
+        holds then gets its missing entries from the arrays, through the
+        accessors.  So on-demand entries never cost much more than one
         build, and a field whose build is cheaper than a few misses gets
         its full tables at once.
         """
-        if type(self._exp) is not _Table:
-            return True
-        self._charge += cost
         if self._charge < self.q:
-            return False
-        self._build_tables()
-        return True
+            self._charge += cost
+            if self._charge >= self.q:
+                self._build_tables()
+        return self._charge >= self.q
 
-    def _exp_miss(self, k: int) -> int:
-        """The code of g^k, for any integer k, as lo[b] * hi[a] with
-        k = a*B + b mod Q: lo holds g^0..g^(B-1) and hi the powers of g^B,
-        for B = ceil(sqrt(Q)), about 2*sqrt(Q) products made once.  A k
-        outside [0, Q) reads the entry at k mod Q, so an exponent read at
-        both k and k - Q is computed and charged once."""
+    def exp_code(self, k: int) -> int:
+        """The code of g^k, for -Q <= k < Q as the arrays index it (any
+        integer k while ``_exp`` is a dict): ``_exp[k]``, and on a miss
+        lo[b] * hi[a] with k = a*B + b mod Q, made, charged and stored
+        once.  lo holds g^0..g^(B-1) and hi the powers of g^B, for
+        B = ceil(sqrt(Q)), about 2*sqrt(Q) products made once.  A k outside
+        [0, Q) reads the entry at k mod Q, so an exponent read at both k and
+        k - Q is computed and charged once."""
+        exp = self._exp
+        try:
+            return exp[k]
+        except KeyError:
+            pass
         Q = self.q - 1
         if not 0 <= k < Q:
-            return self._exp[k % Q]
-        if self._lo_hi is None:
-            B = isqrt(Q - 1) + 1
-            if not self._full((B + Q // B) * _PRODUCT_COST):
-                lo = self._powers(self.g_code, B + 1)
-                self._lo_hi = lo, self._powers(lo.pop(), -(-Q // B))
-        if self._full(_EXP_MISS_COST):
-            return self._exp[k]
-        lo, hi = self._lo_hi
-        a, b = divmod(k, len(lo))
-        return self._mul(hi[a], lo[b])
+            code = self.exp_code(k % Q)
+        else:
+            if self._lo_hi is None:
+                B = isqrt(Q - 1) + 1
+                if not self._full((B + Q // B) * _PRODUCT_COST):
+                    lo = self._powers(self.g_code, B + 1)
+                    self._lo_hi = lo, self._powers(lo.pop(), -(-Q // B))
+            if self._full(_EXP_MISS_COST):
+                return self._exp[k]
+            lo, hi = self._lo_hi
+            a, b = divmod(k, len(lo))
+            code = self._mul(hi[a], lo[b])
+        exp[k] = code
+        return code
 
-    def _log_miss(self, c: int) -> int:
-        """The log of the nonzero code c, by Pohlig-Hellman: for each prime
-        power n exactly dividing Q, c^(Q/n) lies in the subgroup of order n,
-        whose full table of logs is made once, and the residues mod each n
-        combine by the Chinese remainder theorem.  The powers c^(Q/n) share
-        the squarings c^(2^j), j < M."""
+    def log_of(self, c: int) -> int:
+        """The log of the code c (``LOG_ZERO`` for 0): ``_log[c]``, and on a
+        miss made by Pohlig-Hellman, charged and stored once.  For each
+        prime power n exactly dividing Q, c^(Q/n) lies in the subgroup of
+        order n, whose full table of logs is made once, and the residues
+        mod each n combine by the Chinese remainder theorem.  The powers
+        c^(Q/n) share the squarings c^(2^j), j < M."""
+        log = self._log
+        try:
+            return log[c]
+        except KeyError:
+            pass
         Q = self.q - 1
         if self._crt is None:
             # the power of ell in Q, as ell^M > 2^M > Q
@@ -436,7 +429,7 @@ class FieldTower:
                 crt = []
                 for n in orders:
                     m = Q // n
-                    sub = self._powers(self._exp[m], n)
+                    sub = self._powers(self.exp_code(m), n)
                     crt.append(([j for j in range(self.M) if m >> j & 1],
                                 dict(zip(sub, range(n))), m * pow(m, -1, n)))
                 self._crt = crt
@@ -452,7 +445,8 @@ class FieldTower:
             for j in bits:
                 y = mul(y, squares[j])
             total += sub[y] * weight
-        return total % Q
+        lg = log[c] = total % Q
+        return lg
 
     def _powers(self, h: int, n: int) -> list[int]:
         """Codes of h^0, ..., h^(n-1), one product each."""
@@ -614,9 +608,7 @@ class FieldTower:
         return FFElement(self, 0)
 
     def from_code(self, code: int) -> FFElement:
-        if code == 0:
-            return self.zero()
-        return FFElement(self, self._log[code])
+        return FFElement(self, self.log_of(code))
 
     def from_int(self, n: int) -> FFElement:
         """The image of the integer n under Z -> F_p -> F_{p^M}."""
@@ -663,7 +655,7 @@ class FFElement:
         if lb == LOG_ZERO:
             return self
         if t.p == 2:
-            return FFElement(t, t._log[t._exp[la] ^ t._exp[lb]])
+            return FFElement(t, t.log_of(t.exp_code(la) ^ t.exp_code(lb)))
         z = t._zech[(lb - la) % (t.q - 1)]
         if z == LOG_ZERO:
             return FFElement(t, LOG_ZERO)
@@ -708,14 +700,6 @@ class FFElement:
 
     def __hash__(self):
         return hash((id(self.tower), self.log))
-
-    # -- field structure --------------------------------------------------
-
-    @property
-    def coeffs(self) -> tuple[int, ...]:
-        t = self.tower
-        code = 0 if self.log == LOG_ZERO else t._exp[self.log]
-        return _code_to_vec(code, t.p, t.M)
 
     def __repr__(self):
         if self.log == LOG_ZERO:

@@ -104,6 +104,8 @@ class FiniteGroupTable:
 
     def __init__(self, table: list[list[int]], identity: int = 0):
         order = len(table)
+        if order < 1:
+            raise ValueError(f"a group has order at least 1, not {order}")
         if order > MAX_GROUP_ORDER:
             raise OrderBound(f"order {order} exceeds bound {MAX_GROUP_ORDER}")
         for row in table:
@@ -171,6 +173,8 @@ class FiniteGroupTable:
                              "lists of integers")
         if len(table) != order:
             raise ValueError("declared order does not match the table")
+        if order < 1:
+            raise ValueError(f"a group has order at least 1, not {order}")
         element = lambda v: _is_int(v) and 0 <= v < order
         if not element(identity):
             raise ValueError(f"identity must be one of 0..{order - 1}")

@@ -96,21 +96,37 @@ def _sum_of_products(t: FieldTower, n: int, groups) -> list[int]:
     In characteristic 2 the sums are taken over codes, where addition is
     XOR: each pair costs one read of exp at la + lb - Q, which reads
     g^((la + lb) mod Q) (a full exp array has Q entries and wraps the
-    index; an on-demand one reduces it), and the codes turn back into
-    logs once at the end.  The reads go to the tower's plain-dict mirrors
-    of its on-demand tables; on a KeyError the whole sum runs again from
-    a clean buffer through the tables, which make the missing entries.
-    For odd p the sums are taken over logs, each pair adding in through
-    Zech.  The pairs of one outer term stop at the truncation, so callers
-    put the factor with fewer terms outside.  groups is read once more
-    on such a rerun, so it is a sequence.
+    index; an on-demand dict takes the key as it is), and the codes turn
+    back into logs once at the end.  The reads go to the tower's current
+    tables; a KeyError takes that one entry from ``exp_code``, which makes
+    it, and the loop goes on, and a missing log sends the final reads
+    through ``log_of``.  So entries are made in the order the pairs and
+    then the slots first read them.  For odd p the sums are taken over
+    logs, each pair adding in through Zech.  The pairs of one outer term
+    stop at the truncation, so callers put the factor with fewer terms
+    outside.
     """
     Q = t.q - 1
     if t.p == 2:
+        exp, buf = t._exp, [0] * n
+        for outer, inner in groups:
+            last = inner[-1][0] if inner else 0
+            for i, la in outer:
+                room = n - i
+                if room <= 0:
+                    break
+                la -= Q
+                for k, lb in (inner if last < room
+                              else inner[:bisect_left(inner, (room,))]):
+                    try:
+                        buf[i + k] ^= exp[la + lb]
+                    except KeyError:
+                        buf[i + k] ^= t.exp_code(la + lb)
+        log = t._log
         try:
-            return _xor_products(t._exp_fast, t._log_fast, Q, n, groups)
+            return [log[c] for c in buf]            # log[0] is LOG_ZERO
         except KeyError:
-            return _xor_products(t._exp, t._log, Q, n, groups)
+            return [t.log_of(c) for c in buf]
     zech = t._zech
     buf = [LOG_ZERO] * n
     for outer, inner in groups:
@@ -130,33 +146,6 @@ def _sum_of_products(t: FieldTower, n: int, groups) -> list[int]:
                     z = zech[(lm - cur) % Q]
                     buf[k] = LOG_ZERO if z == LOG_ZERO else (cur + z) % Q
     return buf
-
-
-def _xor_products(exp, log, Q: int, n: int, groups) -> list[int]:
-    """The characteristic-2 sum of ``_sum_of_products`` through the tables
-    exp and log."""
-    buf = [0] * n
-    for outer, inner in groups:
-        last = inner[-1][0] if inner else 0
-        for i, la in outer:
-            room = n - i
-            if room <= 0:
-                break
-            la -= Q
-            for k, lb in (inner if last < room
-                          else inner[:bisect_left(inner, (room,))]):
-                buf[i + k] ^= exp[la + lb]
-    return [log[c] for c in buf]            # log[0] is LOG_ZERO
-
-
-def _xor_into(out: list[int], k: int, tail: Sequence[int], exp, log):
-    """Add the logs of tail into out from slot k, in characteristic 2,
-    through the tables exp and log."""
-    for lb in tail:
-        if lb != LOG_ZERO:
-            cur = out[k]
-            out[k] = lb if cur == LOG_ZERO else log[exp[cur] ^ exp[lb]]
-        k += 1
 
 
 def _pth_logs(t: FieldTower, logs: Sequence[int], n: int) -> list[int]:
@@ -276,9 +265,9 @@ class LaurentSeries:
         precision, so a sum costs the terms its operands store: two
         constants add in one slot whatever the precision.  Where both have
         a term, characteristic 2 adds by XOR of codes (log[0] is LOG_ZERO,
-        so a cancelling pair needs no test), read from the tower's
-        plain-dict mirrors as in ``_sum_of_products``, and odd p through
-        Zech."""
+        so a cancelling pair needs no test), read from the tower's current
+        tables, a KeyError taking that slot's entries from the accessors
+        as in ``_sum_of_products``, and odd p through Zech."""
         self._require_compatible(other)
         if not other.logs and other.prec >= self.prec:
             return self
@@ -296,12 +285,16 @@ class LaurentSeries:
         k = other.val - lo
         tail = other.logs[:max(prec - other.val, 0)]
         if t.p == 2:
-            try:
-                _xor_into(out, k, tail, t._exp_fast, t._log_fast)
-            except KeyError:        # again from a clean buffer, filling
-                out = [LOG_ZERO] * (hi - lo)
-                out[start:start + len(head)] = head
-                _xor_into(out, k, tail, t._exp, t._log)
+            exp, log = t._exp, t._log
+            for lb in tail:
+                if lb != LOG_ZERO:
+                    cur = out[k]
+                    try:
+                        out[k] = (lb if cur == LOG_ZERO
+                                  else log[exp[cur] ^ exp[lb]])
+                    except KeyError:
+                        out[k] = t.log_of(t.exp_code(cur) ^ t.exp_code(lb))
+                k += 1
         else:
             Q, zech = t.q - 1, t._zech
             for lb in tail:

@@ -42,7 +42,11 @@ medians, the ratio NEW/OLD of the medians, the median of the per-round
 ratios, and the interquartile range of the OLD passes relative to their
 median.  Timings of one command in fresh processes spread by about a
 third on a 2-vCPU VM, while ratios taken in one process stay within a
-few percent.  Pytest does not collect this file.
+few percent.  ``build_tower`` caches each tower for the process, so the
+--command rounds reuse the characteristic-2 tables that the untimed round
+filled on demand: they time only the path on which every table read
+hits, and a change to how entries are made on a miss needs timings of
+fresh processes.  Pytest does not collect this file.
 """
 
 from __future__ import annotations

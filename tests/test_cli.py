@@ -184,8 +184,9 @@ C2 = [[0, 1], [1, 0]]
     {"order": 2, "table": C2},
     [{"order": 2, "table": C2, "normal_subset": [0]}],
     {"order": 2, "table": C2, "normal_subset": [0, 5]},
+    {"order": 0, "table": [], "normal_subset": []},
 ], ids=["empty object", "no normal_subset", "top-level list",
-        "normal_subset out of range"])
+        "normal_subset out of range", "order 0"])
 def test_malformed_group_table_is_a_usage_error(doc, tmp_path, monkeypatch,
                                                 capsys):
     path = tmp_path / "group.json"

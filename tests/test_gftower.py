@@ -14,7 +14,7 @@ from autsplit.gftower import (_EXP_MISS_COST, _LOG_MISS_COST, LOG_ZERO,
                               PRIME_TEST_BOUND, FFElement, FieldTower,
                               NormNotOne, NotDivisor,
                               NotInSubfield, NotPrime, Overflow, _is_prime,
-                              build_tower, frobenius,
+                              _code_to_vec, build_tower, frobenius,
                               hilbert90_solve, in_subfield, logs_in_subfield,
                               relative_norm,
                               relative_trace, subfield_generator)
@@ -34,6 +34,13 @@ def code_of(vec, p):
 
 def from_coeffs(tower, coeffs):
     return tower.from_code(code_of(coeffs, tower.p))
+
+
+def coeffs(x):
+    """The coefficient vector of x in the polynomial basis of its tower."""
+    t = x.tower
+    code = 0 if x.log == LOG_ZERO else t.exp_code(x.log)
+    return _code_to_vec(code, t.p, t.M)
 
 
 def elements(tower):
@@ -96,7 +103,7 @@ def zech_table(tower):
 
 def brute_order(tower, x):
     """Multiplicative order by raw repeated polynomial multiplication."""
-    vec = list(x.coeffs)
+    vec = list(coeffs(x))
     mod = list(tower.modulus)
     cur = vec[:]
     for k in range(1, tower.q):
@@ -303,9 +310,10 @@ CHAR2_PINNED = [(2, 2, 3, 2), (2, 9, 1, 1), (2, 16, 1, 1), (2, 17, 1, 1),
 
 @pytest.mark.parametrize("key", CHAR2_PINNED, ids=str)
 def test_on_demand_entries_match_full_tables(key):
-    # an uncached tower answers every read through its on-demand tables,
-    # and then, once its misses outgrow a build, through the full arrays;
-    # exp is read at negative keys too, as series reads it at la + lb - Q
+    # an uncached tower answers every read through its accessors, from
+    # its on-demand dicts and then, once its misses outgrow a build, from
+    # the full arrays; exp is read at negative keys too, as series reads it
+    # at la + lb - Q
     t = FieldTower(*key)
     exp, log = full_tables(build_tower(*key))
     Q, rng = t.q - 1, random.Random(t.q)
@@ -320,10 +328,10 @@ def test_on_demand_entries_match_full_tables(key):
     on_demand = 0
     for k in ks:
         on_demand += type(t._exp) is not array
-        assert t._exp[k] == exp[k]
+        assert t.exp_code(k) == exp[k]
     for c in codes:
         on_demand += type(t._log) is not array
-        assert t._log[c] == log[c]
+        assert t.log_of(c) == log[c]
     assert on_demand > 0
 
 
@@ -340,28 +348,34 @@ def test_char2_tower_builds_no_table(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
-    assert len(t._exp) == 0 and dict(t._log) == {0: LOG_ZERO}
-    assert t._exp[-1] == t._exp[(1 << 21) - 2]
+    assert type(t._exp) is dict and type(t._log) is dict
+    assert t._exp == {} and t._log == {0: LOG_ZERO}
+    assert t.exp_code(-1) == t.exp_code((1 << 21) - 2)
 
 
 def test_exp_read_at_aliases_of_k_is_one_miss():
     # series reads exp at la + lb - Q; k, k - Q and k + Q are one exponent,
-    # computed by one product and charged one miss
+    # computed by one product and charged one miss, and each key read is
+    # stored, so a hot loop reading it again hits
     t = FieldTower(2, 7, 3, 1)
     Q = t.q - 1
-    t._exp[0]                       # makes the lo and hi tables
+    t.exp_code(0)                   # makes the lo and hi tables
     charged, products = t._charge, []
     mul = t._mul
     t._mul = lambda a, b: products.append(1) or mul(a, b)
-    codes = {t._exp[k] for k in (12345, 12345 - Q, 12345 + Q)}
+    keys = (12345, 12345 - Q, 12345 + Q)
+    codes = {t.exp_code(k) for k in keys}
     assert len(codes) == 1 and len(products) == 1
     assert t._charge - charged == _EXP_MISS_COST
+    assert {t._exp[k] for k in keys} == codes
 
 
 def test_dense_reads_build_the_tables_once(monkeypatch):
     # reading the log of every code in turn charges each miss until the
-    # charges reach q; then the full tables are built, once, and the
-    # tables a caller already holds keep answering with the same values
+    # charges reach q; then the full tables are built, once.  The dicts a
+    # caller already holds keep the entries made before, each equal to the
+    # arrays', and a key missing from them, asked of the accessors, is
+    # answered from the arrays with no charge
     builds = []
     build = FieldTower._build_tables
 
@@ -371,19 +385,22 @@ def test_dense_reads_build_the_tables_once(monkeypatch):
     monkeypatch.setattr(FieldTower, "_build_tables", counted)
     t = FieldTower(2, 7, 3, 1)
     held_exp, held_log = t._exp, t._log
-    before = [held_exp[k] for k in range(-50, 50)]
+    before = [t.exp_code(k) for k in range(-50, 50)]
     code = 0
     while not builds:
         code += 1
-        held_log[code]
+        t.log_of(code)
     assert code <= t.q // _LOG_MISS_COST
     assert t.q <= t._charge < t.q + _LOG_MISS_COST
     assert type(t._exp) is array and type(t._log) is array
-    assert [held_log[c] for c in range(code + 1)] == list(t._log[:code + 1])
-    assert before == [t._exp[k] for k in range(-50, 50)]
-    later = range(code + 1, code + 100)
-    assert [held_log[c] for c in later] == list(t._log[code + 1:code + 100])
-    assert [held_exp[k] for k in range(60, 99)] == list(t._exp[60:99])
+    assert sorted(held_log) == list(range(code))
+    assert all(t._log[c] == lg for c, lg in held_log.items())
+    assert all(t._exp[k] == v for k, v in held_exp.items())
+    assert before == [t.exp_code(k) for k in range(-50, 50)]
+    charged, later = t._charge, range(code, code + 100)
+    assert [t.log_of(c) for c in later] == list(t._log[code:code + 100])
+    assert [t.exp_code(k) for k in range(60, 99)] == list(t._exp[60:99])
+    assert t._charge == charged and code not in held_log and 60 not in held_exp
     assert builds == [t.q]
 
 
@@ -461,7 +478,7 @@ def test_element_roundtrip_coeffs():
     t = build_tower(2, 1, 3, 1)
     for code in range(t.q):
         x = t.from_code(code)
-        assert from_coeffs(t, x.coeffs) == x
+        assert from_coeffs(t, coeffs(x)) == x
 
 
 def test_field_axioms_sampled():

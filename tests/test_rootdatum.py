@@ -92,6 +92,8 @@ def test_group_table_validation():
         FiniteGroupTable([[0, 1], [1, 1]])        # no inverse for 1
     with pytest.raises(ValueError):
         FiniteGroupTable([[1, 0], [0, 1]])        # identity fails
+    with pytest.raises(ValueError, match="order at least 1, not 0"):
+        FiniteGroupTable([])                      # no element is the identity
     tbl = [[(x + y) % 3 for y in range(3)] for x in range(3)]
     tbl[2][2] = 0
     tbl[2][1] = 1  # breaks associativity/latin structure

@@ -252,39 +252,98 @@ def same_shape_as_full(full, op, *operands):
 
 
 def test_sums_and_products_that_miss_partway_match_full_tables():
-    # the hot loops read the plain-dict mirrors; a miss after earlier
-    # slots were already summed runs that sum again from a clean buffer
+    # the hot loops read the tower's dicts; a miss after earlier slots were
+    # already summed takes that entry from the accessor, which stores it in
+    # the same dict, and the loop goes on
     t, full = on_demand_and_full((2, 7, 3, 1))      # F_{2^7} in F_{2^21}
     j, step, Q = 7, (t.q - 1) // (2 ** 7 - 1), t.q - 1
     a = LaurentSeries(t, j, 0, [3 * step, 5 * step, 7 * step], 8)
     b = LaurentSeries(t, j, 0, [11 * step, 13 * step, 17 * step], 8)
     la, lb = a.logs[0], b.logs[0]
-    t._log[t._exp[la] ^ t._exp[lb]]          # slot 0 of a + b is made
-    t._exp[la + lb - Q]                      # the first pair of a * b too
-    assert a.logs[1] not in t._exp_fast
+    t.log_of(t.exp_code(la) ^ t.exp_code(lb))   # slot 0 of a + b is made
+    t.exp_code(la + lb - Q)                     # the first pair of a * b too
+    exp = t._exp
+    assert a.logs[1] not in exp
     assert same_shape_as_full(full, LaurentSeries.__add__, a, b)
     assert same_shape_as_full(full, LaurentSeries.__add__, b, a.shift(1))
     assert same_shape_as_full(full, LaurentSeries.__mul__, a, b)
-    assert a.logs[1] in t._exp_fast and type(t._exp) is not array
+    assert a.logs[1] in exp and t._exp is exp and type(exp) is dict
 
 
-def test_a_rerun_that_builds_the_full_tables_matches_them():
+def test_a_product_that_builds_the_full_tables_partway_matches_them():
     # over F_{2^11} a product of two dense windows charges enough misses
-    # to build the full arrays partway through its rerun; over F_64 the
-    # first miss of a sum builds them
+    # to build the full arrays partway through its pairs, after some
+    # entries were made; over F_64 the first miss of a sum builds them
+    made_at_build = []
+
+    def counting(key):
+        t, full = on_demand_and_full(key)
+        build = t._build_tables
+        t._build_tables = lambda: made_at_build.append(len(t._exp)) or build()
+        return t, full
     rng = random.Random(11)
-    t, full = on_demand_and_full((2, 11, 1, 1))
+    t, full = counting((2, 11, 1, 1))
     a, b = (LaurentSeries(t, 11, 0, random_window(t, 11, rng, 16, 1.0), 20)
             for _ in range(2))
-    assert type(t._exp) is not array and not t._exp_fast
+    assert type(t._exp) is dict and not t._exp
     assert same_shape_as_full(full, LaurentSeries.__mul__, a, b)
-    assert type(t._exp) is array and t._exp_fast is t._exp
-    assert t._log_fast is t._log
-    t, full = on_demand_and_full((2, 2, 3, 1))
+    assert type(t._exp) is array and type(t._log) is array
+    assert len(made_at_build) == 1 and made_at_build[0] > 0
+    t, full = counting((2, 2, 3, 1))
     a, b = (LaurentSeries(t, 2, 0, random_window(t, 2, rng, 6, 1.0), 8)
             for _ in range(2))
     assert same_shape_as_full(full, LaurentSeries.__add__, a, b)
-    assert type(t._exp) is array and t._exp_fast is t._exp
+    assert type(t._exp) is array and type(t._log) is array
+    assert made_at_build[1:] == [0]
+
+
+class ReadRecorder:
+    """A full table that records, as (name, key), each key read from it."""
+
+    def __init__(self, table, name, reads):
+        self.table, self.name, self.reads = table, name, reads
+
+    def __getitem__(self, key):
+        self.reads.append((self.name, key))
+        return self.table[key]
+
+
+def test_on_demand_entries_are_made_once_in_full_table_read_order():
+    # a fresh F_{2^21} tower makes each missing entry once, in the order a
+    # run over the full tables first reads it, so its charges add up in
+    # that order and a full build, when one comes, happens at the same read
+    t, full = on_demand_and_full((2, 7, 3, 1))
+    Q, rng = t.q - 1, random.Random(21)
+    a, b = (random_window(t, 7, rng, 12, 0.8) for _ in range(2))
+    t.log_of(1)                     # makes the Pohlig-Hellman tables first
+    present = {("exp", k % Q) for k in t._exp} | {("log", c) for c in t._log}
+    made = []
+    for name, accessor in (("exp", "exp_code"), ("log", "log_of")):
+        def recording(key, name=name, read=getattr(t, accessor)):
+            # an exp key outside [0, Q) is stored as an alias of the entry
+            # at key mod Q, which is made by the accessor's inner call
+            table = t._exp if name == "exp" else t._log
+            if key not in table and (name == "log" or 0 <= key < Q):
+                made.append((name, key))
+            return read(key)
+        setattr(t, accessor, recording)
+    reads = []
+    full._exp = ReadRecorder(full._exp, "exp", reads)
+    full._log = ReadRecorder(full._log, "log", reads)
+
+    def run(tower):
+        x, y = (LaurentSeries(tower, 7, 0, logs, 12) for logs in (a, b))
+        return shape(x * y), shape(x + y.shift(1))
+    assert run(t) == run(full)
+    first = []
+    for name, key in reads:
+        entry = (name, key % Q if name == "exp" else key)
+        if entry not in present:
+            present.add(entry)
+            first.append(entry)
+    assert made == first
+    assert {name for name, _ in made} == {"exp", "log"}
+    assert type(t._exp) is dict
 
 
 def reference_add(a, b):
