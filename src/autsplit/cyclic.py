@@ -20,7 +20,8 @@ projectively, given together with its inverse, since nothing here inverts
 a matrix), a field automorphism of E commuting with sigma, and the twist
 x sent along with u.  Equality of semilinear automorphisms is decided by
 comparing actions on a fixed generating set of matrices, since neither
-the inner part nor the twist data is unique.
+the inner part nor the twist data is unique: equal data act alike, but
+different data may too.
 
 Every matrix the sections build is diagonal, block diagonal or monomial,
 so an algebra matrix has one constructor, AlgebraMatrix(alg, entries),
@@ -33,14 +34,17 @@ same kernel, and ``compose_semilinear`` forms g1 * phi1~(g2) and
 phi1~(g2^-1) * g1^-1 by matrix products.  The generators a comparison
 runs on form an additive spanning set: scalar matrices, I and the parts
 x*e_ab of the elementary matrices I + x*e_ab.  f is additive, so
-comparing f(I) and f(x*e_ab) compares f(I + x*e_ab).  Two kinds of work
-skip the products.  A scalar c*Id with c in K, such as zeta*Id and T*Id,
-is central: Int(g) fixes K pointwise, so f(c*Id) = alpha(c)*f(I), and
-once f(I) is compared the comparison reads alpha(c) alone
-(``acts_like``).  And a product with a factor shaped like 1, as phi(1)
-and the parts 1*e_ab give, copies the other factor's components at the
-precision the series product would give, without taking it
-(``AlgebraElement.__mul__``).
+comparing f(I) and f(x*e_ab) compares f(I + x*e_ab).  Three kinds of
+work skip the products.  Two automorphisms that store the same data,
+every series that ``apply`` and the central path read equal as (val,
+logs, prec), compute every image identically, so ``acts_like`` answers
+for them without applying either (``_same_data``).  A scalar c*Id with c
+in K, such as zeta*Id and T*Id, is central: Int(g) fixes K pointwise, so
+f(c*Id) = alpha(c)*f(I), and once f(I) is compared the comparison reads
+alpha(c) alone (``acts_like``).  And a product with a factor shaped like
+1, as phi(1) and the parts 1*e_ab give, copies the other factor's
+components at the precision the series product would give, without
+taking it (``AlgebraElement.__mul__``).
 
 The builders store one element object at many positions (a scalar matrix
 holds one object n times, and the generators share alg.one() and
@@ -204,15 +208,17 @@ class AlgebraElement:
         """Matrix of left multiplication on the basis u^0, ..., u^(d-1).
 
         Column j holds the coordinates of self * u^j, so the map is
-        multiplicative: rep(ab) = rep(a) rep(b).
+        multiplicative: rep(ab) = rep(a) rep(b).  A component with no terms
+        known only to T^k, k < alg.prec, is added like any other, so the
+        entries it reaches keep its O(T^k).
         """
         alg = self.alg
         d, r = alg.d, alg.r
         rep = [[alg.zero_series] * d for _ in range(d)]
         for col in range(d):
             for s, xs in enumerate(self.comps):
-                if not xs:
-                    continue
+                if not xs.logs and xs.prec >= alg.prec:
+                    continue                # an exact zero adds nothing
                 row, wrap = (s + col) % d, (s + col) // d
                 entry = alg.sigma(xs, col)
                 if wrap:
@@ -361,8 +367,8 @@ class SemilinearAuto:
     ``inner`` None stands for the identity.  ``alpha`` is an automorphism
     of E commuting with sigma (its T-image must have F_{p^i} coefficients)
     and ``x`` satisfies the admissibility condition N_{E/K}(x) =
-    alpha(T^r)/T^r.  Compare automorphisms with ``acts_like``, never by
-    their stored data.
+    alpha(T^r)/T^r.  Compare automorphisms with ``acts_like``: equal
+    stored data act alike, but different data may too.
     """
 
     __slots__ = ("alg", "n", "inner", "inner_inv", "alphaE", "x", "_twists")
@@ -518,6 +524,13 @@ def acts_like(f1: SemilinearAuto, f2: SemilinearAuto,
     which for an additive spanning set such as ``generator_matrices`` is
     equality on every matrix it spans.
 
+    When f1 and f2 store the same data (``_same_data``), every image is
+    computed identically on both sides, so the answer is True without
+    applying either.  Such a comparison is at the data's own precision:
+    nothing is compared at the precision an image would reach.  Any
+    difference in the data, even one that acts alike, goes to the
+    generators below.
+
     A central generator c*Id, c in K other than 1 (``_central``), is
     decided by f1.alphaE(c) == f2.alphaE(c), with no matrix product.
     Int(g) fixes K pointwise, so f(c*Id) = g*alpha(c)*g^-1 =
@@ -544,6 +557,8 @@ def acts_trivially(f: SemilinearAuto, gens: Iterable[AlgebraMatrix]) -> bool:
 def _acts_alike(f1: SemilinearAuto, f2: SemilinearAuto | None,
                 gens: Iterable[AlgebraMatrix]) -> bool:
     """``acts_like``, with f2 None standing for the identity."""
+    if f2 is not None and _same_data(f1, f2):
+        return True
     gens = list(gens)
     ident, central, rest = None, [], []
     for G in gens:
@@ -579,3 +594,23 @@ def _central(G: AlgebraMatrix) -> AlgebraElement | None:
     if any(x.logs for x in others) or not series_in_subfield(c, e.alg.i):
         return None
     return e
+
+
+def _same_data(f1: SemilinearAuto, f2: SemilinearAuto) -> bool:
+    """Whether f1 and f2 store the same data that ``apply`` and the central
+    path of ``_acts_alike`` read: alg and n, alphaE's tower, j, e and
+    T-image, the twist x, and the ``nonzero()`` entries of the inner part
+    and of its inverse, every series compared as (val, logs, prec).
+    Entries are read through ``nonzero()`` because ``apply`` reads nothing
+    else: a stored exact zero matches a missing entry.  Equal data give
+    the same twist powers, phi-images and products, so f1 and f2 act alike
+    on every matrix."""
+    def form(f):
+        a = f.alphaE
+        return (a.j, a.e,
+                [(s.val, s.logs, s.prec) for s in (a.image_of_T, f.x)],
+                [[[(t, [(c.val, c.logs, c.prec) for c in e.comps])
+                   for t, e in row] for row in m.nonzero()]
+                 for m in (f.inner, f.inner_inv)])
+    return (f1.alg is f2.alg and f1.n == f2.n
+            and f1.alphaE.tower is f2.alphaE.tower and form(f1) == form(f2))

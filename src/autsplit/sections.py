@@ -23,8 +23,9 @@ The basis is the powers eta^k of a generator eta of that subfield, and the
 coordinates of x over F_{p^(id)} are the traces Tr(x * w_k) down to
 F_{p^(id)} against the trace-dual basis w_k = q_k / f'(eta), where f is
 the minimal polynomial of eta and f(X)/(X - eta) = sum q_k X^k.
-Equality of automorphisms is always decided by action on a generator set,
-never by comparing representations.
+Equality of automorphisms is decided by action on a generator set, or by
+equal stored data (``cyclic.acts_like``), never by comparing
+representations.
 """
 
 from __future__ import annotations
@@ -337,7 +338,21 @@ def section_Cbprime(ctx: SectionContext, j: int) -> SemilinearAuto:
 def glue_section(ctx: SectionContext, alpha: LocalFieldAuto) -> SemilinearAuto:
     """The glued section f_J(g1) f_Ca(g2) f_Cb(g3) f_Ca'(g4) f_Cb'(g5):
     the torus scalar zeta^m, m = b*g2 + a*g3, and the Frobenius power e =
-    b'*g4 + a'*g5 split by the Chinese remainder theorem."""
+    b'*g4 + a'*g5 split by the Chinese remainder theorem.
+
+    A part with index 0 is the identity: its inner parts are diagonal
+    matrices of ones (or none), its twist is 1 and its alphaE fixes T, all
+    known to ctx.prec.  Such a part is composed only while f.alphaE is
+    known to less than ctx.prec.  From ctx.prec on, composing would give
+    f's data back.  f's phi maps each 1 to 1 + O(T^P), P >= ctx.prec,
+    which is shaped like 1, so each product copies an entry of f; before
+    f_Cb', the last part and the only one with powers of u, f's entries
+    are products of units of E known to at most ctx.prec, and a copy
+    keeps such an entry's (val, logs, prec).  f's alphaE maps T and the
+    twist 1 to its own T-image and to 1 at ctx.prec, so alphaE and f.x
+    keep their data too.  Below ctx.prec, phi(1) = 1 + O(T^P') is not
+    shaped like 1, and composing cuts the precision of f's entries, so
+    the part is composed as before."""
     jpart, scalar, e = decompose_auto(alpha)
     step = (ctx.tower.q - 1) // (ctx.p ** ctx.i - 1)
     if scalar.log % step != 0:
@@ -345,10 +360,10 @@ def glue_section(ctx: SectionContext, alpha: LocalFieldAuto) -> SemilinearAuto:
     j2, j3 = _crt_split(scalar.log // step, ctx.a, ctx.b)
     j4, j5 = _crt_split(e, ctx.a2, ctx.b2)
     f = section_J(ctx, jpart)
-    f = compose_semilinear(f, section_Ca(ctx, j2))
-    f = compose_semilinear(f, section_Cb(ctx, j3))
-    f = compose_semilinear(f, section_Caprime(ctx, j4))
-    f = compose_semilinear(f, section_Cbprime(ctx, j5))
+    for part, j in ((section_Ca, j2), (section_Cb, j3),
+                    (section_Caprime, j4), (section_Cbprime, j5)):
+        if j or f.alphaE.prec < ctx.prec:
+            f = compose_semilinear(f, part(ctx, j))
     return f
 
 

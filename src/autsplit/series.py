@@ -495,9 +495,14 @@ class SeriesMatrix:
         return SeriesMatrix(self.tower, self.j, self.prec, rows)
 
     def __mul__(self, other: SeriesMatrix) -> SeriesMatrix:
+        """The schoolbook product, each entry capped at self.prec.  Only
+        exact zeros (no terms, known to self.prec) are skipped: an entry
+        with no terms known only to T^k takes part, so its O(T^k) reaches
+        the sum."""
         if self.n != other.n:
             raise ValueError("size mismatch")
-        zero = LaurentSeries.zero(self.tower, self.j, self.prec)
+        prec = self.prec
+        zero = LaurentSeries.zero(self.tower, self.j, prec)
         cols = list(zip(*other.rows))
         out = []
         for row in self.rows:
@@ -505,7 +510,7 @@ class SeriesMatrix:
             for col in cols:
                 acc = zero
                 for a, b in zip(row, col):
-                    if a and b:
+                    if (a.logs or a.prec < prec) and (b.logs or b.prec < prec):
                         acc = acc + a * b
                 out_row.append(acc)
             out.append(out_row)
@@ -518,7 +523,10 @@ class SeriesMatrix:
         """Determinant by elimination below the diagonal.
 
         The pivots and products taken here fix the O(T^N) of every reduced
-        norm the command line prints, so reports depend on this order.
+        norm the command line prints, so reports depend on this order.  An
+        entry below a pivot is eliminated unless it is an exact zero (no
+        terms, known to self.prec): one known only to T^k carries its
+        O(T^k) into its row.
         """
         n = self.n
         mat = [list(r) for r in self.rows]
@@ -538,8 +546,8 @@ class SeriesMatrix:
             pinv = pivot.inverse()
             for m in range(k + 1, n):
                 e = mat[m][k]
-                if not e:
-                    continue
+                if not e.logs and e.prec >= self.prec:
+                    continue                # an exact zero needs no step
                 factor = e * pinv
                 mat[m] = [mat[m][c] - factor * mat[k][c] for c in range(n)]
         if sign < 0:

@@ -1,12 +1,14 @@
-"""Compare two source trees in one process: the time of a kernel or of one
-command line, or every report of the verdict grid.
+"""Compare two source trees: the time of a kernel or of one command line,
+or every report of the verdict grid, in one process; or the benchmark's
+end-to-end metrics, in alternating processes.
 
     python tests/kernel_ab.py OLD_SRC NEW_SRC [--rounds 41] [--samples 6]
     python tests/kernel_ab.py OLD_SRC NEW_SRC --command "AUTSPLIT ARGV"
     python tests/kernel_ab.py OLD_SRC NEW_SRC --grid
+    python tests/kernel_ab.py OLD_SRC NEW_SRC --bench OUT.json [--pairs 5]
 
-Each tree's ``autsplit`` package is imported under its own name, so the
-two run side by side.
+Except with --bench, each tree's ``autsplit`` package is imported under
+its own name, so the two run side by side.
 
 Without --command or --grid, each builds the same glued sections of one
 ``SectionContext`` (default (p, i, d, r, n) = (2, 2, 3, 2, 6) at prec 32,
@@ -17,7 +19,10 @@ g(beta).  A round is one timed pass of ``acts_like`` over every pair and
 one timed pass of ``apply`` over every generator for each g(alpha).  The
 script says whether the ``acts_like`` verdicts agree and whether the
 ``apply`` images agree in keys and in every (val, logs, prec), and exits
-1 when either differs between the trees.
+1 when either differs between the trees.  It also prints, per tree, how
+many of the pairs ``acts_like`` decides without calling ``apply``: in a
+tree that decides equal stored data by the data alone, those are the
+pairs that rule decided.
 
 With --command, a round is one call of the tree's ``cli.main`` on
 ``--output json`` followed by the command's arguments, for instance
@@ -36,6 +41,24 @@ tally of exit codes and every input whose exit code or JSON report
 differs, as ``OLD_CODE -> NEW_CODE  ARGV``, and exits 1 when one does.
 The two trees take about 20 s together on a 2-vCPU VM.
 
+With --bench, each tree's ``src/`` and ``benchmark/``, found next to
+OLD_SRC and NEW_SRC, are copied without ``__pycache__`` into a temporary
+directory, and ``benchmark/run.py --workload W --seed S --seconds X``
+runs there with PYTHONDONTWRITEBYTECODE=1, so both trees start with the
+same bytecode state.  For each workload named in the ``BENCHMARK.json``
+next to NEW_SRC, --pairs pairs run one after the other, the parent (OLD)
+first in even pairs and the change (NEW) first in odd ones.  OUT.json
+gets every run's end-to-end metrics and calibration median, and per
+metric the runs of each side, their medians and quartiles
+(``statistics.quantiles(method='inclusive')``), the pairs the change
+wins, its median over the parent's and whether that is within the
+metric's bound from ``BENCHMARK.json``.  It also says whether every
+report digest agrees between the two sides: only the SHA-256 fields are
+compared, since the command lines name inputs under each copy.  The
+script exits 1 when a digest differs or a run reports a failed check.
+Ten pairs with --seconds 12 on the three workloads take about 20 minutes
+on a 2-vCPU VM.
+
 In the timed modes, after one untimed round each, the trees take turns,
 the first tree alternating.  For each kind of pass the script prints both
 medians, the ratio NEW/OLD of the medians, the median of the per-round
@@ -53,13 +76,21 @@ from __future__ import annotations
 
 import argparse
 import gc
+import hashlib
 import importlib
 import importlib.util
 import io
+import json
+import os
+import platform
 import random
+import re
 import shlex
+import shutil
 import statistics
+import subprocess
 import sys
+import tempfile
 from contextlib import redirect_stdout
 from math import gcd
 from pathlib import Path
@@ -100,6 +131,20 @@ class Side:
                                S.glue_section(ctx, S.compose_auto(al, be))))
             self.pairs.append((g_al, g_be))
         self.times = []
+
+    def without_apply(self) -> int:
+        """How many pairs ``acts_like`` decides without calling ``apply``."""
+        cls = self.cyclic.SemilinearAuto
+        apply, calls, count = cls.apply, [], 0
+        cls.apply = lambda f, *args: calls.append(1) or apply(f, *args)
+        try:
+            for f1, f2 in self.pairs:
+                calls.clear()
+                self.cyclic.acts_like(f1, f2, self.gens)
+                count += not calls
+        finally:
+            cls.apply = apply
+        return count
 
     def run(self):
         """One timed acts_like pass, then one timed apply pass."""
@@ -184,6 +229,145 @@ def compare_grid(trees) -> int:
     return 1 if moved else 0
 
 
+def copy_tree(src: str, dest: Path) -> Path:
+    """The src/ and benchmark/ next to src, copied to dest without
+    ``__pycache__`` or the benchmark's output."""
+    root = Path(src).resolve().parent
+    for sub in ("src", "benchmark"):
+        shutil.copytree(root / sub, dest / sub, ignore=shutil.ignore_patterns(
+            "__pycache__", "out"))
+    return dest
+
+
+def tree_digest(root: Path) -> str:
+    """SHA-256 over the paths and bytes of every file under root/src."""
+    h = hashlib.sha256()
+    for path in sorted((root / "src").rglob("*")):
+        if path.is_file():
+            h.update(str(path.relative_to(root)).encode() + b"\0")
+            h.update(path.read_bytes())
+    return h.hexdigest()
+
+
+def bench_run(root: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One ``benchmark/run.py`` process in root: its result line, the
+    median calibration of its rounds and its report digests."""
+    argv = [sys.executable, "benchmark/run.py", "--workload", workload,
+            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run(argv, cwd=root, env=env, capture_output=True,
+                          text=True, check=False)
+    lines = proc.stdout.splitlines()
+    try:
+        result = json.loads(lines[-1])
+    except (IndexError, ValueError):
+        raise RuntimeError(f"{workload} in {root} exited {proc.returncode}: "
+                           f"{proc.stderr.strip()[-2000:]}") from None
+    calibration = [float(v) for line in lines
+                   if line.startswith("round times, calibration (s):")
+                   for v in line.split(":", 1)[1].split()]
+    return {"metrics": {k: v["value"] for k, v in result["metrics"].items()},
+            "correct": result["correct"], "attempted": result["attempted"],
+            "failed": result["failed"],
+            "calibration_s": statistics.median(calibration or [0.0]),
+            "digests": re.findall(r"^report +\d+ sha256=(\w+)", proc.stdout,
+                                  re.M)}
+
+
+def spread(values) -> dict:
+    """Median and quartiles, inclusive method; one value is all three."""
+    q1, med, q3 = (statistics.quantiles(values, n=4, method="inclusive")
+                   if len(values) > 1 else [values[0]] * 3)
+    return {"median": round(med, 4), "q1": round(q1, 4), "q3": round(q3, 4)}
+
+
+def summarize(pairs, end_to_end) -> dict:
+    """Per end-to-end metric of BENCHMARK.json ({name, better, bound}), the
+    summary of pairs, a list of (parent metrics, change metrics) dicts."""
+    out = {}
+    for spec in end_to_end:
+        name, bound = spec["name"], spec["bound"]
+        lower = spec.get("better", "lower") == "lower"
+        old = [p[name] for p, _ in pairs]
+        new = [c[name] for _, c in pairs]
+        wins = sum((c < p) if lower else (c > p) for p, c in zip(old, new))
+        med_old, med_new = statistics.median(old), statistics.median(new)
+        ratio = med_new / med_old if med_old else float("inf")
+        out[name] = {
+            "parent_runs": [round(v, 4) for v in old],
+            "change_runs": [round(v, 4) for v in new],
+            "change_wins": f"{wins}/{len(pairs)}",
+            "parent": spread(old), "change": spread(new),
+            "change_over_parent": round(ratio, 4),
+            "within_bound": (ratio <= 1 + bound) if lower
+                            else (ratio >= 1 - bound)}
+    return out
+
+
+def compare_bench(old_src, new_src, out_path, pairs, seed, seconds) -> int:
+    """``pairs`` alternating benchmark runs per workload, written to
+    out_path; exit code 1 when a digest differs or a run is not correct."""
+    spec = json.loads((Path(new_src).resolve().parent / "BENCHMARK.json")
+                      .read_text(encoding="utf-8"))
+    record = {
+        "command": (f"python3 benchmark/run.py --workload <w> --seed {seed} "
+                    f"--seconds {seconds} --trace 0"),
+        "machine": {"vcpus": os.cpu_count(), "python":
+                    platform.python_version(), "system":
+                    f"{platform.system()} {platform.machine()}"},
+        "order": "parent first in even pairs (0, 2, ...), change first in "
+                 "odd ones; workloads one after the other",
+        "directories": "parent and change each copied without __pycache__, "
+                       "run with PYTHONDONTWRITEBYTECODE=1",
+        "quartiles": "statistics.quantiles(method='inclusive')",
+        "bounds": {m["name"]: m["bound"] for m in spec["end_to_end"]},
+        "workloads": {}}
+    ok = True
+    with tempfile.TemporaryDirectory(prefix="kernel_ab_bench_") as tmp:
+        roots = (copy_tree(old_src, Path(tmp) / "parent"),
+                 copy_tree(new_src, Path(tmp) / "change"))
+        record["src_sha256"] = {"parent": tree_digest(roots[0]),
+                                "change": tree_digest(roots[1])}
+        for name in (w["name"] for w in spec["workloads"]):
+            runs = []
+            for k in range(pairs):
+                pair = [None, None]
+                for side in ((0, 1) if k % 2 == 0 else (1, 0)):
+                    pair[side] = bench_run(roots[side], name, seed, seconds)
+                    print(f"{name} pair {k} {('parent', 'change')[side]}: "
+                          + " ".join(f"{m}={v:.4f}" for m, v in
+                                     pair[side]["metrics"].items()),
+                          flush=True)
+                runs.append(pair)
+            digests = {tuple(r["digests"]) for pair in runs for r in pair}
+            agree = len(digests) == 1 and bool(next(iter(digests)))
+            correct = all(r["correct"] for pair in runs for r in pair)
+            ok &= agree and correct
+            record["workloads"][name] = {
+                "summary": summarize([(p["metrics"], c["metrics"])
+                                      for p, c in runs], spec["end_to_end"]),
+                "runs": [{side: {k: v for k, v in r.items()
+                                 if k != "digests"}
+                          for side, r in zip(("parent", "change"), pair)}
+                         for pair in runs],
+                "reports": {"digests_agree": agree,
+                            "reports_per_run": len(runs[0][0]["digests"]),
+                            "all_correct": correct,
+                            "failed_operations": sum(
+                                r["failed"] for pair in runs for r in pair)}}
+            for metric, entry in record["workloads"][name]["summary"].items():
+                print(f"{name} {metric}: parent median "
+                      f"{entry['parent']['median']}, change median "
+                      f"{entry['change']['median']}, ratio "
+                      f"{entry['change_over_parent']}, change wins "
+                      f"{entry['change_wins']}")
+            print(f"{name}: report digests "
+                  + ("agree" if agree else "DIFFER"), flush=True)
+    Path(out_path).write_text(json.dumps(record, indent=1) + "\n",
+                              encoding="utf-8")
+    return 0 if ok else 1
+
+
 def matrix_form(m):
     return [{t: [(c.val, c.logs, c.prec) for c in e.comps]
              for t, e in row.items()} for row in m.entries]
@@ -207,9 +391,19 @@ def main(argv=None) -> int:
                            "comparison kernel")
     mode.add_argument("--grid", action="store_true",
                       help="compare every report of the verdict grid")
+    mode.add_argument("--bench", metavar="OUT.json",
+                      help="run benchmark/run.py of both trees in "
+                           "alternating pairs and write the record here")
+    ap.add_argument("--pairs", type=int, default=5,
+                    help="--bench: pairs of runs per workload (default 5)")
+    ap.add_argument("--seconds", type=float, default=12.0,
+                    help="--bench: run.py's --seconds (default 12)")
     args = ap.parse_args(argv)
-    if args.rounds < 1:
-        ap.error("--rounds must be at least 1")
+    if args.rounds < 1 or args.pairs < 1:
+        ap.error("--rounds and --pairs must be at least 1")
+    if args.bench is not None:
+        return compare_bench(args.old, args.new, args.bench, args.pairs,
+                             args.seed, args.seconds)
     trees = ((args.old, "autsplit_old"), (args.new, "autsplit_new"))
     if args.grid:
         return compare_grid(trees)
@@ -260,6 +454,9 @@ def main(argv=None) -> int:
     else:
         print(f"acts_like verdicts identical ({sum(v_old)} of {len(v_old)} "
               "true)")
+    print(f"acts_like pairs decided without apply: old "
+          f"{old.without_apply()}, new {new.without_apply()} of "
+          f"{len(old.pairs)}")
     return int(first_old != first_new)
 
 

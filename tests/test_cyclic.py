@@ -368,6 +368,30 @@ def test_rep_multiplicative():
         assert all(prod[s][t] == rab[s][t] for s in range(3) for t in range(3))
 
 
+def test_rep_keeps_a_component_known_to_a_lower_precision():
+    # (T, O(T^3), 0) in A(3, 1): the u-component has no terms but is known
+    # only to T^3, so the entries it reaches are O(T^3) and, past the
+    # wrap u^3 = T, O(T^4); its reduced norm T^3 + c*sigma(c)*sigma^2(c)*T
+    # is T^3 + O(T^10), as the permutation expansion of rep says, where
+    # skipping the component claimed T^3 + O(T^(prec+2))
+    from test_series import permutation_det
+    for prec in (10, 16):
+        alg = make_algebra(2, 1, 3, 1, prec=prec)
+        t, jE = alg.tower, alg.jE
+        x = alg.from_components([LaurentSeries.T_power(t, jE, 1, prec),
+                                 LaurentSeries.zero(t, jE, 3),
+                                 alg.zero_series])
+        rep = x.regular_representation()
+        rough = [(s, c) for s, row in enumerate(rep.rows)
+                 for c, e in enumerate(row) if e.prec < prec]
+        assert rough == [(0, 2), (1, 0), (2, 1)]
+        assert [rep.rows[s][c].prec for s, c in rough] == [4, 3, 3]
+        nrd = x.reduced_norm()
+        assert (nrd.val, nrd.logs, nrd.prec) == (3, (0,), 10)
+        full = permutation_det(rep)
+        assert (full.val, full.logs, full.prec) == (3, (0,), 10)
+
+
 def test_nrd_trivial_and_u():
     alg = make_algebra(3, 1, 2, 1)
     assert alg.one().reduced_norm() == LaurentSeries.one(alg.tower, 1, alg.prec)
@@ -469,6 +493,27 @@ def test_phi_maps_one_as_alpha_does_without_calling_it(monkeypatch):
                           lambda a, s: calls.append(1) or call(a, s))
                 got = [entry_form(f.apply_element(e)) for e in elts]
             assert got == expected and not calls
+
+
+def test_phi_keeps_a_component_known_to_a_lower_precision():
+    # a component with no terms known only to T^3 maps to itself: alpha
+    # and the twist power keep O(T^3), which is what apply_element's
+    # ``if not c`` keeps
+    alg = make_algebra(2, 2, 3, 1)
+    t, jE = alg.tower, alg.jE
+    rng = random.Random(13)
+    alpha, x = admissible_pair(alg, rng)
+    f = phi_auto(alg, 1, alpha, x)
+    tw = f._twist_powers()
+    rough = LaurentSeries.zero(t, jE, 3)
+    unit = LaurentSeries.one(t, jE, alg.prec)
+    for j in range(alg.d):
+        comps = [unit] * alg.d
+        comps[j] = rough
+        img = f.apply_element(alg.from_components(comps))
+        literal = tw[j] * alpha(rough)
+        assert entry_form(img)[j] == (literal.val, literal.logs,
+                                      literal.prec) == (3, (), 3)
 
 
 def test_phi_is_ring_homomorphism():

@@ -1,7 +1,7 @@
 """Smoke test of the two-tree comparison tool, which pytest does not
 collect: one timed command and one kernel pass with this checkout's src/
 as both trees, a kernel pass against a tree whose apply images differ,
-and the verdict grid's size."""
+the verdict grid's size, and the summary of the benchmark pairs."""
 
 import importlib.util
 import shutil
@@ -33,6 +33,9 @@ def test_kernel_mode_on_one_tree(capsys):
     out = capsys.readouterr().out
     assert "apply images identical" in out
     assert "acts_like verdicts identical" in out
+    # one of the two pairs stores equal data on both sides, and both
+    # sides are this tree
+    assert "acts_like pairs decided without apply: old 1, new 1 of 2" in out
 
 
 def test_kernel_mode_fails_on_differing_images(tmp_path, capsys):
@@ -63,3 +66,33 @@ def test_grid_size_and_non_split_inputs():
     non_split = [argv for argv in grid if not splits_globally_charp(
         int(argv[11]), int(argv[7]), int(argv[3]), int(argv[5]))]
     assert len(non_split) == 135
+
+
+def test_bench_summary():
+    end_to_end = [{"name": "compute_s", "better": "lower", "bound": 0.25},
+                  {"name": "rate", "better": "higher", "bound": 0.1}]
+    pairs = [({"compute_s": 1.0, "rate": 10.0}, {"compute_s": 0.5,
+                                                 "rate": 8.0}),
+             ({"compute_s": 2.0, "rate": 10.0}, {"compute_s": 2.5,
+                                                 "rate": 9.5}),
+             ({"compute_s": 3.0, "rate": 10.0}, {"compute_s": 1.0,
+                                                 "rate": 12.0})]
+    out = kernel_ab.summarize(pairs, end_to_end)
+    c = out["compute_s"]
+    assert c["parent_runs"] == [1.0, 2.0, 3.0]
+    assert c["change_runs"] == [0.5, 2.5, 1.0]
+    assert c["change_wins"] == "2/3"
+    assert c["parent"] == {"median": 2.0, "q1": 1.5, "q3": 2.5}
+    assert c["change"] == {"median": 1.0, "q1": 0.75, "q3": 1.75}
+    assert c["change_over_parent"] == 0.5 and c["within_bound"]
+    r = out["rate"]
+    assert r["change_wins"] == "1/3"
+    assert r["change_over_parent"] == 0.95 and r["within_bound"]
+    slower = kernel_ab.summarize([({"compute_s": 1.0, "rate": 10.0},
+                                   {"compute_s": 1.3, "rate": 8.9})],
+                                 end_to_end)
+    assert slower["compute_s"]["change"] == {"median": 1.3, "q1": 1.3,
+                                             "q3": 1.3}
+    assert not slower["compute_s"]["within_bound"]
+    assert not slower["rate"]["within_bound"]
+

@@ -193,6 +193,61 @@ def test_verify_section_passes_small():
     assert rep.all_passed, [c.name for c in rep.checks if not c.passed]
 
 
+def data_form(f):
+    """Everything f's action reads: alphaE's Frobenius power and T-image,
+    the twist, and the nonzero entries of both inner parts, each series
+    as (val, logs, prec)."""
+    form = lambda c: (c.val, c.logs, c.prec)
+    return (f.alphaE.e, form(f.alphaE.image_of_T), form(f.x),
+            [[[(t, entry_form(e)) for t, e in row] for row in m.nonzero()]
+             for m in (f.inner, f.inner_inv)])
+
+
+def part_indices(ctx, alpha):
+    """glue_section's split of alpha: its inertia part and the indices
+    (g2, g3, g4, g5) of f_Ca, f_Cb, f_Ca' and f_Cb'."""
+    from autsplit.autk import decompose_auto
+    from autsplit.sections import _crt_split
+    jpart, scalar, e = decompose_auto(alpha)
+    step = (ctx.tower.q - 1) // (ctx.p ** ctx.i - 1)
+    return jpart, (*_crt_split(scalar.log // step, ctx.a, ctx.b),
+                   *_crt_split(e, ctx.a2, ctx.b2))
+
+
+def glued_by_all_four(ctx, alpha):
+    """f_J(g1) f_Ca(g2) f_Cb(g3) f_Ca'(g4) f_Cb'(g5) with every part
+    composed, those of index 0 included."""
+    jpart, js = part_indices(ctx, alpha)
+    f = section_J(ctx, jpart)
+    for part, j in zip((section_Ca, section_Cb, section_Caprime,
+                        section_Cbprime), js):
+        f = compose_semilinear(f, part(ctx, j))
+    return f
+
+
+@pytest.mark.parametrize("params, prec", [
+    ((2, 2, 3, 2, 6), 8), ((2, 7, 3, 1, 1), 12), ((2, 3, 3, 1, 3), 8),
+    ((7, 1, 2, 1, 2), 6), ((2, 3, 3, 1, 3), 2)],
+    ids=["a=b'=1", "b=b'=1", "b'=3", "a=3,b=2", "prec=2"])
+def test_glue_skips_identity_parts_exactly(params, prec):
+    # glue_section leaves out the parts of index 0, which are identities,
+    # while alpha is known to ctx.prec: the glued data are those of
+    # composing all four parts.  With alpha's T-image truncated below
+    # ctx.prec every part is composed, so they agree there too
+    ctx = SectionContext(*params, prec=prec)
+    rng = random.Random(41)
+    skipped = 0
+    for _ in range(8):
+        al = random_k_auto(ctx, rng)
+        img = al.image_of_T
+        for cut in sorted({ctx.prec, max(2, ctx.prec - 2), 2}):
+            alpha = LocalFieldAuto(ctx.tower, ctx.i, al.e, img.truncate(cut))
+            assert data_form(glue_section(ctx, alpha)) == \
+                data_form(glued_by_all_four(ctx, alpha)), cut
+        skipped += 0 in part_indices(ctx, al)[1]
+    assert skipped
+
+
 def quotient_elements(ctx):
     """Every automorphism ``random_k_auto`` can draw: a unit lead zeta^k, a
     tail in F_{p^i} at T^2 ... T^(prec-1) and a Frobenius power below i."""
@@ -387,26 +442,74 @@ def test_apply_takes_the_products_of_the_generic_one(params, prec):
     assert cancelled != monomial
 
 
+def rescaled(f, c):
+    """f with inner part g*c and inverse c^-1*g^-1 for a constant c of
+    F_{p^i}^x: it acts as f does, since c is central, but stores other
+    data."""
+    alg = f.alg
+    scalar = lambda v: AlgebraMatrix.scalar_matrix(
+        alg.scalar(LaurentSeries.constant(v, alg.jE, alg.prec)), f.n)
+    return SemilinearAuto(alg, f.n, f.inner * scalar(c), f.alphaE, f.x,
+                          inner_inv=scalar(c.inverse()) * f.inner_inv,
+                          check=False)
+
+
 def test_comparison_tests_each_inner_entry_for_zero_once(monkeypatch):
     # the nonzero entries of g and g^-1 are found once per matrix, not
     # once per generator: at n = 6, 23 of the 25 generators go through
-    # apply on each side of the comparison (zeta*Id and T*Id do not)
+    # apply on each side of the comparison (zeta*Id and T*Id do not).  f
+    # against itself is decided by its data, so it is compared with a
+    # rescaled copy, which acts alike but stores other entries
     ctx = SectionContext(2, 2, 3, 2, 6, prec=8)
     f = glue_section(ctx, random_k_auto(ctx, random.Random(5)))
-    stored = [id(e) for m in (f.inner, f.inner_inv) for row in m.entries
-              for e in row.values()]
+    g = rescaled(f, ctx.zeta)
+    stored = [id(e) for h in (f, g) for m in (h.inner, h.inner_inv)
+              for row in m.entries for e in row.values()]
     ids = set(stored)
-    tested = []
-    is_zero = AlgebraElement.is_zero
+    tested, applied = [], []
+    is_zero, apply = AlgebraElement.is_zero, SemilinearAuto.apply
 
     def counted(self):
         if id(self) in ids:
             tested.append(id(self))
         return is_zero(self)
+
+    def counted_apply(self, M, images=None):
+        applied.append(self)
+        return apply(self, M, images)
     monkeypatch.setattr(AlgebraElement, "is_zero", counted)
-    assert acts_like(f, f, ctx.generators())
+    monkeypatch.setattr(SemilinearAuto, "apply", counted_apply)
+    assert acts_like(f, g, ctx.generators())
+    assert applied.count(f) == applied.count(g) == 23
     assert tested and len(tested) <= len(stored)
     assert all(tested.count(k) <= stored.count(k) for k in set(tested))
+
+
+def test_equal_data_is_decided_without_apply(monkeypatch):
+    # two automorphisms that store the same data, entry by entry as (val,
+    # logs, prec) but in other objects, act alike: acts_like says so
+    # without applying either.  A stored exact zero is such data too,
+    # since apply reads only the nonzero entries
+    ctx = SectionContext(2, 2, 3, 2, 6, prec=8)
+    rng = random.Random(5)
+    al = random_k_auto(ctx, rng)
+    f, g = glue_section(ctx, al), glue_section(ctx, al)
+    assert f.inner is not g.inner and f.x is not g.x
+    alg = ctx.algebra
+    padded = AlgebraMatrix(alg, [{**{t: alg.zero() for t in range(ctx.n)},
+                                  **row} for row in g.inner.entries])
+    assert any(len(row) < ctx.n for row in g.inner.entries)
+    h = SemilinearAuto(alg, ctx.n, padded, g.alphaE, g.x,
+                       inner_inv=g.inner_inv, check=False)
+
+    def no_apply(self, M, images=None):
+        raise AssertionError("apply called")
+    monkeypatch.setattr(SemilinearAuto, "apply", no_apply)
+    for f1, f2 in ((f, g), (g, f), (f, h), (h, f), (f, f)):
+        assert acts_like(f1, f2, ctx.generators())
+    # a rescaled copy acts alike but stores other data: it needs apply
+    with pytest.raises(AssertionError, match="apply called"):
+        acts_like(f, rescaled(f, ctx.zeta), ctx.generators())
 
 
 def test_comparison_holds_a_one_shot_iterator_of_generators():
@@ -425,7 +528,9 @@ def test_comparison_holds_a_one_shot_iterator_of_generators():
     assert ctx.a == 1
     assert all(acts_trivially(f, [elementary(k)]) for k in range(1, 40))
     assert acts_trivially(f, (elementary(k) for k in range(1, 40)))
-    assert acts_like(f, f, (elementary(k) for k in range(1, 40)))
+    # f against itself is decided by its data: a rescaled copy applies
+    assert acts_like(f, rescaled(f, ctx.zeta),
+                     (elementary(k) for k in range(1, 40)))
 
 
 # -- mutation controls: a T^k change to one ingredient is flagged ------------
@@ -526,6 +631,32 @@ def test_identity_image_is_compared_for_each_elementary_generator():
         assert not acts_like(f, g, gens) and not acts_like(g, f, gens)
     blind = [G for G in parts if all(0 not in row for row in G.entries)]
     assert blind and acts_like(f, g, blind) and acts_like(g, f, blind)
+
+
+@pytest.mark.parametrize("part", ["inner", "inner_inv", "x", "alpha_T",
+                                  "alpha_e"])
+def test_mutated_data_reaches_the_generators(part, monkeypatch):
+    # data that differ below their precision are not decided by the data:
+    # the comparison applies f to the generators, and flags the change
+    ctx = CTX_B
+    f = glue_section(ctx, random_k_auto(ctx, random.Random(18)))
+    applied = []
+    apply = SemilinearAuto.apply
+
+    def counted_apply(self, M, images=None):
+        applied.append(M)
+        return apply(self, M, images)
+    monkeypatch.setattr(SemilinearAuto, "apply", counted_apply)
+    ks = [1] if part == "alpha_e" else [2, 4, ctx.prec - 2]
+    positions = [(0, 0), (ctx.n - 1, 1)] if part.startswith("inner") \
+        else [None]
+    for k in ks:
+        for pos in positions:
+            g = mutated(f, part, k, pos)
+            for f1, f2 in ((f, g), (g, f)):
+                applied.clear()
+                assert not acts_like(f1, f2, ctx.generators()), (k, pos)
+                assert applied, (k, pos)
 
 
 # -- central generators: c*Id, c in K, is decided by alpha(c) after f(I) -------

@@ -1209,6 +1209,53 @@ def test_series_matrix_det_matches_permutation_expansion():
                 assert det.prec >= M.prec - 8 * n    # the comparison means something
 
 
+def form(s):
+    return s.val, s.logs, s.prec
+
+
+def test_series_matrix_product_keeps_a_zero_known_to_a_lower_precision():
+    # 0 + O(T^3) times I at prec 8: the schoolbook sum is known to T^3,
+    # and only exact zeros (known to the matrix's precision) are skipped
+    t, prec = T3, 8
+    zero, one = LaurentSeries.zero(t, 2, prec), LaurentSeries.one(t, 2, prec)
+    rough = LaurentSeries.zero(t, 2, 3)
+    A = SeriesMatrix(t, 2, prec, [[rough, zero], [zero, one]])
+    ident = identity_matrix(t, 2, 2, prec)
+    for prod in (A * ident, ident * A):
+        assert [[form(e) for e in row] for row in prod.rows] == \
+            [[(3, (), 3), (8, (), 8)], [(8, (), 8), (0, (0,), 8)]]
+
+
+def test_series_matrix_product_matches_the_schoolbook_sum():
+    # every product a*b summed onto the zero of the matrix's precision,
+    # no factor skipped: the same (val, logs, prec) in every entry
+    rng = random.Random(25)
+    for tower, j in ((T4, 6), (T3, 2)):
+        for n in (1, 2, 3):
+            mats = []
+            for _ in range(2):
+                rows = [[rng.choice((
+                    sample_series(tower, j, rng, val_range=(-1, 3)),
+                    LaurentSeries.zero(tower, j, rng.choice((5, 16, 20)))))
+                         for _ in range(n)] for _ in range(n)]
+                mats.append(SeriesMatrix(tower, j, 16, rows))
+            A, B = mats
+            zero = LaurentSeries.zero(tower, j, 16)
+            ref = [[form(sum((A.rows[s][k] * B.rows[k][t] for k in range(n)),
+                             zero)) for t in range(n)] for s in range(n)]
+            assert [[form(e) for e in row] for row in (A * B).rows] == ref
+
+
+def test_det_eliminates_an_entry_known_to_a_lower_precision():
+    # [[T, O(T^3)], [O(T^3), T]] has det T^2 - O(T^6) = T^2 + O(T^6);
+    # skipping the O(T^3) below the pivot claimed T^2 + O(T^11)
+    t, prec = T3, 10
+    T = LaurentSeries.T_power(t, 2, 1, prec)
+    rough = LaurentSeries.zero(t, 2, 3)
+    M = SeriesMatrix(t, 2, prec, [[T, rough], [rough, T]])
+    assert form(M.det()) == form(permutation_det(M)) == (2, (0,), 6)
+
+
 def test_series_matrix_singular_det_is_zero():
     rng = random.Random(21)
     M = sample_matrix(T4, 2, 3, rng)
