@@ -345,14 +345,15 @@ def glue_section(ctx: SectionContext, alpha: LocalFieldAuto) -> SemilinearAuto:
     known to ctx.prec.  Such a part is composed only while f.alphaE is
     known to less than ctx.prec.  From ctx.prec on, composing would give
     f's data back.  f's phi maps each 1 to 1 + O(T^P), P >= ctx.prec,
-    which is shaped like 1, so each product copies an entry of f; before
+    which is shaped like 1, so each product copies an entry of f.  Before
     f_Cb', the last part and the only one with powers of u, f's entries
-    are products of units of E known to at most ctx.prec, and a copy
-    keeps such an entry's (val, logs, prec).  f's alphaE maps T and the
-    twist 1 to its own T-image and to 1 at ctx.prec, so alphaE and f.x
-    keep their data too.  Below ctx.prec, phi(1) = 1 + O(T^P') is not
-    shaped like 1, and composing cuts the precision of f's entries, so
-    the part is composed as before."""
+    are scalars: products of units of E known to at most ctx.prec, every
+    other component an exact zero.  A copy keeps such an entry's (val,
+    logs, prec) in every component.  f's alphaE maps T and the twist 1
+    to its own T-image and to 1 at ctx.prec, so alphaE and f.x keep their
+    data too.  Below ctx.prec, phi(1) = 1 + O(T^P') is not shaped like 1,
+    and composing cuts the precision of f's entries, so the part is
+    composed."""
     jpart, scalar, e = decompose_auto(alpha)
     step = (ctx.tower.q - 1) // (ctx.p ** ctx.i - 1)
     if scalar.log % step != 0:

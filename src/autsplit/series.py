@@ -238,6 +238,12 @@ class LaurentSeries:
     def __bool__(self):
         return bool(self.logs)
 
+    def is_exact_zero(self, prec: int) -> bool:
+        """No terms, and known to at least prec.  A series with no terms
+        known only to T^k, k < prec, is not: its products keep that
+        O(T^k)."""
+        return not self.logs and self.prec >= prec
+
     def __eq__(self, other):
         if not isinstance(other, LaurentSeries):
             return NotImplemented
@@ -495,10 +501,8 @@ class SeriesMatrix:
         return SeriesMatrix(self.tower, self.j, self.prec, rows)
 
     def __mul__(self, other: SeriesMatrix) -> SeriesMatrix:
-        """The schoolbook product, each entry capped at self.prec.  Only
-        exact zeros (no terms, known to self.prec) are skipped: an entry
-        with no terms known only to T^k takes part, so its O(T^k) reaches
-        the sum."""
+        """The schoolbook product, each entry capped at self.prec; a pair
+        with a factor that ``is_exact_zero`` at self.prec is skipped."""
         if self.n != other.n:
             raise ValueError("size mismatch")
         prec = self.prec
@@ -510,7 +514,7 @@ class SeriesMatrix:
             for col in cols:
                 acc = zero
                 for a, b in zip(row, col):
-                    if (a.logs or a.prec < prec) and (b.logs or b.prec < prec):
+                    if not (a.is_exact_zero(prec) or b.is_exact_zero(prec)):
                         acc = acc + a * b
                 out_row.append(acc)
             out.append(out_row)
@@ -524,9 +528,8 @@ class SeriesMatrix:
 
         The pivots and products taken here fix the O(T^N) of every reduced
         norm the command line prints, so reports depend on this order.  An
-        entry below a pivot is eliminated unless it is an exact zero (no
-        terms, known to self.prec): one known only to T^k carries its
-        O(T^k) into its row.
+        entry below a pivot is eliminated unless it ``is_exact_zero`` at
+        self.prec.
         """
         n = self.n
         mat = [list(r) for r in self.rows]
@@ -546,8 +549,8 @@ class SeriesMatrix:
             pinv = pivot.inverse()
             for m in range(k + 1, n):
                 e = mat[m][k]
-                if not e.logs and e.prec >= self.prec:
-                    continue                # an exact zero needs no step
+                if e.is_exact_zero(self.prec):
+                    continue
                 factor = e * pinv
                 mat[m] = [mat[m][c] - factor * mat[k][c] for c in range(n)]
         if sign < 0:

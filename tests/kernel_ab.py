@@ -5,7 +5,7 @@ end-to-end metrics, in alternating processes.
     python tests/kernel_ab.py OLD_SRC NEW_SRC [--rounds 41] [--samples 6]
     python tests/kernel_ab.py OLD_SRC NEW_SRC --command "AUTSPLIT ARGV"
     python tests/kernel_ab.py OLD_SRC NEW_SRC --grid
-    python tests/kernel_ab.py OLD_SRC NEW_SRC --bench OUT.json [--pairs 5]
+    python tests/kernel_ab.py OLD_SRC NEW_SRC --bench OUT.json
 
 Except with --bench, each tree's ``autsplit`` package is imported under
 its own name, so the two run side by side.
@@ -45,19 +45,20 @@ With --bench, each tree's ``src/`` and ``benchmark/``, found next to
 OLD_SRC and NEW_SRC, are copied without ``__pycache__`` into a temporary
 directory, and ``benchmark/run.py --workload W --seed S --seconds X``
 runs there with PYTHONDONTWRITEBYTECODE=1, so both trees start with the
-same bytecode state.  For each workload named in the ``BENCHMARK.json``
-next to NEW_SRC, --pairs pairs run one after the other, the parent (OLD)
-first in even pairs and the change (NEW) first in odd ones.  OUT.json
-gets every run's end-to-end metrics and calibration median, and per
-metric the runs of each side, their medians and quartiles
-(``statistics.quantiles(method='inclusive')``), the pairs the change
-wins, its median over the parent's and whether that is within the
-metric's bound from ``BENCHMARK.json``.  It also says whether every
-report digest agrees between the two sides: only the SHA-256 fields are
-compared, since the command lines name inputs under each copy.  The
-script exits 1 when a digest differs or a run reports a failed check.
-Ten pairs with --seconds 12 on the three workloads take about 20 minutes
-on a 2-vCPU VM.
+same bytecode state.  X is the ``run_seconds`` of the ``BENCHMARK.json``
+next to NEW_SRC.  For each workload named there, ten pairs (``PAIRS``)
+run one after the other, the parent (OLD) first in even pairs and the
+change (NEW) first in odd ones.  OUT.json gets every run's end-to-end
+metrics and calibration median, and per metric the runs of each side,
+their medians and quartiles (``statistics.quantiles(method='inclusive')``),
+the pairs the change wins, its median over the parent's and whether that
+is within the metric's bound from ``BENCHMARK.json``.  It also says
+whether every report digest agrees between the two sides: only the
+SHA-256 fields are compared, since the command lines name inputs under
+each copy.  The script exits 1 when a digest differs or a run reports a
+failed check.
+With run_seconds 35 the three workloads take about 40 minutes on a
+2-vCPU VM.
 
 In the timed modes, after one untimed round each, the trees take turns,
 the first tree alternating.  For each kind of pass the script prints both
@@ -95,6 +96,8 @@ from contextlib import redirect_stdout
 from math import gcd
 from pathlib import Path
 from time import perf_counter
+
+PAIRS = 10      # alternating benchmark pairs per workload with --bench
 
 
 def load(src: str, name: str, *modules: str):
@@ -304,11 +307,13 @@ def summarize(pairs, end_to_end) -> dict:
     return out
 
 
-def compare_bench(old_src, new_src, out_path, pairs, seed, seconds) -> int:
-    """``pairs`` alternating benchmark runs per workload, written to
-    out_path; exit code 1 when a digest differs or a run is not correct."""
+def compare_bench(old_src, new_src, out_path, seed) -> int:
+    """PAIRS alternating benchmark runs per workload, each as long as the
+    benchmark's run_seconds, written to out_path; exit code 1 when a
+    digest differs or a run is not correct."""
     spec = json.loads((Path(new_src).resolve().parent / "BENCHMARK.json")
                       .read_text(encoding="utf-8"))
+    seconds = spec["run_seconds"]
     record = {
         "command": (f"python3 benchmark/run.py --workload <w> --seed {seed} "
                     f"--seconds {seconds} --trace 0"),
@@ -330,7 +335,7 @@ def compare_bench(old_src, new_src, out_path, pairs, seed, seconds) -> int:
                                 "change": tree_digest(roots[1])}
         for name in (w["name"] for w in spec["workloads"]):
             runs = []
-            for k in range(pairs):
+            for k in range(PAIRS):
                 pair = [None, None]
                 for side in ((0, 1) if k % 2 == 0 else (1, 0)):
                     pair[side] = bench_run(roots[side], name, seed, seconds)
@@ -394,16 +399,11 @@ def main(argv=None) -> int:
     mode.add_argument("--bench", metavar="OUT.json",
                       help="run benchmark/run.py of both trees in "
                            "alternating pairs and write the record here")
-    ap.add_argument("--pairs", type=int, default=5,
-                    help="--bench: pairs of runs per workload (default 5)")
-    ap.add_argument("--seconds", type=float, default=12.0,
-                    help="--bench: run.py's --seconds (default 12)")
     args = ap.parse_args(argv)
-    if args.rounds < 1 or args.pairs < 1:
-        ap.error("--rounds and --pairs must be at least 1")
+    if args.rounds < 1:
+        ap.error("--rounds must be at least 1")
     if args.bench is not None:
-        return compare_bench(args.old, args.new, args.bench, args.pairs,
-                             args.seed, args.seconds)
+        return compare_bench(args.old, args.new, args.bench, args.seed)
     trees = ((args.old, "autsplit_old"), (args.new, "autsplit_new"))
     if args.grid:
         return compare_grid(trees)

@@ -1213,6 +1213,16 @@ def form(s):
     return s.val, s.logs, s.prec
 
 
+def test_is_exact_zero_needs_no_terms_and_the_precision():
+    t = T3
+    assert LaurentSeries.zero(t, 2, 8).is_exact_zero(8)
+    assert LaurentSeries.zero(t, 2, 9).is_exact_zero(8)
+    assert not LaurentSeries.zero(t, 2, 3).is_exact_zero(8)
+    assert not LaurentSeries.T_power(t, 2, 5, 8).is_exact_zero(8)
+    # a term beyond the precision asked for still counts
+    assert not LaurentSeries.T_power(t, 2, 9, 12).is_exact_zero(8)
+
+
 def test_series_matrix_product_keeps_a_zero_known_to_a_lower_precision():
     # 0 + O(T^3) times I at prec 8: the schoolbook sum is known to T^3,
     # and only exact zeros (known to the matrix's precision) are skipped
