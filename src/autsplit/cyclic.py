@@ -20,8 +20,8 @@ projectively, given together with its inverse, since nothing here inverts
 a matrix), a field automorphism of E commuting with sigma, and the twist
 x sent along with u.  Equality of semilinear automorphisms is decided by
 comparing actions on a fixed generating set of matrices, since neither
-the inner part nor the twist data is unique: equal data act alike, but
-different data may too.
+the inner part nor the twist data is unique: data that agree up to a
+constant of E act alike, but other data may too.
 
 Every matrix the sections build is diagonal, block diagonal or monomial,
 so an algebra matrix has one constructor, AlgebraMatrix(alg, entries),
@@ -35,16 +35,19 @@ phi1~(g2^-1) * g1^-1 by matrix products.  The generators a comparison
 runs on form an additive spanning set: scalar matrices, I and the parts
 x*e_ab of the elementary matrices I + x*e_ab.  f is additive, so
 comparing f(I) and f(x*e_ab) compares f(I + x*e_ab).  Three kinds of
-work skip the products.  Two automorphisms that store the same data,
-every series that ``apply`` and the central path read equal as (val,
-logs, prec), compute every image identically, so ``acts_like`` answers
-for them without applying either (``_same_data``).  A scalar c*Id with c
-in K, such as zeta*Id and T*Id, is central: Int(g) fixes K pointwise, so
-f(c*Id) = alpha(c)*f(I), and once f(I) is compared the comparison reads
-alpha(c) alone (``acts_like``).  And a product with a factor shaped like
-1, as phi(1) and the parts 1*e_ab give, copies the other factor's
-components at the precision the series product would give, without
-taking it (``AlgebraElement.__mul__``).
+work skip the products.  Two automorphisms whose stored data agree up to
+one constant delta of E act alike: with sigma(delta)/delta = c,
+Int(delta) o phi(alpha, x) = phi(alpha, c*x) (Hilbert 90 for a constant
+ratio), so Int(g) o phi(alpha, c*x) = Int(g*delta) o phi(alpha, x).
+``acts_like`` reads that from the data, every series as (val, logs,
+prec), without applying either side, and ``acts_trivially`` reads it
+against the identity's data (``_scaled_data``); equal data are delta =
+1.  A scalar c*Id with c in K, such as zeta*Id and T*Id, is central:
+Int(g) fixes K pointwise, so f(c*Id) = alpha(c)*f(I), and once f(I) is
+compared the comparison reads alpha(c) alone (``acts_like``).  And a
+product with a factor shaped like 1, as phi(1) and the parts 1*e_ab
+give, copies the other factor's components at the precision the series
+product would give, without taking it (``AlgebraElement.__mul__``).
 
 The builders store one element object at many positions (a scalar matrix
 holds one object n times, and the generators share alg.one() and
@@ -61,7 +64,7 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from .autk import LocalFieldAuto, compose_auto
-from .gftower import FieldTower, NotInSubfield, subfield_generator
+from .gftower import LOG_ZERO, FieldTower, NotInSubfield, subfield_generator
 from .series import (LaurentSeries, SeriesMatrix, frobenius_coeffwise,
                      series_in_subfield, unramified_norm)
 
@@ -368,8 +371,9 @@ class SemilinearAuto:
     ``inner`` None stands for the identity.  ``alpha`` is an automorphism
     of E commuting with sigma (its T-image must have F_{p^i} coefficients)
     and ``x`` satisfies the admissibility condition N_{E/K}(x) =
-    alpha(T^r)/T^r.  Compare automorphisms with ``acts_like``: equal
-    stored data act alike, but different data may too.
+    alpha(T^r)/T^r.  Compare automorphisms with ``acts_like``: stored
+    data that agree up to a constant of E act alike, but other data may
+    too.
     """
 
     __slots__ = ("alg", "n", "inner", "inner_inv", "alphaE", "x", "_twists")
@@ -525,11 +529,13 @@ def acts_like(f1: SemilinearAuto, f2: SemilinearAuto,
     which for an additive spanning set such as ``generator_matrices`` is
     equality on every matrix it spans.
 
-    When f1 and f2 store the same data (``_same_data``), every image is
-    computed identically on both sides, so the answer is True without
-    applying either.  Such a comparison is at the data's own precision:
-    nothing is compared at the precision an image would reach.  Any
-    difference in the data, even one that acts alike, goes to the
+    When f2's data are f1's moved by one constant delta of E
+    (``_scaled_data``: the same alpha, x1 = c*x2 with sigma(delta)/delta
+    = c, g2 = g1*delta and g2^-1 = delta^-1*g1^-1), f1 = Int(g1*delta) o
+    phi(alpha, x2) = f2, so the answer is True without applying either.
+    Equal data are the case delta = 1.  Such a verdict is at the data's
+    own precision: nothing is compared at the precision an image would
+    reach.  Any other pair, even one that acts alike, goes to the
     generators below.
 
     A central generator c*Id, c in K other than 1 (``_central``), is
@@ -550,15 +556,18 @@ def acts_like(f1: SemilinearAuto, f2: SemilinearAuto,
 
 
 def acts_trivially(f: SemilinearAuto, gens: Iterable[AlgebraMatrix]) -> bool:
-    """f(G) == G for every generator G, compared as in ``acts_like``: a
-    central generator c*Id by f.alphaE(c) == c, after f(I) == I."""
+    """f(G) == G for every generator G, compared as in ``acts_like``:
+    True without applying f when f's data are the identity's (I, x = 1
+    and T -> T at alg.prec) moved by one constant delta of E
+    (``_scaled_data``), and otherwise a central generator c*Id by
+    f.alphaE(c) == c, after f(I) == I."""
     return _acts_alike(f, None, gens)
 
 
 def _acts_alike(f1: SemilinearAuto, f2: SemilinearAuto | None,
                 gens: Iterable[AlgebraMatrix]) -> bool:
     """``acts_like``, with f2 None standing for the identity."""
-    if f2 is not None and _same_data(f1, f2):
+    if _scaled_data(f1, _identity(f1) if f2 is None else f2):
         return True
     gens = list(gens)
     ident, central, rest = None, [], []
@@ -584,6 +593,16 @@ def _acts_alike(f1: SemilinearAuto, f2: SemilinearAuto | None,
             and all(map(same, rest)))
 
 
+def _identity(f: SemilinearAuto) -> SemilinearAuto:
+    """The identity on f's group, stored as I, x = 1 and T -> T, every
+    series at alg.prec."""
+    alg = f.alg
+    return SemilinearAuto(
+        alg, f.n, None,
+        LocalFieldAuto.frobenius_power(alg.tower, alg.jE, 0, alg.prec),
+        LaurentSeries.one(alg.tower, alg.jE, alg.prec), check=False)
+
+
 def _central(G: AlgebraMatrix) -> AlgebraElement | None:
     """e when G = e*Id, one element object e of K stored at every diagonal
     position (only component 0 has terms, all in F_{p^i}); else None."""
@@ -597,21 +616,75 @@ def _central(G: AlgebraMatrix) -> AlgebraElement | None:
     return e
 
 
-def _same_data(f1: SemilinearAuto, f2: SemilinearAuto) -> bool:
-    """Whether f1 and f2 store the same data that ``apply`` and the central
-    path of ``_acts_alike`` read: alg and n, alphaE's tower, j, e and
-    T-image, the twist x, and the ``nonzero()`` entries of the inner part
-    and of its inverse, every series compared as (val, logs, prec).
-    Entries are read through ``nonzero()`` because ``apply`` reads nothing
-    else: a stored exact zero matches a missing entry.  Equal data give
-    the same twist powers, phi-images and products, so f1 and f2 act alike
-    on every matrix."""
-    def form(f):
-        a = f.alphaE
-        return (a.j, a.e,
-                [(s.val, s.logs, s.prec) for s in (a.image_of_T, f.x)],
-                [[[(t, [(c.val, c.logs, c.prec) for c in e.comps])
-                   for t, e in row] for row in m.nonzero()]
-                 for m in (f.inner, f.inner_inv)])
-    return (f1.alg is f2.alg and f1.n == f2.n
-            and f1.alphaE.tower is f2.alphaE.tower and form(f1) == form(f2))
+def _scaled_data(f1: SemilinearAuto, f2: SemilinearAuto) -> bool:
+    """Whether f2's data are f1's moved by one constant delta of E, so that
+    f1 and f2 act alike on every matrix.
+
+    For delta in E^x with sigma(delta)/delta = c, Int(delta) o phi(alpha,
+    x) = phi(alpha, c*x): delta*u*x*delta^-1 = u*sigma(delta)*x*delta^-1,
+    and alpha(e) commutes with delta.  So f1 = Int(g1) o phi(alpha, x1)
+    with x1 = c*x2 is Int(g1*delta) o phi(alpha, x2), which is f2 when g2
+    = g1*delta and g2^-1 = delta^-1*g1^-1.  The rule reads exactly that
+    from the stored data, every series as (val, logs, prec): alg and n,
+    alphaE's tower, j, e and T-image equal; x1 = c*x2 (``_scaled``); delta
+    the ratio of the leading terms of the first component with terms in
+    row 0 of the inner parts, with sigma(delta)/delta = c, on logs
+    delta*(p^i - 1) = c mod Q; every component of g2 that of g1 times
+    delta; and component k of g2^-1 that of g1^-1 times sigma^k(delta)^-1,
+    since delta^-1*u^k*b = u^k*sigma^k(delta)^-1*b.  Entries are read
+    through ``nonzero()``, as ``apply`` reads them, so a stored exact zero
+    matches a missing entry.  Equal data are the case delta = c = 1.
+
+    A constant keeps every val and prec, so the verdict is at the data's
+    own precision: nothing is compared at the precision an image would
+    reach.  False only means that this rule does not decide the pair."""
+    a1, a2, alg = f1.alphaE, f2.alphaE, f1.alg
+    Q = alg.tower.q - 1
+    if not (alg is f2.alg and f1.n == f2.n and a1.tower is a2.tower
+            and a1.j == a2.j and a1.e == a2.e
+            and _scaled(a1.image_of_T, a2.image_of_T, 0, Q)):
+        return False
+    c = _lead_ratio(f2.x, f1.x, Q)
+    row2 = dict(f2.inner.nonzero()[0])
+    delta = next((_lead_ratio(s1, s2, Q)
+                  for t, e1 in f1.inner.nonzero()[0] if t in row2
+                  for s1, s2 in zip(e1.comps, row2[t].comps) if s1.logs), 0)
+    q_i = pow(alg.tower.p, alg.i, Q)
+    return (delta * (q_i - 1) % Q == c and _scaled(f2.x, f1.x, c, Q)
+            and _scaled_matrix(f1.inner, f2.inner, [delta] * alg.d, Q)
+            and _scaled_matrix(f1.inner_inv, f2.inner_inv,
+                               [-delta * pow(q_i, k, Q) % Q
+                                for k in range(alg.d)], Q))
+
+
+def _lead_ratio(s1: LaurentSeries, s2: LaurentSeries, Q: int) -> int:
+    """The log of lead(s2)/lead(s1), or 0 when either has no terms."""
+    return (s2.logs[0] - s1.logs[0]) % Q if s1.logs and s2.logs else 0
+
+
+def _scaled(s1: LaurentSeries, s2: LaurentSeries, k: int, Q: int) -> bool:
+    """Whether s2 stores the (val, logs, prec) of g^k * s1, g the tower
+    generator: the same val and prec, and every log moved by k mod Q."""
+    if s1.val != s2.val or s1.prec != s2.prec:
+        return False
+    if not k:
+        return s1.logs == s2.logs
+    return len(s1.logs) == len(s2.logs) and all(
+        b == (a if a == LOG_ZERO else (a + k) % Q)
+        for a, b in zip(s1.logs, s2.logs))
+
+
+def _scaled_matrix(m1: AlgebraMatrix, m2: AlgebraMatrix,
+                   shifts: Sequence[int], Q: int) -> bool:
+    """Whether m2 has the ``nonzero()`` positions of m1, and component k
+    of each of its entries is that of m1 moved by shifts[k] (``_scaled``)."""
+    for r1, r2 in zip(m1.nonzero(), m2.nonzero()):
+        if len(r1) != len(r2):
+            return False
+        r2 = dict(r2)
+        for t, e1 in r1:
+            e2 = r2.get(t)
+            if e2 is None or not all(_scaled(s1, s2, k, Q) for s1, s2, k
+                                     in zip(e1.comps, e2.comps, shifts)):
+                return False
+    return True

@@ -24,8 +24,8 @@ coordinates of x over F_{p^(id)} are the traces Tr(x * w_k) down to
 F_{p^(id)} against the trace-dual basis w_k = q_k / f'(eta), where f is
 the minimal polynomial of eta and f(X)/(X - eta) = sum q_k X^k.
 Equality of automorphisms is decided by action on a generator set, or by
-equal stored data (``cyclic.acts_like``), never by comparing
-representations.
+stored data that agree up to a constant of E (``cyclic.acts_like``), never
+by comparing representations.
 """
 
 from __future__ import annotations

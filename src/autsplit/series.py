@@ -558,22 +558,27 @@ class SeriesMatrix:
         return det
 
     def proportional_to(self, other: SeriesMatrix) -> bool:
-        """Equality up to a scalar: other = s * self for a series s."""
+        """Equality up to a scalar: other = s * self for a series s.
+
+        s = b/a for the first pair of entries (a, b) that both have terms,
+        and every pair with a term on either side is compared as a * s ==
+        b, so a pair with no terms on one side is equal when the other
+        side vanishes below the precision that comparison reaches: O(T^3)
+        matches T^5 at a unit s.  A pair with no terms on either side is
+        equal at every s.  With no pair that has terms on both sides, the matrices
+        are not proportional if either has a term, and PrecisionExhausted
+        is raised if neither does."""
         if self.n != other.n:
             raise ValueError("size mismatch")
-        pivot = None
-        for row_a, row_b in zip(self.rows, other.rows):
-            for a, b in zip(row_a, row_b):
-                if bool(a) != bool(b):
-                    return False
-                if a and pivot is None:
-                    pivot = (a, b)
+        pairs = [(a, b) for row_a, row_b in zip(self.rows, other.rows)
+                 for a, b in zip(row_a, row_b)]
+        pivot = next(((a, b) for a, b in pairs if a.logs and b.logs), None)
         if pivot is None:
+            if any(a.logs or b.logs for a, b in pairs):
+                return False
             raise PrecisionExhausted("both matrices vanish within precision")
         scale = pivot[1] / pivot[0]
-        return all(not a or a * scale == b
-                   for row_a, row_b in zip(self.rows, other.rows)
-                   for a, b in zip(row_a, row_b))
+        return all(a * scale == b for a, b in pairs if a.logs or b.logs)
 
 
 # ----------------------------------------------------------------------

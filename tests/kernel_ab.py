@@ -47,18 +47,22 @@ directory, and ``benchmark/run.py --workload W --seed S --seconds X``
 runs there with PYTHONDONTWRITEBYTECODE=1, so both trees start with the
 same bytecode state.  X is the ``run_seconds`` of the ``BENCHMARK.json``
 next to NEW_SRC.  For each workload named there, ten pairs (``PAIRS``)
-run one after the other, the parent (OLD) first in even pairs and the
-change (NEW) first in odd ones.  OUT.json gets every run's end-to-end
-metrics and calibration median, and per metric the runs of each side,
-their medians and quartiles (``statistics.quantiles(method='inclusive')``),
-the pairs the change wins, its median over the parent's and whether that
-is within the metric's bound from ``BENCHMARK.json``.  It also says
-whether every report digest agrees between the two sides: only the
-SHA-256 fields are compared, since the command lines name inputs under
-each copy.  The script exits 1 when a digest differs or a run reports a
-failed check.
-With run_seconds 35 the three workloads take about 40 minutes on a
-2-vCPU VM.
+run one after the other at --seed S, the parent (OLD) first in even pairs
+and the change (NEW) first in odd ones, and then two more pairs
+(``HELD_OUT``) in the same order at the held-out seed S + 1.  OUT.json
+gets every run's end-to-end metrics and calibration median, and per
+metric the runs of each side, their medians and quartiles
+(``statistics.quantiles(method='inclusive')``), the pairs the change
+wins, its median over the parent's and whether that is within the
+metric's bound from ``BENCHMARK.json``; the held-out pairs get the same
+under ``held_out``.  It also says, per seed, whether every report digest
+agrees between the two sides: only the SHA-256 fields are compared,
+since the command lines name inputs under each copy.  ``commits`` names,
+for each tree, the ``git rev-parse HEAD`` of the checkout whose root
+holds its src/, and whether that src/ differs from HEAD, or is null when
+the tree is not the root of a checkout.  The script exits 1 when a
+digest differs or a run reports a failed check.  With run_seconds 35 the
+three workloads take about 50 minutes on a 2-vCPU VM.
 
 In the timed modes, after one untimed round each, the trees take turns,
 the first tree alternating.  For each kind of pass the script prints both
@@ -98,6 +102,7 @@ from pathlib import Path
 from time import perf_counter
 
 PAIRS = 10      # alternating benchmark pairs per workload with --bench
+HELD_OUT = 2    # ... and alternating pairs at the held-out seed + 1
 
 
 def load(src: str, name: str, *modules: str):
@@ -307,25 +312,87 @@ def summarize(pairs, end_to_end) -> dict:
     return out
 
 
+def commit(src: str) -> dict | None:
+    """The HEAD of the checkout whose root holds src, and whether its src/
+    differs from HEAD (untracked files included); None outside a
+    checkout."""
+    root = Path(src).resolve().parent
+    git = lambda *args: subprocess.run(["git", *args], cwd=root,
+                                       capture_output=True, text=True)
+    try:
+        top = git("rev-parse", "--show-toplevel", "HEAD")
+        status = git("status", "--porcelain", "--", "src")
+    except OSError:                     # no git
+        return None
+    lines = top.stdout.split()
+    if top.returncode or status.returncode or len(lines) != 2 \
+            or Path(lines[0]).resolve() != root:
+        return None
+    return {"head": lines[1], "src_dirty": bool(status.stdout.strip())}
+
+
+def bench_pairs(roots, name, seed, seconds, count, end_to_end):
+    """count alternating pairs of ``bench_run`` on workload name at seed,
+    the parent first in even pairs: (their record, whether every digest
+    agrees and every run is correct)."""
+    runs = []
+    for k in range(count):
+        pair = [None, None]
+        for side in ((0, 1) if k % 2 == 0 else (1, 0)):
+            pair[side] = bench_run(roots[side], name, seed, seconds)
+            print(f"{name} seed {seed} pair {k} "
+                  f"{('parent', 'change')[side]}: "
+                  + " ".join(f"{m}={v:.4f}" for m, v in
+                             pair[side]["metrics"].items()), flush=True)
+        runs.append(pair)
+    digests = {tuple(r["digests"]) for pair in runs for r in pair}
+    agree = len(digests) == 1 and bool(next(iter(digests)))
+    correct = all(r["correct"] for pair in runs for r in pair)
+    record = {
+        "summary": summarize([(p["metrics"], c["metrics"]) for p, c in runs],
+                             end_to_end),
+        "runs": [{side: {k: v for k, v in r.items() if k != "digests"}
+                  for side, r in zip(("parent", "change"), pair)}
+                 for pair in runs],
+        "reports": {"digests_agree": agree,
+                    "reports_per_run": len(runs[0][0]["digests"]),
+                    "all_correct": correct,
+                    "failed_operations": sum(r["failed"] for pair in runs
+                                             for r in pair)}}
+    for metric, entry in record["summary"].items():
+        print(f"{name} seed {seed} {metric}: parent median "
+              f"{entry['parent']['median']}, change median "
+              f"{entry['change']['median']}, ratio "
+              f"{entry['change_over_parent']}, change wins "
+              f"{entry['change_wins']}")
+    print(f"{name} seed {seed}: report digests "
+          + ("agree" if agree else "DIFFER"), flush=True)
+    return record, agree and correct
+
+
 def compare_bench(old_src, new_src, out_path, seed) -> int:
-    """PAIRS alternating benchmark runs per workload, each as long as the
-    benchmark's run_seconds, written to out_path; exit code 1 when a
-    digest differs or a run is not correct."""
+    """PAIRS alternating benchmark runs per workload at seed, then HELD_OUT
+    at seed + 1, each as long as the benchmark's run_seconds, written to
+    out_path; exit code 1 when a digest differs or a run is not
+    correct."""
     spec = json.loads((Path(new_src).resolve().parent / "BENCHMARK.json")
                       .read_text(encoding="utf-8"))
-    seconds = spec["run_seconds"]
+    seconds, end_to_end = spec["run_seconds"], spec["end_to_end"]
     record = {
         "command": (f"python3 benchmark/run.py --workload <w> --seed {seed} "
                     f"--seconds {seconds} --trace 0"),
+        "held_out_seed": seed + 1,
+        "commits": {"parent": commit(old_src), "change": commit(new_src)},
         "machine": {"vcpus": os.cpu_count(), "python":
                     platform.python_version(), "system":
                     f"{platform.system()} {platform.machine()}"},
         "order": "parent first in even pairs (0, 2, ...), change first in "
-                 "odd ones; workloads one after the other",
+                 "odd ones; per workload the pairs at the seed, then the "
+                 "held-out pairs; workloads one after the other",
         "directories": "parent and change each copied without __pycache__, "
                        "run with PYTHONDONTWRITEBYTECODE=1",
         "quartiles": "statistics.quantiles(method='inclusive')",
-        "bounds": {m["name"]: m["bound"] for m in spec["end_to_end"]},
+        "bounds": {m["name"]: m["bound"] for m in end_to_end},
         "workloads": {}}
     ok = True
     with tempfile.TemporaryDirectory(prefix="kernel_ab_bench_") as tmp:
@@ -334,40 +401,13 @@ def compare_bench(old_src, new_src, out_path, seed) -> int:
         record["src_sha256"] = {"parent": tree_digest(roots[0]),
                                 "change": tree_digest(roots[1])}
         for name in (w["name"] for w in spec["workloads"]):
-            runs = []
-            for k in range(PAIRS):
-                pair = [None, None]
-                for side in ((0, 1) if k % 2 == 0 else (1, 0)):
-                    pair[side] = bench_run(roots[side], name, seed, seconds)
-                    print(f"{name} pair {k} {('parent', 'change')[side]}: "
-                          + " ".join(f"{m}={v:.4f}" for m, v in
-                                     pair[side]["metrics"].items()),
-                          flush=True)
-                runs.append(pair)
-            digests = {tuple(r["digests"]) for pair in runs for r in pair}
-            agree = len(digests) == 1 and bool(next(iter(digests)))
-            correct = all(r["correct"] for pair in runs for r in pair)
-            ok &= agree and correct
-            record["workloads"][name] = {
-                "summary": summarize([(p["metrics"], c["metrics"])
-                                      for p, c in runs], spec["end_to_end"]),
-                "runs": [{side: {k: v for k, v in r.items()
-                                 if k != "digests"}
-                          for side, r in zip(("parent", "change"), pair)}
-                         for pair in runs],
-                "reports": {"digests_agree": agree,
-                            "reports_per_run": len(runs[0][0]["digests"]),
-                            "all_correct": correct,
-                            "failed_operations": sum(
-                                r["failed"] for pair in runs for r in pair)}}
-            for metric, entry in record["workloads"][name]["summary"].items():
-                print(f"{name} {metric}: parent median "
-                      f"{entry['parent']['median']}, change median "
-                      f"{entry['change']['median']}, ratio "
-                      f"{entry['change_over_parent']}, change wins "
-                      f"{entry['change_wins']}")
-            print(f"{name}: report digests "
-                  + ("agree" if agree else "DIFFER"), flush=True)
+            entry, main_ok = bench_pairs(roots, name, seed, seconds, PAIRS,
+                                         end_to_end)
+            held, held_ok = bench_pairs(roots, name, seed + 1, seconds,
+                                        HELD_OUT, end_to_end)
+            entry["held_out"] = held
+            record["workloads"][name] = entry
+            ok &= main_ok and held_ok
     Path(out_path).write_text(json.dumps(record, indent=1) + "\n",
                               encoding="utf-8")
     return 0 if ok else 1

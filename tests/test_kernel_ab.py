@@ -23,7 +23,7 @@ def test_command_mode_on_one_tree(capsys):
     assert "JSON reports identical" in capsys.readouterr().out
 
 
-KERNEL = ["--params", "2,1,3,1,3", "--prec", "6", "--samples", "1",
+KERNEL = ["--params", "2,2,3,1,3", "--prec", "6", "--samples", "1",
           "--rounds", "1"]
 
 
@@ -33,8 +33,9 @@ def test_kernel_mode_on_one_tree(capsys):
     out = capsys.readouterr().out
     assert "apply images identical" in out
     assert "acts_like verdicts identical" in out
-    # one of the two pairs stores equal data on both sides, and both
-    # sides are this tree
+    # both sides are this tree: of the two pairs, the one that acts alike
+    # stores data that agree up to a constant of E, which the data rule
+    # decides (a tree that compares equal data alone applies it)
     assert "acts_like pairs decided without apply: old 1, new 1 of 2" in out
 
 
@@ -96,3 +97,40 @@ def test_bench_summary():
     assert not slower["compute_s"]["within_bound"]
     assert not slower["rate"]["within_bound"]
 
+
+
+def test_bench_records_commits_and_held_out_pairs(tmp_path, monkeypatch):
+    # the benchmark runs replaced by a stub: per workload, PAIRS pairs at
+    # the seed and HELD_OUT pairs at seed + 1, and each tree's commit
+    old, new = tmp_path / "old" / "src", TESTS.parent / "src"
+    old.mkdir(parents=True)
+    calls = []
+
+    def stub(root, workload, seed, seconds):
+        calls.append((root.name, workload, seed))
+        return {"metrics": {"setup_s": 1.0, "compute_s": 2.0,
+                            "peak_rss_mb": 3.0},
+                "correct": True, "attempted": 1, "failed": 0,
+                "calibration_s": 0.1, "digests": [f"d{seed}"]}
+    monkeypatch.setattr(kernel_ab, "bench_run", stub)
+    monkeypatch.setattr(kernel_ab, "copy_tree",
+                        lambda src, dest: dest)
+    out = tmp_path / "bench.json"
+    assert kernel_ab.compare_bench(str(old), str(new), out, 4) == 0
+    record = kernel_ab.json.loads(out.read_text())
+    assert record["commits"]["parent"] is None
+    change = record["commits"]["change"]
+    assert change is None or set(change) == {"head", "src_dirty"}
+    assert record["held_out_seed"] == 5
+    workloads = record["workloads"]
+    assert list(workloads) == ["synth-wide", "synth-deep", "queries"]
+    for name, entry in workloads.items():
+        assert len(entry["runs"]) == kernel_ab.PAIRS
+        held = entry["held_out"]
+        assert len(held["runs"]) == kernel_ab.HELD_OUT
+        assert held["reports"]["digests_agree"]
+        seeds = [seed for _, w, seed in calls if w == name]
+        assert seeds == [4] * 2 * kernel_ab.PAIRS + [5] * 2 * kernel_ab.HELD_OUT
+    # the parent goes first in even pairs, the change in odd ones
+    firsts = [calls[k][0] for k in range(0, 2 * kernel_ab.PAIRS, 2)]
+    assert firsts == ["parent", "change"] * (kernel_ab.PAIRS // 2)

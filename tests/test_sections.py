@@ -4,12 +4,13 @@ import random
 import pytest
 
 from autsplit.autk import LocalFieldAuto, compose_auto, restrict_auto
+from autsplit import cyclic
 from autsplit.cyclic import (AlgebraElement, AlgebraMatrix, SemilinearAuto,
                              acts_like, acts_trivially, compose_semilinear)
 from autsplit.gftower import (FFElement, frobenius, in_subfield,
                               subfield_generator)
-from autsplit.sections import (SectionContext, glue_section, random_j_element,
-                               random_k_auto, section_Ca,
+from autsplit.sections import (SectionContext, _with_witness, glue_section,
+                               random_j_element, random_k_auto, section_Ca,
                                section_Caprime, section_Cb, section_Cbprime,
                                section_J, verify_section)
 from autsplit.series import LaurentSeries, series_in_subfield
@@ -443,15 +444,42 @@ def test_apply_takes_the_products_of_the_generic_one(params, prec):
 
 
 def rescaled(f, c):
-    """f with inner part g*c and inverse c^-1*g^-1 for a constant c of
-    F_{p^i}^x: it acts as f does, since c is central, but stores other
-    data."""
+    """f with inner part g*c and inverse c^-1*g^-1 for a series c of K^x:
+    it acts as f does, since c is central, but stores other data."""
     alg = f.alg
-    scalar = lambda v: AlgebraMatrix.scalar_matrix(
-        alg.scalar(LaurentSeries.constant(v, alg.jE, alg.prec)), f.n)
+    scalar = lambda v: AlgebraMatrix.scalar_matrix(alg.scalar(v), f.n)
     return SemilinearAuto(alg, f.n, f.inner * scalar(c), f.alphaE, f.x,
                           inner_inv=scalar(c.inverse()) * f.inner_inv,
                           check=False)
+
+
+def one_plus_T(ctx):
+    """1 + T, central and not a constant: the data rule declines a copy
+    rescaled by it, so such a copy reaches apply."""
+    alg = ctx.algebra
+    return (LaurentSeries.one(alg.tower, alg.jE, alg.prec)
+            + LaurentSeries.T_power(alg.tower, alg.jE, 1, alg.prec))
+
+
+def moved(f, delta, c):
+    """f's data moved by constants delta and c of E^x: inner part g*delta,
+    inverse delta^-1*g^-1 (component k scaled by sigma^k(delta)^-1) and
+    twist c*x, each series scaled by ``LaurentSeries.scale``, which keeps
+    its val and prec.  It acts as f does when c = delta/sigma(delta):
+    Int(g*delta) o phi(alpha, x*delta/sigma(delta)) = Int(g) o phi(alpha,
+    x)."""
+    alg = f.alg
+    inv = delta.inverse()
+
+    def scaled(m, factor):
+        return AlgebraMatrix(alg, [
+            {t: AlgebraElement(alg, tuple(s.scale(factor(k))
+                                          for k, s in enumerate(e.comps)))
+             for t, e in row.items()} for row in m.entries])
+    return SemilinearAuto(
+        alg, f.n, scaled(f.inner, lambda k: delta), f.alphaE, f.x.scale(c),
+        inner_inv=scaled(f.inner_inv, lambda k: frobenius(inv, alg.i * k)),
+        check=False)
 
 
 def test_comparison_tests_each_inner_entry_for_zero_once(monkeypatch):
@@ -459,10 +487,11 @@ def test_comparison_tests_each_inner_entry_for_zero_once(monkeypatch):
     # once per generator: at n = 6, 23 of the 25 generators go through
     # apply on each side of the comparison (zeta*Id and T*Id do not).  f
     # against itself is decided by its data, so it is compared with a
-    # rescaled copy, which acts alike but stores other entries
+    # copy rescaled by 1 + T, which acts alike but whose data are not f's
+    # moved by a constant
     ctx = SectionContext(2, 2, 3, 2, 6, prec=8)
     f = glue_section(ctx, random_k_auto(ctx, random.Random(5)))
-    g = rescaled(f, ctx.zeta)
+    g = rescaled(f, one_plus_T(ctx))
     stored = [id(e) for h in (f, g) for m in (h.inner, h.inner_inv)
               for row in m.entries for e in row.values()]
     ids = set(stored)
@@ -485,6 +514,10 @@ def test_comparison_tests_each_inner_entry_for_zero_once(monkeypatch):
     assert all(tested.count(k) <= stored.count(k) for k in set(tested))
 
 
+def no_apply(self, M, images=None):
+    raise AssertionError("apply called")
+
+
 def test_equal_data_is_decided_without_apply(monkeypatch):
     # two automorphisms that store the same data, entry by entry as (val,
     # logs, prec) but in other objects, act alike: acts_like says so
@@ -501,23 +534,25 @@ def test_equal_data_is_decided_without_apply(monkeypatch):
     assert any(len(row) < ctx.n for row in g.inner.entries)
     h = SemilinearAuto(alg, ctx.n, padded, g.alphaE, g.x,
                        inner_inv=g.inner_inv, check=False)
-
-    def no_apply(self, M, images=None):
-        raise AssertionError("apply called")
     monkeypatch.setattr(SemilinearAuto, "apply", no_apply)
     for f1, f2 in ((f, g), (g, f), (f, h), (h, f), (f, f)):
         assert acts_like(f1, f2, ctx.generators())
-    # a rescaled copy acts alike but stores other data: it needs apply
+    # a copy rescaled by 1 + T acts alike, but its data are not f's moved
+    # by a constant: it needs apply
     with pytest.raises(AssertionError, match="apply called"):
-        acts_like(f, rescaled(f, ctx.zeta), ctx.generators())
+        acts_like(f, rescaled(f, one_plus_T(ctx)), ctx.generators())
 
 
 def test_comparison_holds_a_one_shot_iterator_of_generators():
     # a generator built on the fly and freed mid-comparison must not lend
     # its id, and with it a stale phi-image, to a later one
     ctx = SectionContext(2, 2, 3, 1, 3, prec=8)
-    f = section_Ca(ctx, 1)                  # a = 1: f_Ca(1) is trivial
     alg = ctx.algebra
+    # a = 1: f_Ca(1) is trivial.  Its data are the identity's, which
+    # decide the comparison, so the generators see a copy rescaled by
+    # 1 + T, which acts alike but stores other data
+    f = section_Ca(ctx, 1)
+    g = rescaled(f, one_plus_T(ctx))
     zeta_e = subfield_generator(ctx.tower, alg.jE)
 
     def elementary(k):
@@ -526,11 +561,73 @@ def test_comparison_holds_a_one_shot_iterator_of_generators():
         entries[0] = {0: alg.one(), 1: x}
         return AlgebraMatrix(alg, entries)
     assert ctx.a == 1
-    assert all(acts_trivially(f, [elementary(k)]) for k in range(1, 40))
-    assert acts_trivially(f, (elementary(k) for k in range(1, 40)))
-    # f against itself is decided by its data: a rescaled copy applies
-    assert acts_like(f, rescaled(f, ctx.zeta),
-                     (elementary(k) for k in range(1, 40)))
+    assert all(acts_trivially(g, [elementary(k)]) for k in range(1, 40))
+    assert acts_trivially(g, (elementary(k) for k in range(1, 40)))
+    assert acts_like(f, g, (elementary(k) for k in range(1, 40)))
+
+
+def test_constant_moves_are_decided_without_apply(monkeypatch):
+    # data moved by one constant delta of E, with the twist moved by
+    # delta/sigma(delta), act alike and are decided by the data rule: a
+    # copy rescaled by a constant of K (delta = zeta, sigma(delta)/delta =
+    # 1), a copy moved by zeta_E, and f_Cb(j) against f_Cb(j) built from
+    # the witness y*zeta_E, whose inner part is g*zeta_E^-j
+    ctx = SectionContext(2, 2, 3, 2, 6, prec=8)
+    alg = ctx.algebra
+    f = glue_section(ctx, random_k_auto(ctx, random.Random(5)))
+    zeta_e = subfield_generator(ctx.tower, alg.jE)
+    alt = _with_witness(ctx, ctx.y * zeta_e)
+    pairs = [(f, rescaled(f, LaurentSeries.constant(ctx.zeta, alg.jE,
+                                                    alg.prec))),
+             (f, moved(f, zeta_e, zeta_e / frobenius(zeta_e, ctx.i)))]
+    pairs += [(section_Cb(ctx, j), section_Cb(alt, j)) for j in (1, 2)]
+    monkeypatch.setattr(SemilinearAuto, "apply", no_apply)
+    for f1, f2 in pairs:
+        assert f1.x.logs != f2.x.logs or f1.inner != f2.inner
+        assert acts_like(f1, f2, ctx.generators())
+        assert acts_like(f2, f1, ctx.generators())
+
+
+@pytest.mark.parametrize("power", [0, 1, 2])
+def test_data_rule_declines_moves_that_act_otherwise(power):
+    # g*zeta_E with the twist unchanged, and a twist moved by c =
+    # zeta_E/sigma(zeta_E) over an inner part moved by zeta_E^0 or
+    # zeta_E^2, for which c is not delta/sigma(delta): the rule declines,
+    # and the generators find that they act otherwise
+    ctx = SectionContext(2, 2, 3, 1, 3, prec=8)
+    f = glue_section(ctx, random_k_auto(ctx, random.Random(7)))
+    zeta_e = subfield_generator(ctx.tower, ctx.algebra.jE)
+    c = zeta_e / frobenius(zeta_e, ctx.i)
+    g = moved(f, zeta_e ** power, ctx.tower.one() if power == 1 else c)
+    for f1, f2 in ((f, g), (g, f)):
+        assert not cyclic._scaled_data(f1, f2)
+        assert not acts_like(f1, f2, ctx.generators())
+
+
+@pytest.mark.parametrize("params, prec", [((2, 2, 3, 2, 6), 12),
+                                          ((2, 2, 3, 1, 3), 8),
+                                          ((2, 3, 3, 1, 3), 8)])
+def test_data_rule_agrees_with_the_generators(params, prec, monkeypatch):
+    # every pair of the verifier's checks that the data rule decides, the
+    # comparison on the generators alone decides True as well
+    ctx = SectionContext(*params, prec=prec)
+    rule, decided = cyclic._scaled_data, []
+
+    def recorded(f1, f2):
+        if rule(f1, f2):
+            decided.append((f1, f2))
+            return True
+        return False
+    monkeypatch.setattr(cyclic, "_scaled_data", recorded)
+    assert verify_section(ctx, samples=6, seed=1).all_passed
+    # with b > 1 (y_independence among them) some decided pairs store
+    # other twists, so the rule did more than compare equal data; on the
+    # b = 1 input it decides equal data only
+    assert decided
+    assert any(f1.x.logs != f2.x.logs for f1, f2 in decided) == (ctx.b > 1)
+    monkeypatch.setattr(cyclic, "_scaled_data", lambda f1, f2: False)
+    gens = ctx.generators()
+    assert all(acts_like(f1, f2, gens) for f1, f2 in decided)
 
 
 # -- mutation controls: a T^k change to one ingredient is flagged ------------

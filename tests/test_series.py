@@ -11,8 +11,8 @@ from autsplit.gftower import (LOG_ZERO, FFElement, FieldTower, build_tower,
                               subfield_generator)
 from autsplit.series import (ApparentZero, BadResidue, DivideByApparentZero,
                              LaurentSeries, NotUniformiser,
-                             PDividesExponent, SeriesMatrix,
-                             frobenius_coeffwise, hensel_root,
+                             PDividesExponent, PrecisionExhausted,
+                             SeriesMatrix, frobenius_coeffwise, hensel_root,
                              norm_equation_solve, reversion, substitute,
                              unramified_norm)
 from series_matrix_reference import (NotInvertible, identity_matrix,
@@ -1323,6 +1323,29 @@ def test_proportional_to_sees_a_perturbation_once_prec_exceeds_it():
             rows[1][2] = rows[1][2] + bump
             perturbed = SeriesMatrix(T4, 6, prec, rows)
             assert M.proportional_to(perturbed) == (k >= prec)
+
+
+def test_proportional_to_decides_entries_without_terms_at_their_precision():
+    # O(T^3) against T^5 is == at precision 3, so the pair does not tell
+    # the matrices apart; an exact zero against T^5 at precision 10 does
+    one, zero = LaurentSeries.one(T3, 2, 10), LaurentSeries.zero(T3, 2, 10)
+    low = LaurentSeries.zero(T3, 2, 3)
+    t5 = LaurentSeries.T_power(T3, 2, 5, 10)
+    assert low == t5
+    known_to_3 = SeriesMatrix(T3, 2, 10, [[one, low], [low, one]])
+    exact = SeriesMatrix(T3, 2, 10, [[one, zero], [zero, one]])
+    bumped = SeriesMatrix(T3, 2, 10, [[one, t5], [t5, one]])
+    assert known_to_3.proportional_to(bumped)
+    assert bumped.proportional_to(known_to_3)
+    assert not exact.proportional_to(bumped)
+    assert not bumped.proportional_to(exact)
+    # no pair with terms on both sides: a term on one side is a
+    # difference, and no term on either side leaves no pivot
+    empty = SeriesMatrix(T3, 2, 10, [[zero, zero], [zero, zero]])
+    assert not exact.proportional_to(empty)
+    with pytest.raises(PrecisionExhausted):
+        empty.proportional_to(SeriesMatrix(T3, 2, 10, [[low, low],
+                                                       [low, low]]))
 
 
 def test_proportional_to_rejects_a_size_mismatch():
