@@ -37,17 +37,17 @@ x*e_ab of the elementary matrices I + x*e_ab.  f is additive, so
 comparing f(I) and f(x*e_ab) compares f(I + x*e_ab).  Three kinds of
 work skip the products.  Two automorphisms whose stored data agree up to
 one constant delta of E act alike: with sigma(delta)/delta = c,
-Int(delta) o phi(alpha, x) = phi(alpha, c*x) (Hilbert 90 for a constant
-ratio), so Int(g) o phi(alpha, c*x) = Int(g*delta) o phi(alpha, x).
-``acts_like`` reads that from the data, every series as (val, logs,
-prec), without applying either side, and ``acts_trivially`` reads it
-against the identity's data (``_scaled_data``); equal data are delta =
-1.  A scalar c*Id with c in K, such as zeta*Id and T*Id, is central:
-Int(g) fixes K pointwise, so f(c*Id) = alpha(c)*f(I), and once f(I) is
-compared the comparison reads alpha(c) alone (``acts_like``).  And a
-product with a factor shaped like 1, as phi(1) and the parts 1*e_ab
-give, copies the other factor's components at the precision the series
-product would give, without taking it (``AlgebraElement.__mul__``).
+Int(delta) o phi(alpha, x) = phi(alpha, c*x), so Int(g) o phi(alpha,
+c*x) = Int(g*delta) o phi(alpha, x).  ``acts_like`` reads that from the
+data, every series as (val, logs, prec), without applying either side,
+and ``acts_trivially`` reads it against the identity's data
+(``_scaled_data``); equal data are delta = 1.  A scalar c*Id with c in
+K, such as zeta*Id and T*Id, is central: Int(g) fixes K pointwise, so
+f(c*Id) = alpha(c)*f(I), and once f(I) is compared the comparison reads
+alpha(c) alone (``acts_like``).  And a product with a factor shaped like
+1, as phi(1) and the parts 1*e_ab give, copies the other factor's
+components at the precision the series product would give, without
+taking it (``AlgebraElement.__mul__``).
 
 The builders store one element object at many positions (a scalar matrix
 holds one object n times, and the generators share alg.one() and

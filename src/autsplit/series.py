@@ -565,9 +565,9 @@ class SeriesMatrix:
         b, so a pair with no terms on one side is equal when the other
         side vanishes below the precision that comparison reaches: O(T^3)
         matches T^5 at a unit s.  A pair with no terms on either side is
-        equal at every s.  With no pair that has terms on both sides, the matrices
-        are not proportional if either has a term, and PrecisionExhausted
-        is raised if neither does."""
+        equal at every s.  With no pair that has terms on both sides, the
+        matrices are not proportional if either has a term, and
+        PrecisionExhausted is raised if neither does."""
         if self.n != other.n:
             raise ValueError("size mismatch")
         pairs = [(a, b) for row_a, row_b in zip(self.rows, other.rows)

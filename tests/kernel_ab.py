@@ -21,8 +21,9 @@ script says whether the ``acts_like`` verdicts agree and whether the
 ``apply`` images agree in keys and in every (val, logs, prec), and exits
 1 when either differs between the trees.  It also prints, per tree, how
 many of the pairs ``acts_like`` decides without calling ``apply``: in a
-tree that decides equal stored data by the data alone, those are the
-pairs that rule decided.
+tree that decides from the stored data alone when they agree up to one
+constant of E (equal data among them), those are the pairs that rule
+decided.
 
 With --command, a round is one call of the tree's ``cli.main`` on
 ``--output json`` followed by the command's arguments, for instance

@@ -130,7 +130,8 @@ def test_bench_records_commits_and_held_out_pairs(tmp_path, monkeypatch):
         assert len(held["runs"]) == kernel_ab.HELD_OUT
         assert held["reports"]["digests_agree"]
         seeds = [seed for _, w, seed in calls if w == name]
-        assert seeds == [4] * 2 * kernel_ab.PAIRS + [5] * 2 * kernel_ab.HELD_OUT
+        assert seeds == ([4] * 2 * kernel_ab.PAIRS
+                         + [5] * 2 * kernel_ab.HELD_OUT)
     # the parent goes first in even pairs, the change in odd ones
     firsts = [calls[k][0] for k in range(0, 2 * kernel_ab.PAIRS, 2)]
     assert firsts == ["parent", "change"] * (kernel_ab.PAIRS // 2)

@@ -3,8 +3,8 @@ import random
 
 import pytest
 
-from autsplit.autk import LocalFieldAuto, compose_auto, restrict_auto
 from autsplit import cyclic
+from autsplit.autk import LocalFieldAuto, compose_auto, restrict_auto
 from autsplit.cyclic import (AlgebraElement, AlgebraMatrix, SemilinearAuto,
                              acts_like, acts_trivially, compose_semilinear)
 from autsplit.gftower import (FFElement, frobenius, in_subfield,
